@@ -258,13 +258,22 @@ def scalar_to_json(x: Extended):
     return str(x)
 
 
+def _json_rational(v, whole) -> Fraction:
+    """An exact rational from a JSON integer or string; floats and bools are refused."""
+    if isinstance(v, str) or (isinstance(v, int) and not isinstance(v, bool)):
+        try:
+            return Fraction(v)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValidationError(f"bad symbolic endpoint {whole!r}")
+
+
 def scalar_from_json(v) -> Extended:
     if isinstance(v, dict):
-        try:
-            return PiRational(Fraction(v["pi"]), Fraction(v.get("plus", "0")))
-        except (KeyError, ValueError) as exc:
-            raise ValidationError(f"bad symbolic endpoint {v!r}") from exc
-    if isinstance(v, (int,)):
+        if "pi" not in v:
+            raise ValidationError(f"bad symbolic endpoint {v!r}")
+        return PiRational(_json_rational(v["pi"], v), _json_rational(v.get("plus", "0"), v))
+    if isinstance(v, int) and not isinstance(v, bool):
         return Fraction(v)
     if isinstance(v, str):
         return parse_scalar(v)

@@ -523,16 +523,26 @@ def barcode_to_json(b: GradedBarcode) -> dict:
 
 
 def barcode_from_json(obj) -> GradedBarcode:
-    if not isinstance(obj, dict) or "bars" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("bars"), list):
         raise ValidationError("barcode JSON must be an object with a 'bars' list")
     bars = []
     for rec in obj["bars"]:
         try:
-            lo = Endpoint(scalar_from_json(rec["lo"]["v"]), bool(rec["lo"]["closed"]))
-            hi = Endpoint(scalar_from_json(rec["hi"]["v"]), bool(rec["hi"]["closed"]))
-            bars.append(GradedBar(Interval(lo, hi), int(rec.get("deg", 0)), int(rec.get("mult", 1))))
+            ends = (rec["lo"], rec["hi"])
+            values = [e["v"] for e in ends]
+            flags = [e["closed"] for e in ends]
+            counts = (rec.get("deg", 0), rec.get("mult", 1))
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"bad bar record {rec!r}") from exc
+        # floats and bools would be quietly converted; exact input refuses them
+        if not all(isinstance(f, bool) for f in flags) or not all(
+            isinstance(n, int) and not isinstance(n, bool) for n in counts
+        ):
+            raise ValidationError(
+                f"bad bar record {rec!r}: 'deg' and 'mult' must be integers, 'closed' true or false"
+            )
+        lo, hi = (Endpoint(scalar_from_json(v), f) for v, f in zip(values, flags))
+        bars.append(GradedBar(Interval(lo, hi), *counts))
     out = canonicalize(GradedBarcode(tuple(bars)))
     declared = obj.get("convention")
     if declared is not None and declared != out.convention:

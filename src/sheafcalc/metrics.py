@@ -3,22 +3,33 @@
 Distances are computed per degree and combined by maximum (degreewise
 summands are orthogonal for graded morphisms).  delta-matching uses closed
 thresholds (displacement <= delta, erased length <= 2*delta) so that the
-infimum is attained and `bottleneck` returns an exact rational taken from
-the finite candidate set; the strict-inequality definition has the same
-infimum.  `brute_interleave` exhaustively searches interleaving morphism
-pairs over F_2 and exists purely as an acceptance oracle for the isometry
-theorem.
+infimum is attained; the strict-inequality definition has the same infimum.
+
+Each degree gets one cost table, built once per call: every bar pair's
+cost is the larger of its two end gaps (+inf when only one side of an end
+is infinite), and every bar's erase cost is half its length.  The sorted
+distinct finite costs plus 0 are the only thresholds where feasibility can
+change, so `bottleneck` binary-searches their ranks, rebuilding the
+matching graph at each step from integer rank compares, and returns an
+exact scalar from that finite set.  Ends that are all Fractions are
+scaled to integers over a common denominator first, so the table costs
+integer differences.  `delta_matched` builds the same tables and maps
+its delta to a rank, so the search and the certificate see the same
+graph.  `brute_interleave` exhaustively searches interleaving morphism
+pairs over F_2 and exists purely as an acceptance oracle for the
+isometry theorem.
 """
 
 from __future__ import annotations
 
-import functools
+import bisect
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .errors import OracleSizeError, PlanError, ValidationError
-from .exactnum import POS_INF, Extended, Infinity, Scalar, cmp, is_finite, neg
+from .exactnum import POS_INF, Extended, Infinity, Scalar, cmp, neg
 from .intervals import (
     GradedBar,
     GradedBarcode,
@@ -26,7 +37,7 @@ from .intervals import (
     canonicalize,
     expanded_bars,
 )
-from .ops import torsion
+from .ops import _lcro, torsion
 
 
 @dataclass(frozen=True)
@@ -44,76 +55,143 @@ class Matching:
     erased_right: Tuple[int, ...]
 
 
-def _ends_within(x: Extended, y: Extended, delta: Scalar) -> bool:
-    xf, yf = is_finite(x), is_finite(y)
-    if xf != yf:
-        return False
-    if not xf:
-        return x == y  # same-signed infinity
+def _end_gap(x, y):
+    """|x - y|; 0 for equal infinities, +inf when only one end is finite."""
+    if isinstance(x, Infinity) or isinstance(y, Infinity):
+        return 0 if x == y else POS_INF
     d = x - y
-    if cmp(d, Fraction(0)) < 0:
-        d = neg(d)
-    return cmp(d, delta) <= 0
+    return -d if d < 0 else d
 
 
-def _bars_within(i: Interval, j: Interval, delta: Scalar) -> bool:
-    return _ends_within(i.lo.value, j.lo.value, delta) and _ends_within(
-        i.hi.value, j.hi.value, delta
-    )
+def _pair_cost(a: tuple, b: tuple):
+    """Least delta at which bars with ends a and b match: the larger end gap."""
+    lo = _end_gap(a[0], b[0])
+    hi = _end_gap(a[1], b[1])
+    if lo is POS_INF or hi is POS_INF:
+        return POS_INF
+    return hi if hi > lo else lo
 
 
-def _erasable(i: Interval, delta: Scalar) -> bool:
-    length = i.length
-    if isinstance(length, Infinity):
-        return False
-    return cmp(length, 2 * delta) <= 0
+def _scaled_ends(bars: Sequence[Interval]) -> Tuple[list[tuple], Optional[int]]:
+    """Each bar's (lo, hi), as integers when every finite end is a Fraction.
+
+    Then each finite end x becomes x * scale, with scale twice the lcm of
+    the denominators, so that end gaps and half lengths are exact integer
+    differences; scale is None, and the ends stay as they are, when some
+    end is a PiRational.
+    """
+    ends = [(iv.lo.value, iv.hi.value) for iv in bars]
+    finite = [x for e in ends for x in e if not isinstance(x, Infinity)]
+    if not all(isinstance(x, Fraction) for x in finite):
+        return ends, None
+    scale = 2 * math.lcm(*(x.denominator for x in finite))
+
+    def key(x):
+        return x if isinstance(x, Infinity) else x.numerator * (scale // x.denominator)
+
+    return [(key(lo), key(hi)) for lo, hi in ends], scale
 
 
-def _max_matching(n_left: int, n_right: int, adj: list[list[int]]) -> list[int]:
-    """Simple augmenting-path bipartite matching; returns match_left."""
+class _CostTable:
+    """The costs of one degree, as integer ranks into sorted thresholds.
+
+    A pair's cost is the larger of its two end gaps, a bar's erase cost
+    half its length.  `cands` holds 0 and every distinct finite cost,
+    sorted; a cost ranks at its index there, and an infinite cost at
+    len(cands), so the delta-matching graph at cands[r] keeps exactly the
+    edges of rank <= r.
+    """
+
+    def __init__(self, left: Sequence[Interval], right: Sequence[Interval]):
+        ends, scale = _scaled_ends(list(left) + list(right))
+        lends, rends = ends[: len(left)], ends[len(left) :]
+
+        def erase_cost(e):
+            if isinstance(e[0], Infinity) or isinstance(e[1], Infinity):
+                return POS_INF
+            return (e[1] - e[0]) // 2 if scale else (e[1] - e[0]) * Fraction(1, 2)
+
+        # number each distinct cost in order of first sight, then renumber
+        # by value: one hash per cost and one sort of the distinct ones
+        ids: dict = {Fraction(0): 0, POS_INF: 1}
+        pair = [[ids.setdefault(_pair_cost(a, b), len(ids)) for b in rends] for a in lends]
+        erase_left = [ids.setdefault(erase_cost(a), len(ids)) for a in lends]
+        erase_right = [ids.setdefault(erase_cost(b), len(ids)) for b in rends]
+        keys = sorted(k for k in ids if k is not POS_INF)
+        self.cands: list[Scalar] = [Fraction(k, scale) for k in keys] if scale else keys
+        rank = [len(keys)] * len(ids)
+        for r, k in enumerate(keys):
+            rank[ids[k]] = r
+        self.pair = [[rank[k] for k in row] for row in pair]
+        self.erase_left = [rank[k] for k in erase_left]
+        self.erase_right = [rank[k] for k in erase_right]
+
+    def match(self, r: int) -> Optional[Tuple[list[Tuple[int, int]], list[int], list[int]]]:
+        """Matching at threshold rank r on the doubled bipartite graph.
+
+        Left nodes are the left bars then one diagonal node per right bar;
+        right nodes are the right bars then one diagonal node per left bar.
+        """
+        n1, n2 = len(self.erase_left), len(self.erase_right)
+        adj: list[list[int]] = []
+        for i, row in enumerate(self.pair):
+            adj_row = [j for j, c in enumerate(row) if c <= r]
+            if self.erase_left[i] <= r:
+                adj_row.append(n2 + i)
+            adj.append(adj_row)
+        diagonal = list(range(n2, n2 + n1))  # diagonal-diagonal is free
+        for j, c in enumerate(self.erase_right):
+            adj.append([j] + diagonal if c <= r else diagonal)
+        match_left = _max_matching(n1 + n2, n2 + n1, adj)
+        if match_left is None:
+            return None
+        pairs = [(i, match_left[i]) for i in range(n1) if match_left[i] < n2]
+        erased_l = [i for i in range(n1) if match_left[i] >= n2]
+        matched = {j for _, j in pairs}
+        erased_r = [j for j in range(n2) if j not in matched]
+        return pairs, erased_l, erased_r
+
+
+def _max_matching(n_left: int, n_right: int, adj: list[list[int]]) -> Optional[list[int]]:
+    """Kuhn's augmenting-path matching covering the left side, as match_left.
+
+    Roots are tried in order and each search is a depth-first walk over
+    adj in list order, kept on an explicit stack so that long augmenting
+    paths cannot exhaust the interpreter's recursion limit.  Returns None
+    at the first root with no augmenting path: Kuhn's algorithm never
+    matches such a root later, so no matching covers the left side.
+    """
     match_left = [-1] * n_left
     match_right = [-1] * n_right
-
-    def try_augment(u: int, seen: list[bool]) -> bool:
-        for v in adj[u]:
-            if not seen[v]:
+    for root in range(n_left):
+        seen = [False] * n_right
+        path = [root]  # left nodes of the current alternating path
+        via: list[int] = []  # via[k] joins path[k] to path[k + 1]
+        frames = [iter(adj[root])]
+        while frames:
+            for v in frames[-1]:
+                if seen[v]:
+                    continue
                 seen[v] = True
-                if match_right[v] == -1 or try_augment(match_right[v], seen):
-                    match_left[u] = v
-                    match_right[v] = u
-                    return True
-        return False
-
-    for u in range(n_left):
-        try_augment(u, [False] * n_right)
+                via.append(v)
+                owner = match_right[v]
+                if owner == -1:
+                    for u, w in zip(path, via):
+                        match_left[u] = w
+                        match_right[w] = u
+                    frames.clear()
+                else:
+                    path.append(owner)
+                    frames.append(iter(adj[owner]))
+                break
+            else:
+                frames.pop()
+                path.pop()
+                if via:
+                    via.pop()
+        if match_left[root] == -1:
+            return None
     return match_left
-
-
-def _match_one_degree(
-    left: Sequence[Interval], right: Sequence[Interval], delta: Scalar
-) -> Optional[Tuple[list[Tuple[int, int]], list[int], list[int]]]:
-    """Feasibility via the doubled bipartite graph with diagonal partners."""
-    n1, n2 = len(left), len(right)
-    # left side: real bars then one diagonal node per right bar
-    # right side: real bars then one diagonal node per left bar
-    adj: list[list[int]] = []
-    for i in range(n1):
-        row = [j for j in range(n2) if _bars_within(left[i], right[j], delta)]
-        if _erasable(left[i], delta):
-            row.append(n2 + i)
-        adj.append(row)
-    for j in range(n2):
-        row = list(range(n2, n2 + n1))  # diagonal-diagonal is free
-        if _erasable(right[j], delta):
-            row.insert(0, j)
-        adj.append(row)
-    match_left = _max_matching(n1 + n2, n2 + n1, adj)
-    if any(v == -1 for v in match_left):
-        return None
-    pairs = [(i, match_left[i]) for i in range(n1) if match_left[i] < n2]
-    erased_l = [i for i in range(n1) if match_left[i] >= n2]
-    erased_r = [j for j in range(n2) if all(p[1] != j for p in pairs)]
-    return pairs, erased_l, erased_r
 
 
 def _by_degree(b: GradedBarcode) -> dict[int, list[Tuple[int, Interval]]]:
@@ -123,20 +201,26 @@ def _by_degree(b: GradedBarcode) -> dict[int, list[Tuple[int, Interval]]]:
     return out
 
 
+def _degree_tables(b1: GradedBarcode, b2: GradedBarcode):
+    """(left bars, right bars, cost table) per degree, by degree."""
+    d1, d2 = _by_degree(b1), _by_degree(b2)
+    for deg in sorted(set(d1) | set(d2)):
+        li, ri = d1.get(deg, []), d2.get(deg, [])
+        yield li, ri, _CostTable([iv for _, iv in li], [iv for _, iv in ri])
+
+
 def delta_matched(
     b1: GradedBarcode, b2: GradedBarcode, delta: Scalar
 ) -> Tuple[bool, Optional[Matching]]:
     """Certified delta-matching test (closed thresholds), degree by degree."""
-    if cmp(delta, Fraction(0)) < 0:
-        raise ValidationError("delta must be >= 0")
-    d1, d2 = _by_degree(b1), _by_degree(b2)
+    if isinstance(delta, Infinity) or cmp(delta, Fraction(0)) < 0:
+        raise ValidationError("delta must be finite and >= 0")
     pairs: list[Tuple[int, int]] = []
     erased_l: list[int] = []
     erased_r: list[int] = []
-    for deg in sorted(set(d1) | set(d2)):
-        li = d1.get(deg, [])
-        ri = d2.get(deg, [])
-        res = _match_one_degree([iv for _, iv in li], [iv for _, iv in ri], delta)
+    for li, ri, table in _degree_tables(b1, b2):
+        # the graph at delta is the graph at the largest candidate <= delta
+        res = table.match(bisect.bisect_right(table.cands, delta) - 1)
         if res is None:
             return False, None
         p, el, er = res
@@ -146,67 +230,29 @@ def delta_matched(
     return True, Matching(delta, tuple(sorted(pairs)), tuple(sorted(erased_l)), tuple(sorted(erased_r)))
 
 
-def _infinite_signature_mismatch(b1: GradedBarcode, b2: GradedBarcode) -> bool:
-    def sig_counts(b: GradedBarcode) -> dict:
-        acc: dict = {}
-        for iv, deg in expanded_bars(b):
-            s = (deg, is_finite(iv.lo.value), is_finite(iv.hi.value))
-            if not (s[1] and s[2]):
-                acc[s] = acc.get(s, 0) + 1
-        return acc
-
-    return sig_counts(b1) != sig_counts(b2)
-
-
-def _candidate_deltas(b1: GradedBarcode, b2: GradedBarcode) -> list[Scalar]:
-    half = Fraction(1, 2)
-    cands: list[Scalar] = [Fraction(0)]
-    d1, d2 = _by_degree(b1), _by_degree(b2)
-
-    def lengths(items):
-        for _, iv in items:
-            length = iv.length
-            if not isinstance(length, Infinity):
-                yield length * half
-
-    for deg in set(d1) | set(d2):
-        li, ri = d1.get(deg, []), d2.get(deg, [])
-        cands.extend(lengths(li))
-        cands.extend(lengths(ri))
-        for _, a in li:
-            for _, b in ri:
-                for x, y in ((a.lo.value, b.lo.value), (a.hi.value, b.hi.value)):
-                    if is_finite(x) and is_finite(y):
-                        diff = x - y
-                        cands.append(diff if cmp(diff, Fraction(0)) >= 0 else neg(diff))
-    uniq: list[Scalar] = []
-    for v in sorted(cands, key=functools.cmp_to_key(cmp)):
-        if not uniq or cmp(uniq[-1], v) != 0:
-            uniq.append(v)
-    return uniq
-
-
 def bottleneck(b1: GradedBarcode, b2: GradedBarcode) -> Extended:
     """Exact bottleneck distance.
 
-    The feasibility predicate only changes at finitely many thresholds
-    (endpoint displacements and half-lengths), so the infimum is the
-    smallest feasible candidate, found by binary search; infinite iff the
-    per-degree multiset of infinite-end signatures differs.
+    Per degree, feasibility only changes at the candidate thresholds of
+    the cost table, so that degree's distance is the smallest feasible
+    candidate, found by binary search on its rank; rank len(cands) stands
+    for +inf (no finite delta works: the infinite-end signatures differ).
+    The distance is the maximum over degrees.
     """
-    if _infinite_signature_mismatch(b1, b2):
-        return POS_INF
-    cands = _candidate_deltas(b1, b2)
-    lo, hi = 0, len(cands) - 1
-    if not delta_matched(b1, b2, cands[hi])[0]:
-        return POS_INF  # unreachable in theory; defensive
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if delta_matched(b1, b2, cands[mid])[0]:
-            hi = mid
-        else:
-            lo = mid + 1
-    return cands[lo]
+    dist: Extended = Fraction(0)
+    for _, _, table in _degree_tables(b1, b2):
+        lo, hi = 0, len(table.cands)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if table.match(mid) is not None:
+                hi = mid
+            else:
+                lo = mid + 1
+        if lo == len(table.cands):
+            return POS_INF
+        if table.cands[lo] > dist:
+            dist = table.cands[lo]
+    return dist
 
 
 def interleaving_distance(b1: GradedBarcode, b2: GradedBarcode) -> Extended:
@@ -414,10 +460,11 @@ def cone_of_morphism(v: GradedBarcode, w: GradedBarcode, plan: MorphismPlan) -> 
         (si, sd), (ti, _) = ev[s], ew[t]
         a, b = si.lo.value, si.hi.value
         c, d = ti.lo.value, ti.hi.value
-        if cmp(d, b) < 0:
-            out.append(GradedBar(_make_lcro(d, b), sd, 1))
-        if cmp(c, a) < 0:
-            out.append(GradedBar(_make_lcro(c, a), sd + 1, 1))
+        ker, coker = _lcro(d, b), _lcro(c, a)
+        if ker is not None:
+            out.append(GradedBar(ker, sd, 1))
+        if coker is not None:
+            out.append(GradedBar(coker, sd + 1, 1))
     for k, (iv, deg) in enumerate(ev):
         if k not in matched_s:
             out.append(GradedBar(iv, deg, 1))
@@ -425,12 +472,6 @@ def cone_of_morphism(v: GradedBarcode, w: GradedBarcode, plan: MorphismPlan) -> 
         if k not in matched_t:
             out.append(GradedBar(iv, deg + 1, 1))
     return canonicalize(GradedBarcode(tuple(out)))
-
-
-def _make_lcro(lo: Extended, hi: Extended) -> Interval:
-    from .intervals import Endpoint
-
-    return Interval(Endpoint(lo, is_finite(lo)), Endpoint(hi, False))
 
 
 def torsion_bound_check(

@@ -69,9 +69,12 @@ def svg_barcode(b: GradedBarcode, title: str = "") -> str:
         f'<rect width="{_W}" height="{height}" fill="white"/>',
     ]
     if title:
+        # escaped by hand: html.escape would load its entity tables (~0.5 MB)
+        # into every CLI process
+        text = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         out.append(
             f'<text x="{_W/2:.1f}" y="18" text-anchor="middle" '
-            f'font-family="monospace" font-size="13">{title}</text>'
+            f'font-family="monospace" font-size="13">{text}</text>'
         )
     axis_y = height - _MARGIN / 2
     out.append(

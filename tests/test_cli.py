@@ -3,6 +3,8 @@ import subprocess
 import sys
 from fractions import Fraction as F
 
+import pytest
+
 import sheafcalc as sc
 from sheafcalc.cli import main
 from sheafcalc.intervals import barcode_from_json, barcode_to_json
@@ -68,6 +70,8 @@ def test_dist_output(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["bottleneck"] == "1/2"
     assert payload["witness"]["pairs"] == [[0, 0]]
+    code, out, err = run_cli(["dist", a, b, "--delta", "+inf"], capsys)
+    assert code == 2 and out == "" and err.startswith("error: ")
 
 
 def test_dist_combined_wire_format(tmp_path, capsys):
@@ -181,6 +185,38 @@ def test_exit_code_validation_error(tmp_path, capsys):
     bad.write_text("{not json")
     code, _, err = run_cli(["barcode", str(bad)], capsys)
     assert code == 2 and "error:" in err
+
+
+GOOD_BAR = {"lo": {"v": "0", "closed": True}, "hi": {"v": "2", "closed": False}, "deg": 0, "mult": 1}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("deg", 1.7),
+        ("mult", True),
+        ("lo", {"v": {"pi": 0.1}, "closed": True}),
+        ("lo", {"v": True, "closed": True}),
+        ("lo", {"v": "0", "closed": "no"}),
+    ],
+    ids=["float-deg", "bool-mult", "float-pi", "bool-value", "string-closed"],
+)
+def test_inexact_bar_json_rejected(tmp_path, capsys, field, value):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({"bars": [dict(GOOD_BAR, **{field: value})]}))
+    code, out, err = run_cli(["barcode", str(p)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_plot_title_is_escaped(tmp_path, capsys):
+    from xml.etree import ElementTree
+
+    a = write_barcode(tmp_path, "a.json", sc.barcode(sc.bar(0, 2)))
+    code, svg, _ = run_cli(["plot", a, "--title", "<x&y>"], capsys)
+    assert code == 0
+    texts = [t.text for t in ElementTree.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
+    assert "<x&y>" in texts
 
 
 def test_exit_code_domain_error(capsys):

@@ -1,3 +1,6 @@
+import functools
+import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -5,7 +8,7 @@ import pytest
 import sheafcalc as sc
 from sheafcalc import metrics as mt, ops
 from sheafcalc.errors import OracleSizeError, PlanError
-from sheafcalc.exactnum import POS_INF, Infinity
+from sheafcalc.exactnum import POS_INF, Infinity, PiRational, cmp, is_finite, neg
 
 from conftest import rand_tamarkin_barcode
 
@@ -93,6 +96,224 @@ def test_torsion_is_twice_distance_to_zero(rng):
     for _ in range(60):
         f = rand_tamarkin_barcode(rng, inf_p=0)
         assert ops.torsion(f) == 2 * mt.bottleneck(f, EMPTY)
+
+
+# --- reference matcher ---------------------------------------------------------
+# The matcher `bottleneck` used before cost tables: every endpoint difference
+# of every same-degree pair as a candidate, sorted through the generic cmp,
+# and a binary search that re-tests every pair with Extended arithmetic at each
+# step, on a recursive Kuhn matcher.  Kept here as the cross-check reference.
+
+
+def _ref_ends_within(x, y, delta):
+    xf, yf = is_finite(x), is_finite(y)
+    if xf != yf:
+        return False
+    if not xf:
+        return x == y
+    d = x - y
+    if cmp(d, F(0)) < 0:
+        d = neg(d)
+    return cmp(d, delta) <= 0
+
+
+def _ref_bars_within(i, j, delta):
+    return _ref_ends_within(i.lo.value, j.lo.value, delta) and _ref_ends_within(
+        i.hi.value, j.hi.value, delta
+    )
+
+
+def _ref_erasable(i, delta):
+    length = i.length
+    if isinstance(length, Infinity):
+        return False
+    return cmp(length, 2 * delta) <= 0
+
+
+def _ref_max_matching(n_left, n_right, adj):
+    match_left = [-1] * n_left
+    match_right = [-1] * n_right
+
+    def try_augment(u, seen):
+        for v in adj[u]:
+            if not seen[v]:
+                seen[v] = True
+                if match_right[v] == -1 or try_augment(match_right[v], seen):
+                    match_left[u] = v
+                    match_right[v] = u
+                    return True
+        return False
+
+    for u in range(n_left):
+        try_augment(u, [False] * n_right)
+    return match_left
+
+
+def _ref_match_one_degree(left, right, delta):
+    n1, n2 = len(left), len(right)
+    adj = []
+    for i in range(n1):
+        row = [j for j in range(n2) if _ref_bars_within(left[i], right[j], delta)]
+        if _ref_erasable(left[i], delta):
+            row.append(n2 + i)
+        adj.append(row)
+    for j in range(n2):
+        row = list(range(n2, n2 + n1))
+        if _ref_erasable(right[j], delta):
+            row.insert(0, j)
+        adj.append(row)
+    match_left = _ref_max_matching(n1 + n2, n2 + n1, adj)
+    if any(v == -1 for v in match_left):
+        return None
+    pairs = [(i, match_left[i]) for i in range(n1) if match_left[i] < n2]
+    erased_l = [i for i in range(n1) if match_left[i] >= n2]
+    erased_r = [j for j in range(n2) if all(p[1] != j for p in pairs)]
+    return pairs, erased_l, erased_r
+
+
+def _ref_delta_matched(b1, b2, delta):
+    d1, d2 = mt._by_degree(b1), mt._by_degree(b2)
+    pairs, erased_l, erased_r = [], [], []
+    for deg in sorted(set(d1) | set(d2)):
+        li, ri = d1.get(deg, []), d2.get(deg, [])
+        res = _ref_match_one_degree([iv for _, iv in li], [iv for _, iv in ri], delta)
+        if res is None:
+            return False, None
+        p, el, er = res
+        pairs.extend((li[i][0], ri[j][0]) for i, j in p)
+        erased_l.extend(li[i][0] for i in el)
+        erased_r.extend(ri[j][0] for j in er)
+    return True, mt.Matching(delta, tuple(sorted(pairs)), tuple(sorted(erased_l)), tuple(sorted(erased_r)))
+
+
+def _ref_candidate_deltas(b1, b2):
+    half = F(1, 2)
+    cands = [F(0)]
+    d1, d2 = mt._by_degree(b1), mt._by_degree(b2)
+    for deg in set(d1) | set(d2):
+        li, ri = d1.get(deg, []), d2.get(deg, [])
+        for _, iv in li + ri:
+            if not isinstance(iv.length, Infinity):
+                cands.append(iv.length * half)
+        for _, a in li:
+            for _, b in ri:
+                for x, y in ((a.lo.value, b.lo.value), (a.hi.value, b.hi.value)):
+                    if is_finite(x) and is_finite(y):
+                        diff = x - y
+                        cands.append(diff if cmp(diff, F(0)) >= 0 else neg(diff))
+    uniq = []
+    for v in sorted(cands, key=functools.cmp_to_key(cmp)):
+        if not uniq or cmp(uniq[-1], v) != 0:
+            uniq.append(v)
+    return uniq
+
+
+def _ref_bottleneck(b1, b2, cands):
+    def sig_counts(b):
+        acc = {}
+        for iv, deg in sc.expanded_bars(b):
+            s = (deg, is_finite(iv.lo.value), is_finite(iv.hi.value))
+            if not (s[1] and s[2]):
+                acc[s] = acc.get(s, 0) + 1
+        return acc
+
+    if sig_counts(b1) != sig_counts(b2):
+        return POS_INF
+    lo, hi = 0, len(cands) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _ref_delta_matched(b1, b2, cands[mid])[0]:
+            hi = mid
+        else:
+            lo = mid + 1
+    return cands[lo]
+
+
+def _rand_end(rng):
+    if rng.random() < 0.1:
+        return PiRational(F(rng.randint(-1, 1), rng.choice((1, 2))), F(rng.randint(-8, 8), rng.choice((1, 2, 3))))
+    return F(rng.randint(-8, 8), rng.choice((1, 2, 4)))
+
+
+def _rand_bar(rng):
+    kind = rng.random()
+    degree = rng.randint(0, 2)
+    mult = rng.choice((1, 1, 1, 1, 2, 3))
+    if kind < 0.08:
+        return sc.bar(_rand_end(rng), "+inf", degree, mult)
+    if kind < 0.14:
+        return sc.bar("-inf", _rand_end(rng), degree, mult, lo_closed=False)
+    if kind < 0.16:
+        return sc.bar("-inf", "+inf", degree, mult, lo_closed=False)
+    a, b = _rand_end(rng), _rand_end(rng)
+    while cmp(a, b) == 0:
+        b = _rand_end(rng)
+    if cmp(a, b) > 0:
+        a, b = b, a
+    return sc.GradedBar(sc.interval(a, b, rng.random() < 0.8, rng.random() < 0.2), degree, mult)
+
+
+def _nudge(rng, bar_):
+    """The same bar with finite ends moved a little, sometimes dropped."""
+    iv = bar_.interval
+    ends = []
+    for e in (iv.lo, iv.hi):
+        v = e.value
+        if is_finite(v) and rng.random() < 0.7:
+            v = v + F(rng.randint(-3, 3), 4)
+        ends.append(v)
+    if is_finite(ends[0]) and is_finite(ends[1]) and cmp(ends[0], ends[1]) >= 0:
+        return None
+    return sc.GradedBar(sc.interval(ends[0], ends[1], iv.lo.closed, iv.hi.closed), bar_.degree, bar_.mult)
+
+
+def _rand_pair(rng):
+    b1 = [_rand_bar(rng) for _ in range(rng.choice((0, 1, 2, 3, 4, 5, 6)))]
+    if rng.random() < 0.3:
+        b2 = [_rand_bar(rng) for _ in range(rng.choice((0, 1, 2, 3, 4, 5, 6)))]
+    else:
+        b2 = [x for x in (_nudge(rng, x) for x in b1) if x is not None]
+        b2 += [_rand_bar(rng) for _ in range(rng.randint(0, 2))]
+    return sc.barcode(*b1), sc.barcode(*b2)
+
+
+def test_cost_table_matcher_agrees_with_reference():
+    rng = random.Random(20171)
+    kinds = {"empty": 0, "pi": 0, "finite": 0, "infinite": 0, "mult": 0}
+    for _ in range(320):
+        b1, b2 = _rand_pair(rng)
+        bars = list(b1.bars) + list(b2.bars)
+        kinds["empty"] += not (b1.bars and b2.bars)
+        kinds["pi"] += any(isinstance(x.interval.lo.value, PiRational) for x in bars)
+        kinds["mult"] += any(x.mult > 1 for x in bars)
+        cands = _ref_candidate_deltas(b1, b2)
+        d = mt.bottleneck(b1, b2)
+        ref = _ref_bottleneck(b1, b2, cands)
+        assert d == ref, (b1, b2)
+        kinds["infinite" if isinstance(d, Infinity) else "finite"] += 1
+        others = [c for c in cands if c != ref]
+        for delta in [ref if is_finite(ref) else cands[-1]] + rng.sample(others, min(2, len(others))):
+            ok, w = mt.delta_matched(b1, b2, delta)
+            ref_ok, ref_w = _ref_delta_matched(b1, b2, delta)
+            assert ok == ref_ok
+            if ok:
+                assert w.delta == ref_w.delta
+                assert w.pairs == ref_w.pairs
+                assert w.erased_left == ref_w.erased_left
+                assert w.erased_right == ref_w.erased_right
+    assert min(kinds.values()) >= 10, kinds
+
+
+def test_max_matching_long_augmenting_path():
+    # left u < n-1 sees right u then u+1 and is matched greedily to u; the
+    # last left node sees only right 0, so its augmenting path runs through
+    # every other node -- far past the default recursion limit
+    n = 2500
+    adj = [[u, u + 1] for u in range(n - 1)] + [[0]]
+    start = time.perf_counter()
+    match_left = mt._max_matching(n, n, adj)
+    assert time.perf_counter() - start < 1.0
+    assert match_left == [u + 1 for u in range(n - 1)] + [0]
 
 
 # --- brute-force interleaving oracle ------------------------------------------
