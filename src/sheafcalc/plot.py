@@ -17,6 +17,20 @@ _BAR_H = 14
 _LANE_GAP = 26
 
 
+def _xml_text(s: str) -> str:
+    """s as XML character data: markup escaped, characters XML 1.0 forbids dropped.
+
+    Escaped by hand: html.escape would load its entity tables (~0.5 MB)
+    into every CLI process.
+    """
+    s = "".join(
+        c
+        for c in s
+        if c in "\t\n\r" or " " <= c <= "\ud7ff" or "\ue000" <= c <= "\ufffd" or c >= "\U00010000"
+    )
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
@@ -69,9 +83,7 @@ def svg_barcode(b: GradedBarcode, title: str = "") -> str:
         f'<rect width="{_W}" height="{height}" fill="white"/>',
     ]
     if title:
-        # escaped by hand: html.escape would load its entity tables (~0.5 MB)
-        # into every CLI process
-        text = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        text = _xml_text(title)
         out.append(
             f'<text x="{_W/2:.1f}" y="18" text-anchor="middle" '
             f'font-family="monospace" font-size="13">{text}</text>'

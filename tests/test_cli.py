@@ -209,14 +209,18 @@ def test_inexact_bar_json_rejected(tmp_path, capsys, field, value):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_plot_title_is_escaped(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "title, shown",
+    [("<x&y>", "<x&y>"), ("a\x01b\x1f\ufffec", "abc"), ("tab\there", "tab\there")],
+)
+def test_plot_title_is_escaped(tmp_path, capsys, title, shown):
     from xml.etree import ElementTree
 
     a = write_barcode(tmp_path, "a.json", sc.barcode(sc.bar(0, 2)))
-    code, svg, _ = run_cli(["plot", a, "--title", "<x&y>"], capsys)
+    code, svg, _ = run_cli(["plot", a, "--title", title], capsys)
     assert code == 0
     texts = [t.text for t in ElementTree.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
-    assert "<x&y>" in texts
+    assert shown in texts
 
 
 def test_exit_code_domain_error(capsys):
