@@ -28,7 +28,7 @@ from .domains import (
     transfer_is_iso,
 )
 from .errors import DomainError, ValidationError
-from .exactnum import parse_scalar, scalar_to_json
+from .exactnum import Infinity, parse_scalar, scalar_to_json
 from .intervals import (
     GradedBarcode,
     barcode_from_json,
@@ -55,12 +55,15 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _read_barcode(path: str) -> GradedBarcode:
+def _loads(text: str, where: str):
     try:
-        obj = json.loads(_read_text(path))
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
-    return barcode_from_json(obj)
+        raise ValidationError(f"{where}: invalid JSON ({exc})") from exc
+
+
+def _read_barcode(path: str) -> GradedBarcode:
+    return barcode_from_json(_loads(_read_text(path), path))
 
 
 def _emit(args, payload: str) -> None:
@@ -85,7 +88,19 @@ def _field(args) -> int:
     if args.field is not None:
         return args.field
     env = os.environ.get(FIELD_ENV)
-    return int(env) if env else 2
+    if not env:
+        return 2
+    try:
+        return int(env)
+    except ValueError as exc:
+        raise ValidationError(f"${FIELD_ENV} must be an integer, got {env!r}") from exc
+
+
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"bad rational literal {text!r}") from exc
 
 
 def _scalar_json_map(values) -> list:
@@ -156,14 +171,23 @@ def _cmd_ops(args) -> int:
     raise ValidationError(f"unknown op {args.op!r}")
 
 
+def _witness_json(witness) -> dict:
+    return {
+        "delta": scalar_to_json(witness.delta),
+        "pairs": [list(p) for p in witness.pairs],
+        "erased_left": list(witness.erased_left),
+        "erased_right": list(witness.erased_right),
+    }
+
+
 def _cmd_dist(args) -> int:
     if args.b is None:
         # combined {"b1": ..., "b2": ...} wire format
+        obj = _loads(_read_text(args.a), args.a)
         try:
-            obj = json.loads(_read_text(args.a))
             b1 = barcode_from_json(obj["b1"])
             b2 = barcode_from_json(obj["b2"])
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ValidationError(f"{args.a}: expected {{'b1':…,'b2':…}} ({exc})") from exc
     else:
         b1 = _read_barcode(args.a)
@@ -171,27 +195,12 @@ def _cmd_dist(args) -> int:
     if args.delta is not None:
         ok, witness = metrics.delta_matched(b1, b2, parse_scalar(args.delta))
         payload = {"delta_matched": ok}
-        if witness is not None:
-            payload["witness"] = {
-                "delta": scalar_to_json(witness.delta),
-                "pairs": [list(p) for p in witness.pairs],
-                "erased_left": list(witness.erased_left),
-                "erased_right": list(witness.erased_right),
-            }
-        _emit(args, _dump(payload))
-        return 0
-    d = metrics.bottleneck(b1, b2)
-    payload = {"bottleneck": scalar_to_json(d)}
-    from .exactnum import Infinity
-
-    if not isinstance(d, Infinity):
-        _, witness = metrics.delta_matched(b1, b2, d)
-        payload["witness"] = {
-            "delta": scalar_to_json(witness.delta),
-            "pairs": [list(p) for p in witness.pairs],
-            "erased_left": list(witness.erased_left),
-            "erased_right": list(witness.erased_right),
-        }
+    else:
+        d = metrics.bottleneck(b1, b2)
+        payload = {"bottleneck": scalar_to_json(d)}
+        witness = None if isinstance(d, Infinity) else metrics.delta_matched(b1, b2, d)[1]
+    if witness is not None:
+        payload["witness"] = _witness_json(witness)
     _emit(args, _dump(payload))
     return 0
 
@@ -199,11 +208,11 @@ def _cmd_dist(args) -> int:
 def _parse_complex(text: str):
     text = text.strip()
     if text.startswith("{"):
-        obj = json.loads(text)
+        obj = _loads(text, "complex file")
         try:
             values = [Fraction(v) for v in obj["values"]]
             simplices = [tuple(sorted(s)) for s in obj["simplices"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValidationError("complex JSON needs 'values' and 'simplices'") from exc
         K = morse.SimplicialComplex.from_maximal(len(values), simplices)
         return K, morse.VertexFunction(tuple(values))
@@ -220,7 +229,7 @@ def _parse_complex(text: str):
             if parts[0] != len(parts) - 1:
                 raise ValidationError(f"bad simplex line {ln!r}")
             maximal.append(tuple(parts[1:]))
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError, ZeroDivisionError) as exc:
         raise ValidationError(f"malformed complex file: {exc}") from exc
     K = morse.SimplicialComplex.from_maximal(nv, maximal)
     return K, morse.VertexFunction(tuple(values))
@@ -229,12 +238,11 @@ def _parse_complex(text: str):
 def _cmd_morse(args) -> int:
     p = _field(args)
     if args.route == "front":
-        obj = json.loads(_read_text(args.input))
-        front = morse.FrontRegion(
-            tuple(Fraction(v) for v in obj["xs"]),
-            tuple(Fraction(v) for v in obj["t_minus"]),
-            tuple(Fraction(v) for v in obj["t_plus"]),
-        )
+        obj = _loads(_read_text(args.input), args.input)
+        try:
+            front = morse.FrontRegion(*(tuple(obj[k]) for k in ("xs", "t_minus", "t_plus")))
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ValidationError("front JSON needs 'xs', 't_minus' and 't_plus' lists of rationals") from exc
         if args.capacity:
             _emit(args, _dump({"front_capacity": scalar_to_json(morse.front_capacity(front))}))
         else:
@@ -256,21 +264,21 @@ def _cmd_morse(args) -> int:
 
 def _parse_domain(args):
     if getattr(args, "spec_json", None):
-        return domain_from_json(json.loads(args.spec_json))
+        return domain_from_json(_loads(args.spec_json, "--spec-json"))
     if args.domain is None:
         raise ValidationError("need a domain kind or --spec-json")
     if args.n is None or args.r is None:
         raise ValidationError("need --n and --r")
     if args.domain == "ball":
-        return Ball(args.n, Fraction(args.r))
+        return Ball(args.n, _rational(args.r))
     if args.domain == "ellipsoid":
         if args.R is None:
             raise ValidationError("ellipsoid needs --R")
-        return Ellipsoid(args.n, Fraction(args.r), Fraction(args.R))
+        return Ellipsoid(args.n, _rational(args.r), _rational(args.R))
     if args.domain == "scaled-ball":
         if args.c is None:
             raise ValidationError("scaled-ball needs --c")
-        return ScaledBall(Fraction(args.c), Ball(args.n, Fraction(args.r)))
+        return ScaledBall(_rational(args.c), Ball(args.n, _rational(args.r)))
     raise ValidationError(f"unknown domain {args.domain!r}")
 
 
@@ -292,12 +300,12 @@ def _cmd_domain(args) -> int:
     if args.eigen is not None:
         if not isinstance(d, Ball):
             raise ValidationError("eigen counts are defined for plain balls")
-        _emit(args, _dump({"eigen_count": eigen_count(Fraction(args.eigen), d.r, args.M)}))
+        _emit(args, _dump({"eigen_count": eigen_count(_rational(args.eigen), d.r, args.M)}))
         return 0
     if args.cone is not None:
         if not isinstance(d, Ball) or args.c is None:
             raise ValidationError("mapping-cone ranks need a ball plus --c")
-        h = inclusion_cone_rank(d.r, Fraction(args.c), Fraction(args.cone), d.n, args.M)
+        h = inclusion_cone_rank(d.r, _rational(args.c), _rational(args.cone), d.n, args.M)
         _emit(args, _dump(h.to_json()))
         return 0
     if args.tmax is None:
@@ -308,7 +316,7 @@ def _cmd_domain(args) -> int:
 
 
 def _cmd_nonsqueeze(args) -> int:
-    v = nonsqueeze_check(args.n, Fraction(args.r1), Fraction(args.r2), Fraction(args.R))
+    v = nonsqueeze_check(args.n, _rational(args.r1), _rational(args.r2), _rational(args.R))
     payload = {
         "obstructed": v.obstructed,
         "verdict": v.verdict,

@@ -21,7 +21,7 @@ from typing import Optional, Tuple, Union
 from mpmath import iv
 
 from .errors import SpectralProximityError, ValidationError
-from .exactnum import POS_INF, PiRational, cmp
+from .exactnum import POS_INF, PiRational, _json_rational, cmp
 from .intervals import (
     Endpoint,
     GradedBar,
@@ -397,16 +397,27 @@ def domain_to_json(d: DomainSpec) -> dict:
 
 
 def domain_from_json(obj) -> DomainSpec:
+    """Inverse of domain_to_json; n must be a JSON integer, r, R and c exact
+    rationals (JSON integers or strings), as in barcode JSON."""
+
+    def n_of(rec) -> int:
+        if isinstance(rec["n"], int) and not isinstance(rec["n"], bool):
+            return rec["n"]
+        raise ValidationError(f"bad domain spec {obj!r}: 'n' must be a JSON integer")
+
+    def q(v) -> Fraction:
+        return _json_rational(v, obj)
+
     try:
         if "ball" in obj:
             b = obj["ball"]
-            return Ball(int(b["n"]), Fraction(b["r"]))
+            return Ball(n_of(b), q(b["r"]))
         if "ellipsoid" in obj:
             e = obj["ellipsoid"]
-            return Ellipsoid(int(e["n"]), Fraction(e["r"]), Fraction(e["R"]))
+            return Ellipsoid(n_of(e), q(e["r"]), q(e["R"]))
         if "scaled_ball" in obj:
             s = obj["scaled_ball"]
-            return ScaledBall(Fraction(s["c"]), Ball(int(s["ball"]["n"]), Fraction(s["ball"]["r"])))
-    except (KeyError, TypeError, ValueError) as exc:
+            return ScaledBall(q(s["c"]), Ball(n_of(s["ball"]), q(s["ball"]["r"])))
+    except (KeyError, TypeError) as exc:
         raise ValidationError(f"bad domain spec {obj!r}") from exc
     raise ValidationError(f"bad domain spec {obj!r}")

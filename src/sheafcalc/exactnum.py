@@ -265,7 +265,7 @@ def _json_rational(v, whole) -> Fraction:
             return Fraction(v)
         except (ValueError, ZeroDivisionError):
             pass
-    raise ValidationError(f"bad symbolic endpoint {whole!r}")
+    raise ValidationError(f"{v!r} in {whole!r} is not an exact rational (a JSON integer or string)")
 
 
 def scalar_from_json(v) -> Extended:

@@ -382,15 +382,19 @@ def stalk(b: GradedBarcode, t: Extended) -> HomSpace:
     return HomSpace(acc)
 
 
+def finite_ends(intervals: Iterable[Interval]) -> list[Scalar]:
+    """Sorted distinct finite endpoint values, each kept as first seen.
+
+    Equal values dedupe by hash (PiRational(0, s) hashes and compares equal
+    to Fraction(s)), so this is one O(n log n) sort.
+    """
+    vals = dict.fromkeys(e.value for i in intervals for e in (i.lo, i.hi) if e.finite)
+    return sorted(vals)
+
+
 def spec(b: GradedBarcode) -> list[Scalar]:
     """Sorted deduplicated finite endpoint values of all bars."""
-    vals: list[Scalar] = []
-    for bar_ in b.bars:
-        for e in (bar_.interval.lo, bar_.interval.hi):
-            if e.finite and not any(cmp(e.value, v) == 0 for v in vals):
-                vals.append(e.value)
-    vals.sort(key=functools.cmp_to_key(cmp))
-    return vals
+    return finite_ends(bar_.interval for bar_ in b.bars)
 
 
 def ray_sections(b: GradedBarcode, c: Scalar) -> HomSpace:

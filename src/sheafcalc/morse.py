@@ -53,13 +53,9 @@ class SimplicialComplex:
             seen.add(s)
             if any(v < 0 or v >= self.n_vertices for v in s):
                 raise ValidationError(f"simplex {s} uses an unknown vertex")
-            for f in _facets(s):
-                if f not in seen and f not in self.simplices:
-                    pass
-        simp_set = set(self.simplices)
         for s in self.simplices:
             for f in _facets(s):
-                if f and f not in simp_set:
+                if f and f not in seen:
                     raise ValidationError(f"face {f} of {s} is missing")
 
     @classmethod
@@ -128,7 +124,7 @@ def _check_function(K: SimplicialComplex, f: VertexFunction) -> None:
 # persistence by column reduction
 
 
-def _reduce_boundary(order: list[Simplex], values: list[Fraction], p: int):
+def _reduce_boundary(order: list[Simplex], p: int):
     """Standard persistent-homology column reduction over F_p.
 
     Returns (pairs, essential) with pairs as (birth index, death index).
@@ -172,7 +168,7 @@ def sublevel_barcode(K: SimplicialComplex, f: VertexFunction, p: int = 2) -> Gra
     modp.check_prime(p)
     order = sorted(K.simplices, key=f.simplex_key)
     values = [f.simplex_value(s) for s in order]
-    pairs, essential = _reduce_boundary(order, values, p)
+    pairs, essential = _reduce_boundary(order, p)
     bars: list[GradedBar] = []
     for i, j in pairs:
         birth, death = values[i], values[j]

@@ -27,13 +27,10 @@ from .intervals import (
     Interval,
     canonicalize,
     require_tamarkin,
-    shift_t as _shift_t,
-    shift_deg as _shift_deg,
+    shift_deg,
+    shift_t,
     singleton as _singleton_interval,
 )
-
-shift_t = _shift_t
-shift_deg = _shift_deg
 
 
 def _lcro(lo: Extended, hi: Extended) -> Optional[Interval]:
@@ -61,17 +58,46 @@ def _classify_factor(i: Interval) -> str:
 
 
 # ---------------------------------------------------------------------------
-# convolution
+# bilinear kernel and convolution
+
+
+def _require_factors(f: GradedBarcode, g: GradedBarcode, opname: str, allowed, error) -> None:
+    for x in f.bars + g.bars:
+        if _classify_factor(x.interval) not in allowed:
+            raise error(f"{opname}: unsupported bar {x.interval}")
+
+
+def _bilinear(f: GradedBarcode, g: GradedBarcode, pair, contravariant: bool = False) -> GradedBarcode:
+    """Extend a per-pair rule bilinearly over the bars of f and g.
+
+    pair(i, j) lists the (interval, degree offset) summands of one bar pair.
+    A summand sits in degree deg y + deg x + offset (deg y - deg x + offset
+    when the operation is contravariant in f) with multiplicity
+    mult x * mult y.
+    """
+    out: list[GradedBar] = []
+    for x in f.bars:
+        dx = -x.degree if contravariant else x.degree
+        for y in g.bars:
+            deg, mult = y.degree + dx, x.mult * y.mult
+            for iv, off in pair(x.interval, y.interval):
+                out.append(GradedBar(iv, deg + off, mult))
+    return canonicalize(GradedBarcode(tuple(out)))
 
 
 def _convolve_pair(i: Interval, j: Interval) -> list[Tuple[Interval, int]]:
     """k_[a,b) * k_[c,d) as (interval, degree offset) summands.
 
-    The finite rule is the two-branch case split on b+c < a+d; infinite
-    right ends are handled by evaluating both candidate bars with extended
-    arithmetic, dropping empty ones, and letting a comparison between two
-    +oo values select the second branch.
+    A singleton {s} acts as the shift by s.  The finite rule is the
+    two-branch case split on b+c < a+d; infinite right ends are handled by
+    evaluating both candidate bars with extended arithmetic, dropping empty
+    ones, and letting a comparison between two +oo values select the second
+    branch.
     """
+    if i.is_singleton:
+        return [(j.shift(i.lo.value), 0)]
+    if j.is_singleton:
+        return [(i.shift(j.lo.value), 0)]
     a, b = i.lo.value, i.hi.value
     c, d = j.lo.value, j.hi.value
     if isinstance(b, Infinity) and isinstance(d, Infinity):
@@ -87,34 +113,17 @@ def _convolve_pair(i: Interval, j: Interval) -> list[Tuple[Interval, int]]:
 
 def convolve(f: GradedBarcode, g: GradedBarcode) -> GradedBarcode:
     """Proper convolution; bilinear over bars, singleton bars act as shifts."""
-    out: list[GradedBar] = []
-    for x in f.bars:
-        cx = _classify_factor(x.interval)
-        if cx not in ("tamarkin", "singleton"):
-            raise TamarkinClassError(f"convolve: unsupported bar {x.interval}")
-        for y in g.bars:
-            cy = _classify_factor(y.interval)
-            if cy not in ("tamarkin", "singleton"):
-                raise TamarkinClassError(f"convolve: unsupported bar {y.interval}")
-            deg = x.degree + y.degree
-            mult = x.mult * y.mult
-            if cx == "singleton":
-                out.append(GradedBar(y.interval.shift(x.interval.lo.value), deg, mult))
-            elif cy == "singleton":
-                out.append(GradedBar(x.interval.shift(y.interval.lo.value), deg, mult))
-            else:
-                for iv, off in _convolve_pair(x.interval, y.interval):
-                    out.append(GradedBar(iv, deg + off, mult))
-    return canonicalize(GradedBarcode(tuple(out)))
+    _require_factors(f, g, "convolve", ("tamarkin", "singleton"), TamarkinClassError)
+    return _bilinear(f, g, _convolve_pair)
 
 
 def _convolve_np_pair(i: Interval, j: Interval) -> list[Tuple[Interval, int]]:
     ci, cj = _classify_factor(i), _classify_factor(j)
+    if "singleton" in (ci, cj) or ci == cj == "tamarkin":
+        # a shift, or a sum map that is proper on the support
+        return _convolve_pair(i, j)
     if cj == "left-infinite" and ci != "left-infinite":
         i, j, ci, cj = j, i, cj, ci
-    if ci == "tamarkin" and cj == "tamarkin":
-        # the sum map is proper on the support
-        return _convolve_pair(i, j)
     if ci == "left-infinite" and cj == "tamarkin":
         y = i.hi.value
         c, d = j.lo.value, j.hi.value
@@ -137,24 +146,10 @@ def convolve_np(f: GradedBarcode, g: GradedBarcode) -> GradedBarcode:
     non-compact entries were fixed against the ordinary-cohomology stalk
     oracle.  Unsupported type combinations raise ConvolutionTypeError.
     """
-    out: list[GradedBar] = []
-    for x in f.bars:
-        for y in g.bars:
-            deg = x.degree + y.degree
-            mult = x.mult * y.mult
-            cx, cy = _classify_factor(x.interval), _classify_factor(y.interval)
-            if "other" in (cx, cy):
-                raise ConvolutionTypeError(
-                    f"convolve_np: unsupported bar {x.interval if cx == 'other' else y.interval}"
-                )
-            if cx == "singleton":
-                out.append(GradedBar(y.interval.shift(x.interval.lo.value), deg, mult))
-            elif cy == "singleton":
-                out.append(GradedBar(x.interval.shift(y.interval.lo.value), deg, mult))
-            else:
-                for iv, off in _convolve_np_pair(x.interval, y.interval):
-                    out.append(GradedBar(iv, deg + off, mult))
-    return canonicalize(GradedBarcode(tuple(out)))
+    _require_factors(
+        f, g, "convolve_np", ("tamarkin", "singleton", "left-infinite"), ConvolutionTypeError
+    )
+    return _bilinear(f, g, _convolve_np_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +236,8 @@ def rhom_total(f: GradedBarcode, g: GradedBarcode) -> HomSpace:
     return HomSpace(acc)
 
 
-def _rhom_sheaf_pair(i: Interval, j: Interval) -> Optional[Tuple[Interval, int]]:
-    """Sheaf-valued RHom of a bar pair: (interval, degree offset) or None.
+def _rhom_sheaf_pair(i: Interval, j: Interval) -> list[Tuple[Interval, int]]:
+    """Sheaf-valued RHom of a bar pair as (interval, degree offset) summands.
 
     Case table for source [a,b) against [c,oo) and its truncations; the
     [a,oo) source column replaces the (a,b] outputs by (a,oo).  Outputs
@@ -259,35 +254,27 @@ def _rhom_sheaf_pair(i: Interval, j: Interval) -> Optional[Tuple[Interval, int]]
 
     if cmp(d, b) >= 0:
         if cmp(c, b) >= 0:
-            return None
+            return []
         if cmp(c, a) >= 0:
             # k_[c,b] (or k_[c,oo) for an infinite source)
-            return (of(c, True, b, True), 0)
+            return [(of(c, True, b, True), 0)]
         # k_(a,b] / k_(a,oo)
-        return (of(a, False, b, True), 0)
+        return [(of(a, False, b, True), 0)]
     # here d < b, so d is finite
     if cmp(c, a) >= 0:
-        return (of(c, True, d, False), 0)
+        return [(of(c, True, d, False), 0)]
     if cmp(d, a) > 0:
-        return (of(a, False, d, False), 0)
+        return [(of(a, False, d, False), 0)]
     if cmp(d, a) == 0:
-        return (_singleton_interval(a), 1)
-    return None
+        return [(_singleton_interval(a), 1)]
+    return []
 
 
 def rhom_sheaf(f: GradedBarcode, g: GradedBarcode) -> GradedBarcode:
     """Sheaf-valued RHom, bilinear over bars; mixed-flavor output expected."""
     require_tamarkin(f, "rhom_sheaf (source)")
     require_tamarkin(g, "rhom_sheaf (target)")
-    out: list[GradedBar] = []
-    for x in f.bars:
-        for y in g.bars:
-            res = _rhom_sheaf_pair(x.interval, y.interval)
-            if res is None:
-                continue
-            iv, off = res
-            out.append(GradedBar(iv, y.degree - x.degree + off, x.mult * y.mult))
-    return canonicalize(GradedBarcode(tuple(out)))
+    return _bilinear(f, g, _rhom_sheaf_pair, contravariant=True)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ F_p and is therefore an oracle for every RHom table in the calculus.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
@@ -34,6 +33,7 @@ from .intervals import (
     HomSpace,
     Interval,
     canonicalize,
+    finite_ends,
     require_tamarkin,
     spec,
 )
@@ -227,16 +227,6 @@ def zigzag_of_interval(i: Interval, critical: Sequence[Scalar]) -> ZigzagRep:
     return ZigzagRep(crit, open_dim, point_dim, left_map, right_map)
 
 
-def _merged_critical(*intervals: Interval) -> list[Scalar]:
-    vals: list[Scalar] = []
-    for i in intervals:
-        for e in (i.lo, i.hi):
-            if e.finite and not any(cmp(e.value, v) == 0 for v in vals):
-                vals.append(e.value)
-    vals.sort(key=functools.cmp_to_key(cmp))
-    return vals
-
-
 def rhom_oracle(src: Interval, tgt: Interval, p: int = 2) -> HomSpace:
     """Graded dims of RHom(k_src, k_tgt) by quiver linear algebra.
 
@@ -245,7 +235,7 @@ def rhom_oracle(src: Interval, tgt: Interval, p: int = 2) -> HomSpace:
     of the zigzag quiver.  Independent of every closed-form table.
     """
     modp.check_prime(p)
-    crit = _merged_critical(src, tgt)
+    crit = finite_ends((src, tgt))
     v = zigzag_of_interval(src, crit)
     w = zigzag_of_interval(tgt, crit)
     k = len(crit)

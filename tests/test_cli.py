@@ -210,6 +210,39 @@ def test_inexact_bar_json_rejected(tmp_path, capsys, field, value):
 
 
 @pytest.mark.parametrize(
+    "argv, text, env",
+    [
+        (["domain", "--spec-json", '{"ball":{"n":1.7,"r":"1/10"}}', "--invariant", "1"], None, None),
+        (["domain", "--spec-json", '{"ball":{"n":true,"r":"1"}}', "--invariant", "1"], None, None),
+        (["domain", "--spec-json", '{"ball":{"n":1,"r":0.1}}', "--invariant", "1"], None, None),
+        (["domain", "--spec-json", '{"ellipsoid":{"n":2,"r":"1","R":2.5}}', "--invariant", "1"], None, None),
+        (["domain", "--spec-json", '{"scaled_ball":{"c":0.5,"ball":{"n":1,"r":"1"}}}', "--invariant", "1"], None, None),
+        (["domain", "--spec-json", '{"ball":{"n":2', "--invariant", "1"], None, None),
+        (["domain", "ball", "--n", "1", "--r", "abc", "--tmax", "3pi"], None, None),
+        (["nonsqueeze", "--n", "2", "--r1", "1/0", "--r2", "1", "--R", "10"], None, None),
+        (["morse", "sublevel", "@"], '{"values": [', None),
+        (["morse", "front", "@"], "{not json", None),
+        (["morse", "front", "@"], '{"xs": ["0", "1"], "t_minus": ["0", "0"]}', None),
+        (["morse", "sublevel", "@"], "3 3\n0 1 2\n2 0 1\n2 1 2\n2 0 2\n", "abc"),
+    ],
+    ids=[
+        "float-n", "bool-n", "float-r", "float-R", "float-c", "spec-json-syntax", "cli-r",
+        "cli-r1-zero-denominator", "complex-json-syntax", "front-json-syntax", "front-missing-key",
+        "field-env",
+    ],
+)
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, argv, text, env):
+    if text is not None:
+        (tmp_path / "in").write_text(text)
+        argv = [str(tmp_path / "in") if a == "@" else a for a in argv]
+    if env is not None:
+        monkeypatch.setenv("SHEAFCALC_FIELD", env)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "title, shown",
     [("<x&y>", "<x&y>"), ("a\x01b\x1f\ufffec", "abc"), ("tab\there", "tab\there")],
 )

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 import sheafcalc as sc
+from sheafcalc.exactnum import PiRational
 from sheafcalc.errors import ConventionError, TamarkinClassError, ValidationError
 from sheafcalc.intervals import (
     LEFT_CLOSED,
@@ -68,6 +69,61 @@ def test_spec():
     assert sc.spec(sc.GradedBarcode(())) == []
     b3 = sc.barcode(sc.bar(0, 2, mult=3))
     assert sc.spec(b3) == [0, 2]
+
+
+def _spec_reference(b):
+    """The quadratic first-seen dedupe and cmp sort that spec replaced."""
+    import functools
+
+    vals = []
+    for bar_ in b.bars:
+        for e in (bar_.interval.lo, bar_.interval.hi):
+            if e.finite and not any(sc.cmp(e.value, v) == 0 for v in vals):
+                vals.append(e.value)
+    return sorted(vals, key=functools.cmp_to_key(sc.cmp))
+
+
+def test_spec_mixed_equal_ends_keep_first_seen(rng):
+    half = PiRational(0, F(1, 2))
+    b = sc.GradedBarcode(
+        (
+            sc.GradedBar(sc.interval(half, PiRational(1, 0))),
+            sc.GradedBar(sc.interval(F(1, 2), 2)),
+            sc.GradedBar(sc.interval(-1, PiRational(0, 2))),
+        )
+    )
+    got = sc.spec(b)
+    assert got == [-1, F(1, 2), 2, PiRational(1, 0)]
+    assert [type(v) for v in got] == [F, PiRational, F, PiRational]
+
+    def end(v):
+        return PiRational(0, v) if rng.random() < 0.5 else v
+
+    for _ in range(40):
+        bars = []
+        for _ in range(rng.randint(1, 8)):
+            a = F(rng.randint(-6, 6), 2)
+            hi = PiRational(rng.randint(1, 2), a) if rng.random() < 0.3 else end(a + rng.randint(1, 4))
+            bars.append(sc.GradedBar(sc.interval(end(a), hi)))
+        b = sc.GradedBarcode(tuple(bars))
+        want = _spec_reference(b)
+        got = sc.spec(b)
+        assert got == want and [type(v) for v in got] == [type(v) for v in want]
+
+
+def test_spec_scales(rng):
+    import time
+
+    bars = []
+    for k in range(2000):
+        a = F(rng.randint(-4000, 4000), rng.choice((1, 2, 3)))
+        hi = PiRational(rng.randint(1, 3), a) if k % 10 == 0 else a + rng.randint(1, 50)
+        bars.append(sc.GradedBar(sc.interval(a, hi)))
+    b = sc.GradedBarcode(tuple(bars))
+    t0 = time.perf_counter()
+    got = sc.spec(b)
+    assert time.perf_counter() - t0 < 1.0
+    assert all(sc.cmp(x, y) < 0 for x, y in zip(got, got[1:]))
 
 
 def test_ray_sections_rule():

@@ -36,8 +36,15 @@ def test_convolve_unit_and_idempotent(rng):
 
 
 def test_convolve_rejects_wrong_class():
+    bad = bc(sc.GradedBar(sc.interval(0, 1, False, True)))
     with pytest.raises(TamarkinClassError):
-        ops.convolve(bc(sc.GradedBar(sc.interval(0, 1, False, True))), UNIT)
+        ops.convolve(bad, UNIT)
+    # factors are checked before any pair is formed: an empty partner hides nothing
+    for f, g in ((bad, sc.EMPTY), (sc.EMPTY, bad)):
+        with pytest.raises(TamarkinClassError):
+            ops.convolve(f, g)
+        with pytest.raises(ConvolutionTypeError):
+            ops.convolve_np(f, g)
 
 
 def test_convolve_singleton_shifts_degrees():
@@ -108,6 +115,25 @@ def test_convolve_np_matches_ordinary_cohomology_oracle(rng):
         out = ops.convolve_np(li, g)
         for t in stratum_samples(out):
             assert stalk(out, t) == ops.barcode_stalk_via_oracle("non-proper", li, g, t)
+
+
+def sum_strata(f, g):
+    """Every pairwise endpoint sum plus one point inside each gap and both tails."""
+    sums = sorted({a + c for a in sc.spec(f) for c in sc.spec(g)})
+    return sums + [sums[0] - 1, sums[-1] + 1] + [(a + c) / 2 for a, c in zip(sums, sums[1:])]
+
+
+def test_convolve_np_singleton_matches_oracle(rng):
+    for _ in range(15):
+        point = sc.singleton(F(rng.randint(-8, 8), rng.choice((1, 2))))
+        s = bc(sc.GradedBar(point, rng.choice((0, 1)), rng.randint(2, 3)))
+        left = sc.GradedBar(sc.interval("-inf", F(rng.randint(-5, 5)), False), rng.choice((0, 1)), rng.randint(1, 3))
+        tam = [sc.GradedBar(x.interval, x.degree, rng.randint(1, 3)) for x in rand_tamarkin_barcode(rng, max_bars=3).bars]
+        for g in (bc(left), bc(*tam), bc(left, *tam)):
+            for x, y in ((s, g), (g, s)):
+                out = ops.convolve_np(x, y)
+                for t in sum_strata(x, y):
+                    assert stalk(out, t) == ops.barcode_stalk_via_oracle("non-proper", x, y, t)
 
 
 def test_exercise_open_interval_convolution_via_oracle():
