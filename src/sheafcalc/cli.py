@@ -28,7 +28,7 @@ from .domains import (
     transfer_is_iso,
 )
 from .errors import DomainError, ValidationError
-from .exactnum import Infinity, parse_scalar, scalar_to_json
+from .exactnum import Infinity, _json_rational, parse_scalar, scalar_to_json
 from .intervals import (
     GradedBarcode,
     barcode_from_json,
@@ -210,7 +210,7 @@ def _parse_complex(text: str):
     if text.startswith("{"):
         obj = _loads(text, "complex file")
         try:
-            values = [Fraction(v) for v in obj["values"]]
+            values = [_json_rational(v, "values") for v in obj["values"]]
             simplices = [tuple(sorted(s)) for s in obj["simplices"]]
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValidationError("complex JSON needs 'values' and 'simplices'") from exc
@@ -240,7 +240,9 @@ def _cmd_morse(args) -> int:
     if args.route == "front":
         obj = _loads(_read_text(args.input), args.input)
         try:
-            front = morse.FrontRegion(*(tuple(obj[k]) for k in ("xs", "t_minus", "t_plus")))
+            front = morse.FrontRegion(
+                *(tuple(_json_rational(v, k) for v in obj[k]) for k in ("xs", "t_minus", "t_plus"))
+            )
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValidationError("front JSON needs 'xs', 't_minus' and 't_plus' lists of rationals") from exc
         if args.capacity:

@@ -21,7 +21,7 @@ from typing import Optional, Tuple, Union
 from mpmath import iv
 
 from .errors import SpectralProximityError, ValidationError
-from .exactnum import POS_INF, PiRational, _json_rational, cmp
+from .exactnum import PI_HI, PI_LO, POS_INF, PiRational, _json_rational
 from .intervals import (
     Endpoint,
     GradedBar,
@@ -109,13 +109,19 @@ def _require_nonneg(T: PiRational) -> None:
 
 
 def action_bin(T: ExactT, rsq: Fraction) -> int:
-    """Largest m >= 0 with m pi rsq <= T (half-open bins)."""
+    """Largest m >= 0 with m pi rsq <= T (half-open bins).
+
+    The first guess floors (q + s/pi) / rsq with s/pi bounded below through
+    the pi enclosure: it is the answer, or the checks below raise
+    PiComparisonError because the enclosure is too wide to tell.
+    """
     t = as_pi_scalar(T)
     _require_nonneg(t)
-    m = max(0, int(float(t) / (3.141592653589793 * float(rsq))))
-    while cmp(pi_times(m * rsq), t) > 0:
+    s_over_pi = t.s / (PI_HI if t.s > 0 else PI_LO) if t.s else 0
+    m = max(0, (t.q + s_over_pi) // rsq)
+    while pi_times(m * rsq) > t:
         m -= 1
-    while cmp(pi_times((m + 1) * rsq), t) <= 0:
+    while pi_times((m + 1) * rsq) <= t:
         m += 1
     return m
 
@@ -153,7 +159,7 @@ def _cos_angle(k: int, M: int):
 
 def _check_band(T: Fraction, rsq: Fraction) -> None:
     band = _EXCLUSION * rsq  # times pi, folded into the comparison
-    m = max(0, int(float(T) / (3.141592653589793 * float(rsq))))
+    m = action_bin(T, rsq)
     for mm in (m - 1, m, m + 1, m + 2):
         if mm < 0:
             continue
@@ -161,7 +167,7 @@ def _check_band(T: Fraction, rsq: Fraction) -> None:
         diff = as_pi_scalar(T) - pi_times(mm * rsq)
         if diff.sign() < 0:
             diff = -diff
-        if cmp(diff, pi_times(band)) < 0:
+        if diff < pi_times(band):
             raise SpectralProximityError(
                 f"T={T} is within the exclusion band of {mm}*pi*r^2"
             )
@@ -184,7 +190,7 @@ def _eigen_count_rsq(T: Fraction, rsq: Fraction, M: int) -> int:
     if T < 0:
         raise ValidationError("need T >= 0")
     theta = 2 * T / (rsq * M)
-    if cmp(Fraction(theta), PiRational(Fraction(1), Fraction(0))) >= 0:
+    if theta >= pi_times(1):
         raise ValidationError(
             f"discretization too coarse: need 2T/(r^2 M) < pi, got {theta}"
         )
@@ -216,7 +222,7 @@ def _spec_values(d: DomainSpec, limit: PiRational) -> list[PiRational]:
     qs: set[Fraction] = set()
     for rsq in rsqs:
         m = 0
-        while cmp(pi_times(m * rsq), limit) <= 0:
+        while pi_times(m * rsq) <= limit:
             qs.add(m * rsq)
             m += 1
     return [pi_times(q) for q in sorted(qs)]
@@ -248,11 +254,11 @@ def domain_barcode(d: DomainSpec, Tmax: ExactT) -> GradedBarcode:
     tmax = as_pi_scalar(Tmax)
     _require_nonneg(tmax)
     specs = _spec_values(d, tmax)
-    if not specs or cmp(specs[0], pi_times(0)) != 0:
+    if not specs or specs[0] != pi_times(0):
         specs.insert(0, pi_times(0))
     bars: list[GradedBar] = []
     for i, lo in enumerate(specs):
-        if cmp(lo, tmax) >= 0:
+        if lo >= tmax:
             break
         if i + 1 < len(specs):
             hi = specs[i + 1]
@@ -275,11 +281,7 @@ def _next_spec_after(d: DomainSpec, lo: PiRational) -> PiRational:
     for rsq in rsqs:
         m = action_bin(lo, rsq)
         cands.append(pi_times((m + 1) * rsq))
-    best = cands[0]
-    for c in cands[1:]:
-        if cmp(c, best) < 0:
-            best = c
-    return best
+    return min(cands)
 
 
 def sheaf_invariant(d: DomainSpec, T: ExactT) -> HomSpace:
@@ -306,10 +308,10 @@ def transfer_is_iso(d: DomainSpec, T1: ExactT, T2: ExactT) -> bool:
     [T1, T2] avoids the action spectrum."""
     t1, t2 = as_pi_scalar(T1), as_pi_scalar(T2)
     _require_nonneg(t1)
-    if cmp(t1, t2) > 0:
+    if t1 > t2:
         raise ValidationError("need T1 <= T2")
     for s in _spec_values(d, t2):
-        if cmp(t1, s) <= 0 and cmp(s, t2) <= 0:
+        if t1 <= s <= t2:
             return False
     return True
 

@@ -49,6 +49,22 @@ class Infinity:
     def __eq__(self, other):
         return isinstance(other, Infinity) and other.sign == self.sign
 
+    # A finite value counts as sign 0.  Fraction and PiRational answer
+    # NotImplemented against an Infinity, so these also serve the reflected
+    # comparisons: every Extended value sorts with the native operators.
+
+    def __lt__(self, other):
+        return self.sign < (other.sign if isinstance(other, Infinity) else 0)
+
+    def __le__(self, other):
+        return self.sign <= (other.sign if isinstance(other, Infinity) else 0)
+
+    def __gt__(self, other):
+        return self.sign > (other.sign if isinstance(other, Infinity) else 0)
+
+    def __ge__(self, other):
+        return self.sign >= (other.sign if isinstance(other, Infinity) else 0)
+
 
 POS_INF = Infinity(1)
 NEG_INF = Infinity(-1)
@@ -226,22 +242,14 @@ def parse_scalar(text: str) -> Extended:
         return NEG_INF
     if t in ("+inf", "inf", "oo", "+oo"):
         return POS_INF
-    if "pi" in t:
-        head, _, tail = t.partition("pi")
-        if head in ("", "+"):
-            q = Fraction(1)
-        elif head == "-":
-            q = Fraction(-1)
-        else:
-            q = Fraction(head)
-        s = Fraction(0)
-        if tail:
-            if tail[0] not in "+-":
-                raise ValidationError(f"bad scalar literal {text!r}")
-            s = Fraction(tail)
-        return PiRational(q, s)
     try:
-        return Fraction(t)
+        if "pi" not in t:
+            return Fraction(t)
+        head, _, tail = t.partition("pi")
+        q = Fraction({"": 1, "+": 1, "-": -1}.get(head, head))
+        if tail and tail[0] not in "+-":
+            raise ValueError(tail)
+        return PiRational(q, Fraction(tail or 0))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"bad scalar literal {text!r}") from exc
 

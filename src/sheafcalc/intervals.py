@@ -9,7 +9,6 @@ multiset equality.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Tuple
@@ -76,10 +75,10 @@ class Interval:
     hi: Endpoint
 
     def __post_init__(self):
-        c = cmp(self.lo.value, self.hi.value)
-        if c > 0:
+        lo, hi = self.lo.value, self.hi.value
+        if lo > hi:
             raise ValidationError(f"empty interval: lo {self.lo} > hi {self.hi}")
-        if c == 0 and not (self.lo.closed and self.hi.closed):
+        if lo == hi and not (self.lo.closed and self.hi.closed):
             raise ValidationError(
                 "degenerate interval must be the both-closed singleton"
             )
@@ -87,17 +86,12 @@ class Interval:
     # -- queries ----------------------------------------------------------
 
     def contains(self, t: Extended) -> bool:
-        cl = cmp(self.lo.value, t)
-        if cl > 0 or (cl == 0 and not self.lo.closed):
-            return False
-        ch = cmp(t, self.hi.value)
-        if ch > 0 or (ch == 0 and not self.hi.closed):
-            return False
-        return True
+        lo, hi = self.lo, self.hi
+        return (lo.value <= t if lo.closed else lo.value < t) and (t <= hi.value if hi.closed else t < hi.value)
 
     @property
     def is_singleton(self) -> bool:
-        return cmp(self.lo.value, self.hi.value) == 0
+        return self.lo.value == self.hi.value
 
     @property
     def length(self) -> Extended:
@@ -173,30 +167,6 @@ def interval(lo, hi, lo_closed: bool = True, hi_closed: bool = False) -> Interva
 
 def singleton(a) -> Interval:
     return Interval(ep(a, True), ep(a, True))
-
-
-def _ep_key(e: Endpoint, is_lo: bool):
-    # closed left end sorts before open at equal value; for right ends the
-    # open one is "smaller"
-    if is_lo:
-        return (0 if e.closed else 1)
-    return (0 if not e.closed else 1)
-
-
-def _bar_cmp(x: "GradedBar", y: "GradedBar") -> int:
-    if x.degree != y.degree:
-        return -1 if x.degree < y.degree else 1
-    for a, b, is_lo in (
-        (x.interval.lo, y.interval.lo, True),
-        (x.interval.hi, y.interval.hi, False),
-    ):
-        c = cmp(a.value, b.value)
-        if c:
-            return c
-        ka, kb = _ep_key(a, is_lo), _ep_key(b, is_lo)
-        if ka != kb:
-            return -1 if ka < kb else 1
-    return 0
 
 
 @dataclass(frozen=True)
@@ -290,15 +260,24 @@ def bar(lo, hi, degree: int = 0, mult: int = 1, lo_closed=True, hi_closed=False)
 EMPTY = GradedBarcode(())
 
 
+def _bar_key(x: GradedBar) -> tuple:
+    # at equal values a closed left end sorts first, an open right end first
+    lo, hi = x.interval.lo, x.interval.hi
+    return (x.degree, lo.value, not lo.closed, hi.value, hi.closed)
+
+
 def canonicalize(b: GradedBarcode) -> GradedBarcode:
-    """Sort by (degree, lo, hi) and merge equal bars into multiplicity."""
-    srt = sorted(b.bars, key=functools.cmp_to_key(_bar_cmp))
+    """Sort by (degree, lo, hi) and merge equal bars into multiplicity; a
+    merged bar keeps the interval of the last bar of its (stable) run."""
     out: list[GradedBar] = []
-    for bar_ in srt:
-        if out and _bar_cmp(out[-1], bar_) == 0:
+    prev = None
+    for bar_ in sorted(b.bars, key=_bar_key):
+        key = _bar_key(bar_)
+        if key == prev:
             out[-1] = GradedBar(bar_.interval, bar_.degree, out[-1].mult + bar_.mult)
         else:
             out.append(bar_)
+        prev = key
     return GradedBarcode(tuple(out))
 
 
@@ -409,7 +388,7 @@ def ray_sections(b: GradedBarcode, c: Scalar) -> HomSpace:
     for bar_ in b.bars:
         a = bar_.interval.lo.value
         bhat = bar_.interval.hi.value
-        if cmp(a, c) < 0 and cmp(c, bhat) <= 0:
+        if a < c <= bhat:
             acc[bar_.degree] = acc.get(bar_.degree, 0) + bar_.mult
     return HomSpace(acc)
 

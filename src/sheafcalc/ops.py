@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .errors import ConvolutionTypeError, TamarkinClassError, ValidationError
-from .exactnum import NEG_INF, POS_INF, Extended, Infinity, Scalar, add, cmp, is_finite, neg
+from .exactnum import NEG_INF, POS_INF, Extended, Infinity, Scalar, add, is_finite, neg
 from .intervals import (
     Endpoint,
     GradedBar,
@@ -26,6 +26,7 @@ from .intervals import (
     HomSpace,
     Interval,
     canonicalize,
+    finite_ends,
     require_tamarkin,
     shift_deg,
     shift_t,
@@ -35,7 +36,7 @@ from .intervals import (
 
 def _lcro(lo: Extended, hi: Extended) -> Optional[Interval]:
     """[lo, hi) with extended endpoints; None when empty."""
-    if cmp(lo, hi) >= 0:
+    if lo >= hi:
         return None
     return Interval(
         Endpoint(lo, is_finite(lo)),
@@ -103,7 +104,7 @@ def _convolve_pair(i: Interval, j: Interval) -> list[Tuple[Interval, int]]:
     if isinstance(b, Infinity) and isinstance(d, Infinity):
         first = False
     else:
-        first = cmp(add(b, c), add(a, d)) < 0
+        first = add(b, c) < add(a, d)
     if first:
         cand = [(_lcro(add(a, c), add(b, c)), 0), (_lcro(add(a, d), add(b, d)), 1)]
     else:
@@ -191,7 +192,7 @@ def hom_star_pair_formula(i: Interval, j: Interval) -> list[Tuple[Interval, int]
         raise ValidationError("finite-pair formula needs two bounded [a,b) bars")
     a, b = i.lo.value, i.hi.value
     c, d = j.lo.value, j.hi.value
-    mid_lo, mid_hi = (d - b, c - a) if cmp(d - b, c - a) <= 0 else (c - a, d - b)
+    mid_lo, mid_hi = (d - b, c - a) if d - b <= c - a else (c - a, d - b)
     out = []
     first = _lcro(c - b, mid_lo)
     if first is not None:
@@ -216,23 +217,30 @@ def rhom_total(f: GradedBarcode, g: GradedBarcode) -> HomSpace:
     Pair ([a,b) deg i, [c,d) deg j) contributes one dimension in degree
     j - i when a <= c < b <= d and in degree j - i + 1 when c < a <= d < b,
     with extended-endpoint comparisons covering the half- and left-infinite
-    clauses.
+    clauses.  Endpoints are compared through their ranks among the distinct
+    finite ends of both factors (-oo ranks -1, +oo ranks past the last).
     """
     require_tamarkin(f, "rhom_total (source)")
+    for y in g.bars:
+        if not _rhom_target_ok(y.interval):
+            raise ValidationError(f"rhom_total: unsupported target bar {y.interval}")
+    ends = finite_ends(x.interval for x in f.bars + g.bars)
+    rank = {v: k for k, v in enumerate(ends)}
+    rank[NEG_INF], rank[POS_INF] = -1, len(ends)
+    targets = [
+        (rank[y.interval.lo.value], rank[y.interval.hi.value], y.degree, y.mult) for y in g.bars
+    ]
     acc: dict[int, int] = {}
     for x in f.bars:
-        a, b = x.interval.lo.value, x.interval.hi.value
-        for y in g.bars:
-            if not _rhom_target_ok(y.interval):
-                raise ValidationError(f"rhom_total: unsupported target bar {y.interval}")
-            c, d = y.interval.lo.value, y.interval.hi.value
-            if cmp(a, c) <= 0 and cmp(c, b) < 0 and cmp(b, d) <= 0:
-                deg = y.degree - x.degree
-            elif cmp(c, a) < 0 and cmp(a, d) <= 0 and cmp(d, b) < 0:
-                deg = y.degree - x.degree + 1
+        a, b = rank[x.interval.lo.value], rank[x.interval.hi.value]
+        for c, d, deg_y, mult_y in targets:
+            if a <= c < b <= d:
+                deg = deg_y - x.degree
+            elif c < a <= d < b:
+                deg = deg_y - x.degree + 1
             else:
                 continue
-            acc[deg] = acc.get(deg, 0) + x.mult * y.mult
+            acc[deg] = acc.get(deg, 0) + x.mult * mult_y
     return HomSpace(acc)
 
 
@@ -252,20 +260,20 @@ def _rhom_sheaf_pair(i: Interval, j: Interval) -> list[Tuple[Interval, int]]:
     def of(lo, lo_cl, hi, hi_cl):
         return Interval(Endpoint(lo, lo_cl and is_finite(lo)), Endpoint(hi, hi_cl and is_finite(hi)))
 
-    if cmp(d, b) >= 0:
-        if cmp(c, b) >= 0:
+    if d >= b:
+        if c >= b:
             return []
-        if cmp(c, a) >= 0:
+        if c >= a:
             # k_[c,b] (or k_[c,oo) for an infinite source)
             return [(of(c, True, b, True), 0)]
         # k_(a,b] / k_(a,oo)
         return [(of(a, False, b, True), 0)]
     # here d < b, so d is finite
-    if cmp(c, a) >= 0:
+    if c >= a:
         return [(of(c, True, d, False), 0)]
-    if cmp(d, a) > 0:
+    if d > a:
         return [(of(a, False, d, False), 0)]
-    if cmp(d, a) == 0:
+    if d == a:
         return [(_singleton_interval(a), 1)]
     return []
 
@@ -292,7 +300,7 @@ def torsion(f: GradedBarcode) -> Extended:
         length = x.interval.length
         if isinstance(length, Infinity):
             return POS_INF
-        if cmp(length, best) > 0:
+        if length > best:
             best = length
     return best
 
@@ -300,12 +308,12 @@ def torsion(f: GradedBarcode) -> Extended:
 def tau_rank(f: GradedBarcode, c: Scalar) -> HomSpace:
     """Per-degree rank of the canonical morphism into the c-shift."""
     require_tamarkin(f, "tau_rank")
-    if cmp(c, Fraction(0)) < 0:
+    if c < 0:
         raise ValidationError("tau_rank needs c >= 0")
     acc: dict[int, int] = {}
     for x in f.bars:
         length = x.interval.length
-        if isinstance(length, Infinity) or cmp(length, c) > 0:
+        if length > c:
             acc[x.degree] = acc.get(x.degree, 0) + x.mult
     return HomSpace(acc)
 
@@ -330,18 +338,18 @@ def capacity_prime(f: GradedBarcode) -> Extended:
     zero = Fraction(0)
     for x in h.bars:
         alpha, beta = x.interval.lo.value, x.interval.hi.value
-        if isinstance(beta, Infinity) and cmp(alpha, zero) >= 0:
+        if isinstance(beta, Infinity) and alpha >= zero:
             return POS_INF
-        if cmp(alpha, zero) < 0 and cmp(zero, beta) <= 0:
+        if alpha < zero <= beta:
             c1 = neg(alpha)
             if isinstance(beta, Infinity):
                 contrib = c1
             else:
                 c2 = beta - alpha if not isinstance(alpha, Infinity) else POS_INF
-                contrib = c1 if cmp(c1, c2) <= 0 else c2
+                contrib = c1 if c1 <= c2 else c2
             if isinstance(contrib, Infinity):
                 return POS_INF
-            if cmp(contrib, best) > 0:
+            if contrib > best:
                 best = contrib
     return best
 

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 import sheafcalc as sc
+from sheafcalc.exactnum import PiRational
 
 
 @pytest.fixture
@@ -39,3 +40,16 @@ def stratum_samples(b: sc.GradedBarcode):
     pts = [s[0] - 1, s[-1] + 1] + list(s)
     pts.extend((a + c) / 2 for a, c in zip(s, s[1:]))
     return pts
+
+
+def mixed_scalars():
+    """Finite endpoint values of every kind: ties across types
+    (PiRational(0, s) equals Fraction(s)), two equal q*pi + s objects, and
+    q*pi + s values that fall between and beside the rationals."""
+    halves = [F(k, 2) for k in range(-6, 7)]
+    return (
+        halves
+        + [PiRational(0, v) for v in halves[::3]]
+        + [PiRational(1, -3), PiRational(1, F(-3)), PiRational(-1, 4), PiRational(F(1, 2), 0)]
+        + [PiRational(2, F(-13, 2)), PiRational(F(-1, 3), 1)]
+    )

@@ -224,11 +224,17 @@ def test_inexact_bar_json_rejected(tmp_path, capsys, field, value):
         (["morse", "front", "@"], "{not json", None),
         (["morse", "front", "@"], '{"xs": ["0", "1"], "t_minus": ["0", "0"]}', None),
         (["morse", "sublevel", "@"], "3 3\n0 1 2\n2 0 1\n2 1 2\n2 0 2\n", "abc"),
+        (["morse", "sublevel", "@"], '{"values": [0, 0.1, 1], "simplices": [[0, 1, 2]]}', None),
+        (["morse", "sublevel", "@"], '{"values": [0, true, 1], "simplices": [[0, 1, 2]]}', None),
+        (["morse", "front", "@", "--capacity"], '{"xs": [0.5, 1.5], "t_minus": [true, 0.25], "t_plus": [1, 2]}', None),
+        (["morse", "front", "@", "--capacity"], '{"xs": ["0", "1"], "t_minus": [true, "0"], "t_plus": [1, 2]}', None),
+        (["domain", "ball", "--n", "1", "--r", "1", "--stalk", "xpi"], None, None),
     ],
     ids=[
         "float-n", "bool-n", "float-r", "float-R", "float-c", "spec-json-syntax", "cli-r",
         "cli-r1-zero-denominator", "complex-json-syntax", "front-json-syntax", "front-missing-key",
-        "field-env",
+        "field-env", "complex-float-value", "complex-bool-value", "front-float", "front-bool",
+        "bad-pi-literal",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, argv, text, env):
@@ -270,6 +276,33 @@ def test_field_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SHEAFCALC_FIELD", "5")
     code, out, _ = run_cli(["morse", "sublevel", str(complex_file)], capsys)
     assert code == 0
+
+
+def _cli_subprocess(argv, seconds):
+    """Run the CLI in a fresh process, failing (not hanging) past `seconds`."""
+    return subprocess.run(
+        [sys.executable, "-m", "sheafcalc.cli", *argv], capture_output=True, text=True, timeout=seconds
+    )
+
+
+def test_huge_stalk_level_answers_exactly():
+    # 1e60 / pi has 60 digits: the first guess of the action bin must be
+    # exact to a step or two, or the exact correction steps by one for ages
+    import mpmath
+
+    proc = _cli_subprocess(["domain", "ball", "--n", "1", "--r", "1", "--stalk", "1e60"], 20)
+    with mpmath.workdps(120):
+        m = int(mpmath.floor(mpmath.mpf(10) ** 60 / mpmath.pi))
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout) == {"dims": {str(2 * m + 1): 1}}
+
+
+def test_stalk_level_beyond_pi_enclosure_exits_3():
+    # the pi enclosure is too wide to pick the bin of 1e400: a domain
+    # error with one line, not a traceback
+    proc = _cli_subprocess(["domain", "ball", "--n", "1", "--r", "1", "--stalk", "1e400"], 20)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("error: cannot separate") and proc.stderr.count("\n") == 1
 
 
 def test_console_entry_point():

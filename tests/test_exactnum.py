@@ -1,3 +1,5 @@
+import functools
+import random
 from fractions import Fraction as F
 
 import mpmath
@@ -16,6 +18,8 @@ from sheafcalc.exactnum import (
     scalar_from_json,
     scalar_to_json,
 )
+
+from conftest import mixed_scalars
 
 
 def test_pi_enclosure_is_tight_and_correct():
@@ -51,6 +55,21 @@ def test_infinities():
     assert add(POS_INF, F(5)) is POS_INF
     with pytest.raises(ValidationError):
         add(POS_INF, NEG_INF)
+
+
+def test_native_order_agrees_with_cmp():
+    pool = mixed_scalars() + [NEG_INF, POS_INF, F(0), PiRational(0, 0)]
+    for x in pool:
+        for y in pool:
+            c = cmp(x, y)
+            assert (x < y, x <= y, x == y, x > y, x >= y) == (c < 0, c <= 0, c == 0, c > 0, c >= 0), (x, y)
+    rng = random.Random(7)
+    for _ in range(50):
+        vals = rng.sample(pool, rng.randint(0, len(pool)))
+        # both sorts are stable, so equal values of different types keep their order
+        want = sorted(vals, key=functools.cmp_to_key(cmp))
+        got = sorted(vals)
+        assert all(a is b for a, b in zip(got, want)) and len(got) == len(want)
 
 
 @pytest.mark.parametrize(

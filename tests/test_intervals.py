@@ -1,10 +1,12 @@
+import functools
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
 
 import sheafcalc as sc
-from sheafcalc.exactnum import PiRational
+from sheafcalc.exactnum import NEG_INF, POS_INF, PiRational, is_finite
 from sheafcalc.errors import ConventionError, TamarkinClassError, ValidationError
 from sheafcalc.intervals import (
     LEFT_CLOSED,
@@ -14,7 +16,7 @@ from sheafcalc.intervals import (
     barcode_to_json,
 )
 
-from conftest import rand_tamarkin_barcode
+from conftest import mixed_scalars, rand_tamarkin_barcode
 
 
 def test_empty_and_degenerate_intervals_rejected():
@@ -37,6 +39,68 @@ def test_canonicalize_empty_and_sorting():
     b = sc.GradedBarcode((sc.bar(2, 3, degree=1), sc.bar(0, 1)))
     cb = sc.canonicalize(b)
     assert cb.bars[0].interval.lo.value == 0 and cb.bars[0].degree == 0
+
+
+def _canonicalize_reference(b):
+    """The cmp_to_key sort and merge that canonicalize replaced."""
+
+    def ep_key(e, is_lo):
+        return (0 if e.closed else 1) if is_lo else (0 if not e.closed else 1)
+
+    def bar_cmp(x, y):
+        if x.degree != y.degree:
+            return -1 if x.degree < y.degree else 1
+        for a, c, is_lo in ((x.interval.lo, y.interval.lo, True), (x.interval.hi, y.interval.hi, False)):
+            k = sc.cmp(a.value, c.value)
+            if k:
+                return k
+            ka, kc = ep_key(a, is_lo), ep_key(c, is_lo)
+            if ka != kc:
+                return -1 if ka < kc else 1
+        return 0
+
+    out = []
+    for bar_ in sorted(b.bars, key=functools.cmp_to_key(bar_cmp)):
+        if out and bar_cmp(out[-1], bar_) == 0:
+            out[-1] = sc.GradedBar(bar_.interval, bar_.degree, out[-1].mult + bar_.mult)
+        else:
+            out.append(bar_)
+    return sc.GradedBarcode(tuple(out))
+
+
+def _random_interval(rng, pool):
+    x, y = sorted(rng.sample(pool, 2), key=functools.cmp_to_key(sc.cmp))
+    if rng.random() < 0.1:
+        return sc.singleton(x if is_finite(x) else F(0))
+    if sc.cmp(x, y) == 0:
+        return sc.singleton(x)
+    return sc.interval(x, y, rng.random() < 0.5, rng.random() < 0.5)
+
+
+def test_canonicalize_matches_cmp_sort_reference():
+    rng = random.Random(0xCA70)
+    pool = mixed_scalars() + [NEG_INF, POS_INF]
+    for _ in range(200):
+        # few distinct intervals on few values, repeated, so runs of equal
+        # bars and bars differing only in one closed flag occur
+        values = rng.sample(pool, 4)
+        shapes = [_random_interval(rng, values) for _ in range(rng.randint(1, 8))]
+        bars = [
+            sc.GradedBar(rng.choice(shapes), rng.randint(0, 2), rng.choice((1, 1, 2, 3)))
+            for _ in range(rng.randint(0, 25))
+        ]
+        # an equal bar whose ends are PiRational(0, s) where the others hold s
+        for x in list(bars[:3]):
+            lo, hi = x.interval.lo, x.interval.hi
+            if all(isinstance(e.value, F) for e in (lo, hi)):
+                twin = [sc.Endpoint(PiRational(0, e.value), e.closed) for e in (lo, hi)]
+                bars.append(sc.GradedBar(sc.Interval(*twin), x.degree, x.mult))
+        rng.shuffle(bars)
+        b = sc.GradedBarcode(tuple(bars))
+        want, got = _canonicalize_reference(b), sc.canonicalize(b)
+        assert got.bars == want.bars
+        # the merged bar keeps the same representative interval object
+        assert all(g.interval is w.interval for g, w in zip(got.bars, want.bars))
 
 
 def test_canonicalize_idempotent(rng):
@@ -73,8 +137,6 @@ def test_spec():
 
 def _spec_reference(b):
     """The quadratic first-seen dedupe and cmp sort that spec replaced."""
-    import functools
-
     vals = []
     for bar_ in b.bars:
         for e in (bar_.interval.lo, bar_.interval.hi):

@@ -1,15 +1,17 @@
+import functools
+import random
 from fractions import Fraction as F
 
 import pytest
 
 import sheafcalc as sc
 from sheafcalc import ops
-from sheafcalc.errors import ConvolutionTypeError, TamarkinClassError
-from sheafcalc.exactnum import POS_INF, Infinity
+from sheafcalc.errors import ConvolutionTypeError, TamarkinClassError, ValidationError
+from sheafcalc.exactnum import NEG_INF, POS_INF, Infinity, cmp
 from sheafcalc.intervals import spec, stalk
 from sheafcalc.stratmodel import rhom_oracle, rhom_sheaf_stalk_oracle
 
-from conftest import rand_tamarkin_barcode, stratum_samples
+from conftest import mixed_scalars, rand_tamarkin_barcode, stratum_samples
 
 UNIT = sc.barcode(sc.GradedBar(sc.singleton(0)))
 HALF_LINE = sc.barcode(sc.bar(0, "+inf"))
@@ -248,6 +250,56 @@ def test_rhom_total_matches_zigzag_oracle(rng):
                     {d + y.degree - x.degree: n * x.mult * y.mult for d, n in h.dims.items()}
                 )
         assert ops.rhom_total(f, g) == expect
+
+
+def _rhom_total_reference(f, g):
+    """The pairwise cmp loop that the rank-table rhom_total replaced."""
+    acc = {}
+    for x in f.bars:
+        a, b = x.interval.lo.value, x.interval.hi.value
+        for y in g.bars:
+            c, d = y.interval.lo.value, y.interval.hi.value
+            if cmp(a, c) <= 0 and cmp(c, b) < 0 and cmp(b, d) <= 0:
+                deg = y.degree - x.degree
+            elif cmp(c, a) < 0 and cmp(a, d) <= 0 and cmp(d, b) < 0:
+                deg = y.degree - x.degree + 1
+            else:
+                continue
+            acc[deg] = acc.get(deg, 0) + x.mult * y.mult
+    return sc.HomSpace(acc)
+
+
+def test_rhom_total_matches_pairwise_reference():
+    rng = random.Random(0x4807)
+    pool = mixed_scalars()
+
+    def side(n, left_infinite_p):
+        bars = []
+        for _ in range(n):
+            a, b = sorted(rng.sample(pool, 2), key=functools.cmp_to_key(cmp))
+            if cmp(a, b) == 0:
+                continue
+            u = rng.random()
+            if u < left_infinite_p:
+                iv = sc.Interval(sc.Endpoint(NEG_INF, False), sc.Endpoint(b, False))
+            elif u < left_infinite_p + 0.2:
+                iv = sc.interval(a, "+inf")
+            else:
+                iv = sc.interval(a, b)
+            bars.append(sc.GradedBar(iv, rng.randint(0, 2), rng.choice((1, 1, 2, 3))))
+        return sc.barcode(*bars)
+
+    for _ in range(150):
+        f = side(rng.randint(0, 8), 0)
+        g = side(rng.randint(0, 8), 0.25)
+        assert ops.rhom_total(f, g) == _rhom_total_reference(f, g)
+
+
+def test_rhom_total_checks_targets_before_pairs():
+    bad = bc(sc.GradedBar(sc.interval(0, 1, False, True)))
+    for f in (sc.EMPTY, bc(sc.bar(0, 1))):
+        with pytest.raises(ValidationError):
+            ops.rhom_total(f, bad)
 
 
 def test_rhom_sheaf_published_cases():
