@@ -21,6 +21,7 @@ from .domains import (
     ScaledBall,
     domain_barcode,
     domain_from_json,
+    domain_stalk,
     eigen_count,
     inclusion_cone_rank,
     nonsqueeze_check,
@@ -49,16 +50,21 @@ def _dump(obj) -> str:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
 def _loads(text: str, where: str):
+    # ValueError covers syntax errors and integers past Python's digit
+    # limit; RecursionError, arrays or objects nested too deeply
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"{where}: invalid JSON ({exc})") from exc
 
 
@@ -103,10 +109,6 @@ def _rational(text: str) -> Fraction:
         raise ValidationError(f"bad rational literal {text!r}") from exc
 
 
-def _scalar_json_map(values) -> list:
-    return [scalar_to_json(v) for v in values]
-
-
 # -- subcommand handlers ------------------------------------------------------
 
 
@@ -117,7 +119,7 @@ def _cmd_barcode(args) -> int:
     elif args.sections is not None:
         _emit(args, _dump(ray_sections(b, parse_scalar(args.sections)).to_json()))
     elif args.spectrum:
-        _emit(args, _dump({"spec": _scalar_json_map(spec(b))}))
+        _emit(args, _dump({"spec": [scalar_to_json(v) for v in spec(b)]}))
     elif args.convention:
         _emit_barcode(args, convert_convention(b, args.convention))
     else:
@@ -285,8 +287,6 @@ def _parse_domain(args):
 
 
 def _cmd_domain(args) -> int:
-    from .domains import domain_stalk
-
     d = _parse_domain(args)
     if args.stalk is not None:
         _emit(args, _dump(domain_stalk(d, parse_scalar(args.stalk)).to_json()))

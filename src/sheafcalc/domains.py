@@ -127,20 +127,13 @@ def action_bin(T: ExactT, rsq: Fraction) -> int:
 
 
 def ball_stalk(n: int, r, T: ExactT) -> HomSpace:
-    """Stalk of the ball sheaf at filtration T: one dimension in degree
-    n(2m+1) for T in the m-th action bin."""
-    ball = Ball(n, Fraction(r))
-    m = action_bin(T, ball.rsq)
-    return HomSpace({n * (2 * m + 1): 1})
+    """Stalk of the ball sheaf B(r) in dimension n at filtration T."""
+    return domain_stalk(Ball(n, r), T)
 
 
 def ellipsoid_stalk(n: int, r, R, T: ExactT) -> HomSpace:
-    """Stalk of the ellipsoid sheaf: degree 2(n-1)m_R + 2m_r - n with the
-    bin counts m = floor(T/(pi rho^2)) + 1 for each radius rho."""
-    e = Ellipsoid(n, Fraction(r), Fraction(R))
-    m_r = action_bin(T, e.r * e.r) + 1
-    m_R = action_bin(T, e.R * e.R) + 1
-    return HomSpace({2 * (e.n - 1) * m_R + 2 * m_r - e.n: 1})
+    """Stalk of the ellipsoid sheaf E(r, R, ..., R) at filtration T."""
+    return domain_stalk(Ellipsoid(n, r, R), T)
 
 
 # ---------------------------------------------------------------------------
@@ -213,14 +206,15 @@ def _eigen_count_rsq(T: Fraction, rsq: Fraction, M: int) -> int:
 # barcodes, invariants, transfer, mapping cones
 
 
+def _rsqs(d: DomainSpec) -> list[Fraction]:
+    """The squared radii whose action bins make up the domain's spectrum."""
+    return [d.r * d.r, d.R * d.R] if isinstance(d, Ellipsoid) else [d.rsq]
+
+
 def _spec_values(d: DomainSpec, limit: PiRational) -> list[PiRational]:
     """Action-spectrum values of the domain sheaf that are <= limit."""
-    if isinstance(d, Ellipsoid):
-        rsqs = [d.r * d.r, d.R * d.R]
-    else:
-        rsqs = [d.rsq]
     qs: set[Fraction] = set()
-    for rsq in rsqs:
+    for rsq in _rsqs(d):
         m = 0
         while pi_times(m * rsq) <= limit:
             qs.add(m * rsq)
@@ -233,10 +227,13 @@ def domain_spec(d: DomainSpec, limit: ExactT) -> list[PiRational]:
 
 
 def _stalk_degree(d: DomainSpec, T: PiRational) -> int:
+    """Ball: n(2m+1) for T in the m-th action bin.  Ellipsoid: 2(n-1)m_R +
+    2m_r - n with the bin counts m = floor(T/(pi rho^2)) + 1 for each
+    radius rho."""
     if isinstance(d, Ellipsoid):
-        return next(iter(ellipsoid_stalk(d.n, d.r, d.R, T).dims))
-    m = action_bin(T, d.rsq)
-    return d.n * (2 * m + 1)
+        m_r, m_R = (action_bin(T, rsq) + 1 for rsq in _rsqs(d))
+        return 2 * (d.n - 1) * m_R + 2 * m_r - d.n
+    return d.n * (2 * action_bin(T, d.rsq) + 1)
 
 
 def domain_stalk(d: DomainSpec, T: ExactT) -> HomSpace:
@@ -273,15 +270,7 @@ def domain_barcode(d: DomainSpec, Tmax: ExactT) -> GradedBarcode:
 
 
 def _next_spec_after(d: DomainSpec, lo: PiRational) -> PiRational:
-    if isinstance(d, Ellipsoid):
-        rsqs = [d.r * d.r, d.R * d.R]
-    else:
-        rsqs = [d.rsq]
-    cands = []
-    for rsq in rsqs:
-        m = action_bin(lo, rsq)
-        cands.append(pi_times((m + 1) * rsq))
-    return min(cands)
+    return min(pi_times((action_bin(lo, rsq) + 1) * rsq) for rsq in _rsqs(d))
 
 
 def sheaf_invariant(d: DomainSpec, T: ExactT) -> HomSpace:
@@ -289,18 +278,12 @@ def sheaf_invariant(d: DomainSpec, T: ExactT) -> HomSpace:
     degrees up, reported so the ball lands in degree exactly 2mn."""
     t = as_pi_scalar(T)
     _require_nonneg(t)
-    bc = domain_barcode(d, t + pi_times(_max_rsq(d)))
+    bc = domain_barcode(d, t + pi_times(max(_rsqs(d))))
     probe = GradedBarcode(
         (GradedBar(Interval(Endpoint(t, True), Endpoint(POS_INF, False)), d.n),)
     )
     total = rhom_total(bc, probe)
     return HomSpace({-deg: dim for deg, dim in total.dims.items()})
-
-
-def _max_rsq(d: DomainSpec) -> Fraction:
-    if isinstance(d, Ellipsoid):
-        return d.R * d.R
-    return d.rsq
 
 
 def transfer_is_iso(d: DomainSpec, T1: ExactT, T2: ExactT) -> bool:

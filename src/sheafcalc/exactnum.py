@@ -126,9 +126,13 @@ class PiRational:
         if hi < 0:
             return -1
         # pi is irrational, so q != 0 means the value is nonzero; the
-        # enclosure is simply too wide, which we refuse to paper over.
+        # enclosure is simply too wide, which we refuse to paper over.  The
+        # digits stay out of the message: they may run to thousands, past
+        # what str() of an int will print.
+        bits = max(self.q.numerator.bit_length(), self.s.numerator.bit_length())
         raise PiComparisonError(
-            f"cannot separate {self!r} from 0 within the pi enclosure"
+            f"cannot separate a q*pi + s value from 0 within the pi enclosure "
+            f"(numerators of up to {bits} bits)"
         )
 
     def __eq__(self, other):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Tuple
 
 from .errors import ConventionError, TamarkinClassError, ValidationError
 from .exactnum import (
@@ -21,7 +21,6 @@ from .exactnum import (
     PiRational,
     Scalar,
     add,
-    cmp,
     is_finite,
     neg,
     scalar_from_json,
@@ -58,8 +57,6 @@ def ep(value, closed: bool = True) -> Endpoint:
         value = parse_scalar(value)
     if isinstance(value, Infinity):
         return Endpoint(value, False)
-    if isinstance(value, int):
-        value = Fraction(value)
     return Endpoint(value, closed)
 
 
@@ -140,18 +137,13 @@ class Interval:
         )
 
     def intersect(self, other: "Interval") -> Optional["Interval"]:
-        lo = self.lo
-        c = cmp(other.lo.value, lo.value)
-        if c > 0 or (c == 0 and not other.lo.closed):
-            lo = other.lo
-        hi = self.hi
-        c = cmp(other.hi.value, hi.value)
-        if c < 0 or (c == 0 and not other.hi.closed):
-            hi = other.hi
-        c = cmp(lo.value, hi.value)
-        if c > 0 or (c == 0 and not (lo.closed and hi.closed)):
-            return None
-        return Interval(lo, hi)
+        # the later left end and the earlier right end, the open one at
+        # equal values; on a full tie self's endpoint is kept
+        lo = max(self.lo, other.lo, key=lambda e: (e.value, not e.closed))
+        hi = min(self.hi, other.hi, key=lambda e: (e.value, e.closed))
+        if lo.value < hi.value or (lo.value == hi.value and lo.closed and hi.closed):
+            return Interval(lo, hi)
+        return None
 
     def __str__(self):
         lb = "[" if self.lo.closed else "("
@@ -188,9 +180,6 @@ class GradedBarcode:
         object.__setattr__(self, "bars", tuple(self.bars))
 
     # -- canonical form ---------------------------------------------------
-
-    def canonical(self) -> "GradedBarcode":
-        return canonicalize(self)
 
     def __eq__(self, other):
         if not isinstance(other, GradedBarcode):
@@ -318,10 +307,7 @@ class HomSpace:
         return HomSpace({d + k: n for d, n in self._dims.items()})
 
     def __add__(self, other: "HomSpace") -> "HomSpace":
-        acc = dict(self._dims)
-        for d, n in other._dims.items():
-            acc[d] = acc.get(d, 0) + n
-        return HomSpace(acc)
+        return HomSpace([*self._dims.items(), *other._dims.items()])
 
     def __eq__(self, other):
         if not isinstance(other, HomSpace):
@@ -340,13 +326,6 @@ class HomSpace:
     def to_json(self):
         return {"dims": {str(d): n for d, n in self._dims.items()}}
 
-    @classmethod
-    def from_json(cls, obj) -> "HomSpace":
-        try:
-            return cls({int(d): int(n) for d, n in obj["dims"].items()})
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"bad HomSpace JSON {obj!r}") from exc
-
 
 # ---------------------------------------------------------------------------
 # pointwise operations
@@ -354,11 +333,7 @@ class HomSpace:
 
 def stalk(b: GradedBarcode, t: Extended) -> HomSpace:
     """Graded stalk dimension at t; endpoint flags are respected."""
-    acc: dict[int, int] = {}
-    for bar_ in b.bars:
-        if bar_.interval.contains(t):
-            acc[bar_.degree] = acc.get(bar_.degree, 0) + bar_.mult
-    return HomSpace(acc)
+    return HomSpace((x.degree, x.mult) for x in b.bars if x.interval.contains(t))
 
 
 def finite_ends(intervals: Iterable[Interval]) -> list[Scalar]:
@@ -384,13 +359,9 @@ def ray_sections(b: GradedBarcode, c: Scalar) -> HomSpace:
     its birth.
     """
     require_tamarkin(b, "ray_sections")
-    acc: dict[int, int] = {}
-    for bar_ in b.bars:
-        a = bar_.interval.lo.value
-        bhat = bar_.interval.hi.value
-        if a < c <= bhat:
-            acc[bar_.degree] = acc.get(bar_.degree, 0) + bar_.mult
-    return HomSpace(acc)
+    return HomSpace(
+        (x.degree, x.mult) for x in b.bars if x.interval.lo.value < c <= x.interval.hi.value
+    )
 
 
 def require_tamarkin(b: GradedBarcode, opname: str) -> None:
@@ -401,30 +372,23 @@ def require_tamarkin(b: GradedBarcode, opname: str) -> None:
             )
 
 
+def map_bars(b: GradedBarcode, f: Callable[[GradedBar], Tuple[Interval, int]]) -> GradedBarcode:
+    """Canonical barcode of the bars f(x) = (interval, degree), multiplicities kept."""
+    return canonicalize(GradedBarcode(tuple(GradedBar(*f(x), x.mult) for x in b.bars)))
+
+
 def shift_t(b: GradedBarcode, c: Scalar) -> GradedBarcode:
-    return canonicalize(
-        GradedBarcode(
-            tuple(GradedBar(x.interval.shift(c), x.degree, x.mult) for x in b.bars)
-        )
-    )
+    return map_bars(b, lambda x: (x.interval.shift(c), x.degree))
 
 
 def shift_deg(b: GradedBarcode, k: int) -> GradedBarcode:
     """Apply [k]: the stalk field moves down by k degrees."""
-    return canonicalize(
-        GradedBarcode(
-            tuple(GradedBar(x.interval, x.degree - k, x.mult) for x in b.bars)
-        )
-    )
+    return map_bars(b, lambda x: (x.interval, x.degree - k))
 
 
 def reflect_barcode(b: GradedBarcode) -> GradedBarcode:
     """Reparametrize by t -> -t; swaps the [-,-) and (-,-] families."""
-    return canonicalize(
-        GradedBarcode(
-            tuple(GradedBar(x.interval.reflect(), x.degree, x.mult) for x in b.bars)
-        )
-    )
+    return map_bars(b, lambda x: (x.interval.reflect(), x.degree))
 
 
 def convert_convention(b: GradedBarcode, target: str) -> GradedBarcode:

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .errors import OracleSizeError, PlanError, ValidationError
-from .exactnum import POS_INF, Extended, Infinity, Scalar, cmp, neg
+from .exactnum import POS_INF, Extended, Infinity, Scalar
 from .intervals import (
     GradedBar,
     GradedBarcode,
@@ -213,7 +213,7 @@ def delta_matched(
     b1: GradedBarcode, b2: GradedBarcode, delta: Scalar
 ) -> Tuple[bool, Optional[Matching]]:
     """Certified delta-matching test (closed thresholds), degree by degree."""
-    if isinstance(delta, Infinity) or cmp(delta, Fraction(0)) < 0:
+    if isinstance(delta, Infinity) or delta < 0:
         raise ValidationError("delta must be finite and >= 0")
     pairs: list[Tuple[int, int]] = []
     erased_l: list[int] = []
@@ -268,11 +268,7 @@ def _hom_exists(src: Interval, tgt: Interval) -> bool:
     """Nonzero interval-module morphism src -> tgt: c <= a < d <= b."""
     a, b = src.lo.value, src.hi.value
     c, d = tgt.lo.value, tgt.hi.value
-    return cmp(c, a) <= 0 and cmp(a, d) < 0 and cmp(d, b) <= 0
-
-
-def _shift_iv(i: Interval, delta: Scalar) -> Interval:
-    return i.shift(neg(delta))
+    return c <= a < d <= b
 
 
 def _nonempty_triple(a: Interval, b: Interval, c: Interval) -> bool:
@@ -306,7 +302,7 @@ def brute_interleave(b1: GradedBarcode, b2: GradedBarcode, delta: Scalar) -> boo
     for the backward morphism.  Instance size is capped; this is an oracle,
     not a production distance.
     """
-    if cmp(delta, Fraction(0)) < 0:
+    if delta < 0:
         raise ValidationError("delta must be >= 0")
     d1, d2 = _by_degree(b1), _by_degree(b2)
     for deg in sorted(set(d1) | set(d2)):
@@ -328,13 +324,13 @@ def _interleave_block(v: list[Interval], w: list[Interval], delta: Scalar) -> bo
         (j, i)
         for j in range(n2)
         for i in range(n1)
-        if _hom_exists(v[i], _shift_iv(w[j], delta))
+        if _hom_exists(v[i], w[j].shift(-delta))
     ]
     g_entries = [
         (i, j)
         for i in range(n1)
         for j in range(n2)
-        if _hom_exists(w[j], _shift_iv(v[i], delta))
+        if _hom_exists(w[j], v[i].shift(-delta))
     ]
     gpos = {e: k for k, e in enumerate(g_entries)}
     nf, ng = len(f_entries), len(g_entries)
@@ -342,8 +338,7 @@ def _interleave_block(v: list[Interval], w: list[Interval], delta: Scalar) -> bo
         raise OracleSizeError("brute_interleave instance too large")
 
     def survives(i: Interval) -> bool:
-        length = i.length
-        return isinstance(length, Infinity) or cmp(length, two_delta) > 0
+        return i.length > two_delta
 
     # composite-support indicators
     kappa_v = {}  # (i, j, i2) -> bool for g[i2,j] * f[j,i]
@@ -351,14 +346,14 @@ def _interleave_block(v: list[Interval], w: list[Interval], delta: Scalar) -> bo
         for (i2, j2) in g_entries:
             if j2 != j:
                 continue
-            if _nonempty_triple(v[i], _shift_iv(w[j], delta), _shift_iv(v[i2], two_delta)):
+            if _nonempty_triple(v[i], w[j].shift(-delta), v[i2].shift(-two_delta)):
                 kappa_v[(i, j, i2)] = True
     kappa_w = {}  # (j, i, j2) -> bool for f[j2,i] * g[i,j]
     for i, j in g_entries:
         for (j2, i2) in f_entries:
             if i2 != i:
                 continue
-            if _nonempty_triple(w[j], _shift_iv(v[i], delta), _shift_iv(w[j2], two_delta)):
+            if _nonempty_triple(w[j], v[i].shift(-delta), w[j2].shift(-two_delta)):
                 kappa_w[(j, i, j2)] = True
 
     rhs_v = {(i, i): 1 for i in range(n1) if survives(v[i])}
@@ -480,10 +475,7 @@ def torsion_bound_check(
     """Torsion-criterion bound: cone torsion dominates the distance."""
     bound = torsion(cone_of_morphism(v, w, plan))
     dist = interleaving_distance(v, w)
-    holds = isinstance(bound, Infinity) or (
-        not isinstance(dist, Infinity) and cmp(dist, bound) <= 0
-    )
-    return bound, holds
+    return bound, dist <= bound
 
 
 def natural_plan(v: GradedBarcode, w: GradedBarcode) -> MorphismPlan:

@@ -21,13 +21,14 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 from . import modp
 from .errors import ValidationError
-from .exactnum import POS_INF, Infinity, cmp
+from .exactnum import POS_INF, Infinity
 from .intervals import (
     Endpoint,
     GradedBar,
     GradedBarcode,
     Interval,
     canonicalize,
+    map_bars,
 )
 from .stratmodel import StratModel, decompose, sample_points
 
@@ -197,13 +198,7 @@ def superlevel_barcode(K: SimplicialComplex, h: VertexFunction, p: int = 2) -> G
     classes become (-oo, birth).
     """
     sub = sublevel_barcode(K, -h, p)
-    return canonicalize(
-        GradedBarcode(
-            tuple(
-                GradedBar(x.interval.reflect_swap(), x.degree, x.mult) for x in sub.bars
-            )
-        )
-    )
+    return map_bars(sub, lambda x: (x.interval.reflect_swap(), x.degree))
 
 
 def betti_numbers(K: SimplicialComplex, p: int = 2, subset: Optional[set] = None) -> dict[int, int]:
@@ -385,11 +380,7 @@ def sheaf_route_model(K: SimplicialComplex, h: VertexFunction, p: int = 2) -> St
 def reindex_sheaf_degrees(b: GradedBarcode, n: int) -> GradedBarcode:
     """Duality reindex between the sheaf route (relative cohomological
     degree q) and the superlevel route (homological degree n - q)."""
-    return canonicalize(
-        GradedBarcode(
-            tuple(GradedBar(x.interval, n - x.degree, x.mult) for x in b.bars)
-        )
-    )
+    return map_bars(b, lambda x: (x.interval, n - x.degree))
 
 
 def sheaf_route_barcode(K: SimplicialComplex, h: VertexFunction, p: int = 2) -> GradedBarcode:
@@ -477,8 +468,8 @@ def front_hom_star(front: FrontRegion, p: int = 2) -> GradedBarcode:
             continue
         beta = x.interval.hi.value
         alpha = x.interval.lo.value
-        lo = zero if isinstance(alpha, Infinity) or cmp(alpha, zero) < 0 else alpha
-        if isinstance(beta, Infinity) or cmp(lo, beta) >= 0:
+        lo = max(alpha, zero)
+        if isinstance(beta, Infinity) or lo >= beta:
             continue
         pos = Interval(Endpoint(lo, True), Endpoint(beta, False))
         bars.append(GradedBar(pos, -1, x.mult))

@@ -27,6 +27,7 @@ from .intervals import (
     Interval,
     canonicalize,
     finite_ends,
+    map_bars,
     require_tamarkin,
     shift_deg,
     shift_t,
@@ -165,14 +166,7 @@ def adjoint(f: GradedBarcode) -> GradedBarcode:
     k_(-oo,-a) one degree up.  An involution on graded barcodes.
     """
     require_tamarkin(f, "adjoint")
-    return canonicalize(
-        GradedBarcode(
-            tuple(
-                GradedBar(x.interval.reflect_swap(), -x.degree - 1, x.mult)
-                for x in f.bars
-            )
-        )
-    )
+    return map_bars(f, lambda x: (x.interval.reflect_swap(), -x.degree - 1))
 
 
 def hom_star(f: GradedBarcode, g: GradedBarcode) -> GradedBarcode:
@@ -310,12 +304,7 @@ def tau_rank(f: GradedBarcode, c: Scalar) -> HomSpace:
     require_tamarkin(f, "tau_rank")
     if c < 0:
         raise ValidationError("tau_rank needs c >= 0")
-    acc: dict[int, int] = {}
-    for x in f.bars:
-        length = x.interval.length
-        if length > c:
-            acc[x.degree] = acc.get(x.degree, 0) + x.mult
-    return HomSpace(acc)
+    return HomSpace((x.degree, x.mult) for x in f.bars if x.interval.length > c)
 
 
 def capacity(f: GradedBarcode) -> Extended:

@@ -25,7 +25,7 @@ from typing import Optional, Sequence, Tuple
 
 from . import modp
 from .errors import ValidationError
-from .exactnum import NEG_INF, POS_INF, Scalar, cmp, is_finite
+from .exactnum import NEG_INF, POS_INF, Scalar
 from .intervals import (
     Endpoint,
     GradedBar,
@@ -68,7 +68,7 @@ class StratModel:
         modp.check_prime(self.p)
         k = len(self.critical)
         for a, b in zip(self.critical, self.critical[1:]):
-            if cmp(a, b) >= 0:
+            if a >= b:
                 raise ValidationError("critical values must be strictly increasing")
         for deg, dims in self.open_dims.items():
             if len(dims) != k + 1:
@@ -288,12 +288,10 @@ _GERM_AMBIENT = {
 
 def germ_at(i: Interval, t: Scalar) -> Optional[Interval]:
     """Model of the germ of I at t inside a standard copy of the line."""
-    lo_c = cmp(i.lo.value, t) if is_finite(i.lo.value) else -1
-    hi_c = cmp(t, i.hi.value) if is_finite(i.hi.value) else -1
-    if lo_c > 0 or hi_c > 0:
+    lo, hi = i.lo.value, i.hi.value
+    if lo > t or t > hi:
         return _GERM_AMBIENT["empty"]
-    at_lo = is_finite(i.lo.value) and lo_c == 0
-    at_hi = is_finite(i.hi.value) and hi_c == 0
+    at_lo, at_hi = lo == t, t == hi
     if at_lo and at_hi:
         # singleton germ
         return Interval(Endpoint(Fraction(0), True), Endpoint(Fraction(0), True))

@@ -1,10 +1,11 @@
+import functools
 import random
 from fractions import Fraction as F
 
 import pytest
 
 import sheafcalc as sc
-from sheafcalc.exactnum import PiRational
+from sheafcalc.exactnum import PiRational, is_finite
 
 
 @pytest.fixture
@@ -53,3 +54,23 @@ def mixed_scalars():
         + [PiRational(1, -3), PiRational(1, F(-3)), PiRational(-1, 4), PiRational(F(1, 2), 0)]
         + [PiRational(2, F(-13, 2)), PiRational(F(-1, 3), 1)]
     )
+
+
+def random_interval(rng: random.Random, pool):
+    """An interval on two values drawn from pool: any of the four flavours,
+    a singleton, or a half-line or the line when an end is infinite."""
+    x, y = sorted(rng.sample(pool, 2), key=functools.cmp_to_key(sc.cmp))
+    if rng.random() < 0.1:
+        return sc.singleton(x if is_finite(x) else F(0))
+    if sc.cmp(x, y) == 0:
+        return sc.singleton(x)
+    return sc.interval(x, y, rng.random() < 0.5, rng.random() < 0.5)
+
+
+def twin(i: sc.Interval) -> sc.Interval:
+    """The same interval with each Fraction end held as PiRational(0, s)."""
+    ends = [
+        sc.Endpoint(PiRational(0, e.value), e.closed) if isinstance(e.value, F) else e
+        for e in (i.lo, i.hi)
+    ]
+    return sc.Interval(*ends)

@@ -229,18 +229,26 @@ def test_inexact_bar_json_rejected(tmp_path, capsys, field, value):
         (["morse", "front", "@", "--capacity"], '{"xs": [0.5, 1.5], "t_minus": [true, 0.25], "t_plus": [1, 2]}', None),
         (["morse", "front", "@", "--capacity"], '{"xs": ["0", "1"], "t_minus": [true, "0"], "t_plus": [1, 2]}', None),
         (["domain", "ball", "--n", "1", "--r", "1", "--stalk", "xpi"], None, None),
+        (["barcode", "@"], '{"bars": [{"lo": {"v": ' + "9" * 5000 + ', "closed": true}, '
+         '"hi": {"v": "+inf", "closed": false}}]}', None),
+        (["barcode", "@"], "[" * 100000, None),
+        (["barcode", "@"], b'{"bars": [\xff\xfe]}', None),
     ],
     ids=[
         "float-n", "bool-n", "float-r", "float-R", "float-c", "spec-json-syntax", "cli-r",
         "cli-r1-zero-denominator", "complex-json-syntax", "front-json-syntax", "front-missing-key",
         "field-env", "complex-float-value", "complex-bool-value", "front-float", "front-bool",
-        "bad-pi-literal",
+        "bad-pi-literal", "json-int-past-digit-limit", "json-nested-too-deep", "not-utf8",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, argv, text, env):
     if text is not None:
-        (tmp_path / "in").write_text(text)
-        argv = [str(tmp_path / "in") if a == "@" else a for a in argv]
+        path = tmp_path / "in"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        argv = [str(path) if a == "@" else a for a in argv]
     if env is not None:
         monkeypatch.setenv("SHEAFCALC_FIELD", env)
     code, out, err = run_cli(argv, capsys)
@@ -298,11 +306,14 @@ def test_huge_stalk_level_answers_exactly():
 
 
 def test_stalk_level_beyond_pi_enclosure_exits_3():
-    # the pi enclosure is too wide to pick the bin of 1e400: a domain
-    # error with one line, not a traceback
-    proc = _cli_subprocess(["domain", "ball", "--n", "1", "--r", "1", "--stalk", "1e400"], 20)
-    assert proc.returncode == 3 and proc.stdout == ""
-    assert proc.stderr.startswith("error: cannot separate") and proc.stderr.count("\n") == 1
+    # the pi enclosure is too wide to pick the bin: a domain error with one
+    # short line, not a traceback (1e5000 has more digits than str() of an
+    # int will print, so the message must not spell the value out)
+    for level in ("1e400", "1e5000"):
+        proc = _cli_subprocess(["domain", "ball", "--n", "1", "--r", "1", "--stalk", level], 20)
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr.startswith("error: cannot separate") and proc.stderr.count("\n") == 1
+        assert len(proc.stderr) < 200
 
 
 def test_console_entry_point():

@@ -197,16 +197,26 @@ def test_hom_star_anchors():
     )
 
 
-def test_hom_star_finite_pair_formula(rng):
-    for _ in range(60):
-        a, c = F(rng.randint(-8, 8)), F(rng.randint(-8, 8))
-        i = sc.interval(a, a + rng.randint(1, 8))
-        j = sc.interval(c, c + rng.randint(1, 8))
-        via_adjoint = ops.hom_star(bc(sc.GradedBar(i)), bc(sc.GradedBar(j)))
-        via_formula = sc.barcode(
-            *[sc.GradedBar(iv, d) for iv, d in ops.hom_star_pair_formula(i, j)]
+def test_hom_star_finite_pair_formula():
+    # hom_star (adjoint, then the non-proper convolution table) on one
+    # bounded [a,b) x [c,d) pair against the closed formula's summands, with
+    # degrees and multiplicities; the mixed pool makes ends tie across
+    # types and brings in q*pi + s ends
+    rng = random.Random(0x4057)
+    pool = mixed_scalars() + [F(k, 3) for k in range(-8, 9)]
+    for _ in range(3000):
+        (a, b), (c, d) = (sorted(rng.sample(pool, 2)) for _ in range(2))
+        if a == b or c == d:
+            continue
+        i, j = sc.interval(a, b), sc.interval(c, d)
+        (di, dj), (mi, mj) = rng.choices(range(-1, 3), k=2), rng.choices((1, 1, 2, 3), k=2)
+        got = ops.hom_star(bc(sc.GradedBar(i, di, mi)), bc(sc.GradedBar(j, dj, mj)))
+        want = sc.barcode(
+            *[sc.GradedBar(iv, dj - di + off, mi * mj) for iv, off in ops.hom_star_pair_formula(i, j)]
         )
-        assert via_adjoint == via_formula
+        assert got.bars == want.bars
+    with pytest.raises(ValidationError):
+        ops.hom_star_pair_formula(sc.interval(0, "+inf"), sc.interval(0, 1))
 
 
 def test_hom_star_matches_stalk_oracle(rng):

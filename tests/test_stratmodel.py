@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
 import sheafcalc as sc
 from sheafcalc.errors import ValidationError
+from sheafcalc.exactnum import NEG_INF, POS_INF, PiRational, is_finite
 from sheafcalc.stratmodel import (
+    _GERM_AMBIENT,
     StratModel,
     decompose,
     from_barcode,
@@ -13,7 +16,7 @@ from sheafcalc.stratmodel import (
     rhom_sheaf_stalk_oracle,
 )
 
-from conftest import rand_tamarkin_barcode
+from conftest import mixed_scalars, rand_tamarkin_barcode, random_interval, twin
 
 
 def test_from_barcode_half_line():
@@ -126,6 +129,40 @@ def test_germ_models():
     assert germ_at(i, F(1)).lo.finite is False
     assert germ_at(i, F(5)) is None
     assert germ_at(sc.singleton(1), F(1)).is_singleton
+
+
+def _germ_at_reference(i, t):
+    """The cmp-based germ_at that the native comparisons replaced."""
+    lo_c = sc.cmp(i.lo.value, t) if is_finite(i.lo.value) else -1
+    hi_c = sc.cmp(t, i.hi.value) if is_finite(i.hi.value) else -1
+    if lo_c > 0 or hi_c > 0:
+        return None
+    at_lo = is_finite(i.lo.value) and lo_c == 0
+    at_hi = is_finite(i.hi.value) and hi_c == 0
+    if at_lo and at_hi:
+        return sc.singleton(F(0))
+    if at_lo:
+        return _GERM_AMBIENT["closed-right" if i.lo.closed else "open-right"]
+    if at_hi:
+        return _GERM_AMBIENT["closed-left" if i.hi.closed else "open-left"]
+    return _GERM_AMBIENT["full"]
+
+
+def test_germ_at_matches_cmp_reference():
+    rng = random.Random(0x6E53)
+    pool = mixed_scalars()
+    for _ in range(1000):
+        values = rng.sample(pool + [NEG_INF, POS_INF], 4)
+        i = random_interval(rng, values)
+        if rng.random() < 0.25:
+            i = twin(i)
+        ends = [e.value for e in (i.lo, i.hi) if e.finite]
+        twins = [PiRational(0, v) for v in ends if isinstance(v, F)]
+        for t in ends + twins + rng.sample(pool, 4):
+            want, got = _germ_at_reference(i, t), germ_at(i, t)
+            assert got == want
+            if want is not None and not want.is_singleton:
+                assert got is want
 
 
 def test_stalkwise_oracle_for_closed_output():
