@@ -1,8 +1,9 @@
 """Stdout digests of every benchmark job, for byte-identity checks.
 
-For each seed and workload, writes the workload's inputs with
-``perfbench/workloads.make_jobs`` into a temporary directory, runs every
-job in-process through ``sheafcalc.cli.main`` and prints one line per job:
+For each seed and every workload in ``perfbench/workloads.WORKLOADS``,
+writes the workload's inputs with ``perfbench/workloads.make_jobs`` into a
+temporary directory, runs every job in-process through ``sheafcalc.cli.main``
+and prints one line per job:
 
     workload seed key exit sha256(stdout)
 
@@ -29,14 +30,11 @@ import shutil
 import sys
 import tempfile
 
-WORKLOADS = ("ops-bilinear", "dist-bottleneck", "morse-persistence", "domain-pi")
-
 
 def parse_args(argv):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--root", default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     ap.add_argument("--seeds", type=int, nargs="+", default=list(range(1, 11)))
-    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     return ap.parse_args(argv)
 
 
@@ -58,7 +56,7 @@ def main(argv=None) -> int:
     import workloads
     from sheafcalc import cli
 
-    for workload in args.workloads:
+    for workload in sorted(workloads.WORKLOADS):
         for seed in args.seeds:
             workdir = tempfile.mkdtemp(prefix="job-digests-")
             try:
