@@ -14,11 +14,13 @@ never appear in any comparison path.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import PiComparisonError, ValidationError
+from .errors import DomainError, PiComparisonError, ValidationError
 
 # 82 correct digits of pi; enclosure width 1e-81, far below the 1e-30 the
 # comparison contract requires.
@@ -263,11 +265,24 @@ def scalar_to_json(x: Extended):
         return "+inf"
     if x is NEG_INF:
         return "-inf"
-    if isinstance(x, PiRational):
-        if x.q == 0:
-            return str(x.s)
-        return {"pi": str(x.q), "plus": str(x.s)}
-    return str(x)
+    try:
+        if isinstance(x, PiRational):
+            if x.q == 0:
+                return str(x.s)
+            return {"pi": str(x.q), "plus": str(x.s)}
+        return str(x)
+    except ValueError:  # past the interpreter's int-to-string digit limit
+        parts = (x.q, x.s) if isinstance(x, PiRational) else (x,)
+        digits = max(_digit_count(n) for v in parts for n in (v.numerator, v.denominator))
+        raise DomainError(f"an exact result has a {digits}-digit numerator or denominator, "
+                          f"past the {sys.get_int_max_str_digits()}-digit limit for writing integers") from None
+
+
+def _digit_count(n: int) -> int:
+    """Decimal digits of |n|, found without converting n to a string."""
+    n = abs(n) or 1
+    e = int(math.log10(n))  # off by at most one
+    return e + (n >= 10**e) + (n >= 10 ** (e + 1))
 
 
 def _json_rational(v, whole) -> Fraction:

@@ -1,8 +1,9 @@
 """Dense linear algebra over a prime field F_p.
 
-Matrices are lists of row lists of ints in [0, p).  Sizes in this package
-are tiny (dozens at most), so plain Gaussian elimination is the right tool;
-exactness matters more than speed.
+Matrices are lists of row lists of ints in [0, p).  Plain Gaussian
+elimination serves every size in this package: from a few rows up to the
+75-column relative coboundary matrices of a 5x5 torus in the sheaf route.
+Exactness matters more than speed.
 """
 
 from __future__ import annotations

@@ -8,6 +8,9 @@ decomposes the resulting StratModel.  Their agreement (after the documented
 degree reindex q = n - i coming from the duality step, which needs a closed
 manifold of dimension <= 2) is the machine-checked heart of this module.
 
+The persistence route orders simplices on integer vertex ranks, then reduces
+the boundary matrix with clearing (Chen-Kerber 2011, the "twist").
+
 Front regions model compactly supported rank-one sheaves by their fiber
 cuts [-t_-(x), t_+(x)); their self-hom pushes forward through superlevel
 persistence of t_- + t_+ and yields the capacity anchors.
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Optional, Sequence, Tuple
 
 from . import modp
@@ -61,19 +65,14 @@ class SimplicialComplex:
 
     @classmethod
     def from_maximal(cls, n_vertices: int, maximal: Iterable[Sequence[int]]) -> "SimplicialComplex":
-        acc: set[Simplex] = set()
-
-        def close(s: Simplex):
-            if s in acc or not s:
-                return
-            acc.add(s)
-            for f in _facets(s):
-                close(f)
-
-        for m in maximal:
-            close(tuple(sorted(m)))
-        for v in range(n_vertices):
-            acc.add((v,))
+        acc: set[Simplex] = {(v,) for v in range(n_vertices)}
+        for m in map(tuple, maximal):  # checked first: a huge simplex has 2^n faces
+            if len(m) > 3:
+                raise ValidationError("only dimensions <= 2 are supported")
+            if not all(type(v) is int and 0 <= v < n_vertices for v in m) or len(set(m)) < len(m):
+                raise ValidationError(f"simplex {m} needs distinct vertices from 0 to {n_vertices - 1}")
+            for k in range(1, len(m) + 1):
+                acc.update(combinations(sorted(m), k))
         return cls(n_vertices, tuple(sorted(acc, key=lambda s: (len(s), s))))
 
     def of_dim(self, q: int) -> list[Simplex]:
@@ -109,12 +108,6 @@ class VertexFunction:
     def simplex_value(self, s: Simplex) -> Fraction:
         return max(self.values[v] for v in s)
 
-    def simplex_key(self, s: Simplex):
-        # lower-star total order: dominant (value, index) vertex pair first,
-        # ties broken by dimension then lexicographic vertex keys
-        keys = sorted(((self.values[v], v) for v in s), reverse=True)
-        return (keys[0], len(s), keys)
-
 
 def _check_function(K: SimplicialComplex, f: VertexFunction) -> None:
     if len(f.values) != K.n_vertices:
@@ -125,26 +118,48 @@ def _check_function(K: SimplicialComplex, f: VertexFunction) -> None:
 # persistence by column reduction
 
 
+def _lower_star_order(K: SimplicialComplex, f: VertexFunction):
+    """Simplices in lower-star filtration order, with their values.
+
+    Vertices are ranked once by (value, index); a simplex sorts on its
+    vertex ranks in descending order, dimension breaking ties after the top
+    rank.  Its value is that of its top-ranked vertex.
+    """
+    by_rank = sorted(range(K.n_vertices), key=lambda v: (f.values[v], v))
+    rank = {v: r for r, v in enumerate(by_rank)}
+    keyed = []
+    for s in K.simplices:
+        rk = sorted([rank[v] for v in s], reverse=True)
+        keyed.append((rk[0], len(s), rk, s))
+    keyed.sort()
+    return [k[3] for k in keyed], [f.values[by_rank[k[0]]] for k in keyed]
+
+
 def _reduce_boundary(order: list[Simplex], p: int):
-    """Standard persistent-homology column reduction over F_p.
+    """Persistent-homology column reduction over F_p, with clearing.
+
+    Columns are reduced top dimension first, each dimension in filtration
+    order; a column that is already the pivot of a reduced column one
+    dimension up would reduce to zero and is skipped (Chen-Kerber 2011,
+    "Persistent homology computation with a twist", EuroCG).  Pairs are
+    unique, so they equal those of plain left-to-right reduction.
 
     Returns (pairs, essential) with pairs as (birth index, death index).
     """
     index_of = {s: i for i, s in enumerate(order)}
-    cols: list[dict[int, int]] = []
-    pivot_owner: dict[int, int] = {}
+    reduced: dict[int, dict[int, int]] = {}  # pivot row -> its reduced column
     pairs: list[Tuple[int, int]] = []
-    for j, s in enumerate(order):
-        col: dict[int, int] = {}
-        for f, sign in _facet_signs(s):
-            col[index_of[f]] = sign % p
+    for j in sorted(range(len(order)), key=lambda j: -len(order[j])):
+        if j in reduced:
+            continue
+        col = {index_of[f]: sign % p for f, sign in _facet_signs(order[j])}
         while col:
             piv = max(col)
-            if piv not in pivot_owner:
-                pivot_owner[piv] = j
+            other = reduced.get(piv)
+            if other is None:
+                reduced[piv] = col
                 pairs.append((piv, j))
                 break
-            other = cols[pivot_owner[piv]]
             factor = (col[piv] * pow(other[piv], -1, p)) % p
             for row, val in other.items():
                 nv = (col.get(row, 0) - factor * val) % p
@@ -152,7 +167,6 @@ def _reduce_boundary(order: list[Simplex], p: int):
                     col[row] = nv
                 else:
                     col.pop(row, None)
-        cols.append(col)
     dead = {i for i, _ in pairs} | {j for _, j in pairs}
     essential = [j for j in range(len(order)) if j not in dead]
     return pairs, essential
@@ -167,8 +181,7 @@ def sublevel_barcode(K: SimplicialComplex, f: VertexFunction, p: int = 2) -> Gra
     """
     _check_function(K, f)
     modp.check_prime(p)
-    order = sorted(K.simplices, key=f.simplex_key)
-    values = [f.simplex_value(s) for s in order]
+    order, values = _lower_star_order(K, f)
     pairs, essential = _reduce_boundary(order, p)
     bars: list[GradedBar] = []
     for i, j in pairs:
@@ -292,11 +305,11 @@ def _relative_cohomology(K: SimplicialComplex, L: set, p: int):
         idx = {s: i for i, s in enumerate(sq)}
         active = [s for s in sq if s not in L]
         sq1 = [s for s in K.of_dim(q + 1) if s not in L]
+        apos = {s: i for i, s in enumerate(active)}
         # delta_q on active coordinates
         rows = []
         for tau in sq1:
             row = [0] * len(active)
-            apos = {s: i for i, s in enumerate(active)}
             for f, sign in _facet_signs(tau):
                 if f in apos:
                     row[apos[f]] = sign % p
@@ -304,20 +317,15 @@ def _relative_cohomology(K: SimplicialComplex, L: set, p: int):
         z_local = modp.nullspace(rows, p) if active else []
         if rows == [] and active:
             z_local = [[1 if i == j else 0 for i in range(len(active))] for j in range(len(active))]
-        # image of delta_{q-1}
+        # image of delta_{q-1}, scattered from one pass over the active q-simplices
         sqm1 = [s for s in K.of_dim(q - 1) if s not in L] if q else []
-        b_cols = []
-        for sig in sqm1:
-            col = [0] * len(active)
-            apos = {s: i for i, s in enumerate(active)}
-            for tau in sq:
-                if tau in L:
-                    continue
-                for f, sign in _facet_signs(tau):
-                    if f == sig:
-                        col[apos[tau]] = (col[apos[tau]] + sign) % p
-            if any(col):
-                b_cols.append(col)
+        mpos = {s: i for i, s in enumerate(sqm1)}
+        cols = [[0] * len(active) for _ in sqm1]
+        for a, tau in enumerate(active):
+            for f, sign in _facet_signs(tau):
+                if f in mpos:
+                    cols[mpos[f]][a] = sign % p
+        b_cols = [col for col in cols if any(col)]
         # representatives: z columns adding pivots beyond the b columns
         stack = b_cols + z_local
         if stack:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -233,12 +234,21 @@ def test_inexact_bar_json_rejected(tmp_path, capsys, field, value):
          '"hi": {"v": "+inf", "closed": false}}]}', None),
         (["barcode", "@"], "[" * 100000, None),
         (["barcode", "@"], b'{"bars": [\xff\xfe]}', None),
+        (["morse", "sublevel", "@"], '{"values": [0, 1, 2], "simplices": [["a", "b"]]}', None),
+        (["morse", "sublevel", "@"], '{"values": [0, 1, 2], "simplices": [[[0], [1]]]}', None),
+        (["morse", "sublevel", "@"], '{"values": [0, 1, 2], "simplices": [[0, 1.0]]}', None),
+        (["morse", "sublevel", "@"], '{"values": [0, 1, 2], "simplices": [[true, 0]]}', None),
+        (["morse", "sublevel", "@"], '{"values": [0, 1, 2], "simplices": [[0, 0, 1]]}', None),
+        (["morse", "sublevel", "@"], '{"values": [0, 1, 2], "simplices": [[0, 1, 5]]}', None),
+        (["morse", "sublevel", "@"], '{"values": [0, 1, 2], "simplices": [[0, -1]]}', None),
     ],
     ids=[
         "float-n", "bool-n", "float-r", "float-R", "float-c", "spec-json-syntax", "cli-r",
         "cli-r1-zero-denominator", "complex-json-syntax", "front-json-syntax", "front-missing-key",
         "field-env", "complex-float-value", "complex-bool-value", "front-float", "front-bool",
         "bad-pi-literal", "json-int-past-digit-limit", "json-nested-too-deep", "not-utf8",
+        "complex-str-vertex", "complex-list-vertex", "complex-float-vertex", "complex-bool-vertex",
+        "complex-repeated-vertex", "complex-unknown-vertex", "complex-negative-vertex",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, argv, text, env):
@@ -254,6 +264,49 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, argv, te
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps({"values": [0] * 40, "simplices": [list(range(40))]}),
+        "40 1\n" + " ".join(["0"] * 40) + "\n40 " + " ".join(map(str, range(40))) + "\n",
+    ],
+    ids=["json", "off"],
+)
+def test_huge_simplex_refused_at_once(tmp_path, capsys, text):
+    # listing the 2^40 faces first would never finish
+    path = tmp_path / "in"
+    path.write_text(text)
+    start = time.perf_counter()
+    code, out, err = run_cli(["morse", "sublevel", str(path)], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _shift_t(tmp_path, capsys, lo, c):
+    bar = {"lo": {"v": str(lo), "closed": True}, "hi": {"v": "+inf", "closed": False}, "deg": 0, "mult": 1}
+    path = tmp_path / "bar.json"
+    path.write_text(json.dumps({"bars": [bar]}))
+    return run_cli(["ops", "shift-t", str(path), "--c", str(c)], capsys)
+
+
+def test_result_past_int_digit_limit_exits_3(tmp_path, capsys):
+    # each input has 3,000 digits; the sum's denominator has 6,000, past
+    # the 4,300 digits str() of an int will write
+    code, out, err = _shift_t(tmp_path, capsys, F(1, int("7" * 3000)), F(1, int("3" * 2999 + "1")))
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "6000-digit" in err and len(err) < 200
+
+
+def test_long_result_prints_exactly(tmp_path, capsys):
+    lo, c = F(1, int("7" * 1000)), F(1, int("3" * 999 + "1"))
+    code, out, _ = _shift_t(tmp_path, capsys, lo, c)
+    assert code == 0
+    v = json.loads(out)["bars"][0]["lo"]["v"]
+    assert v == str(lo + c) and len(v) > 2000
 
 
 @pytest.mark.parametrize(

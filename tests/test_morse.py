@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 import sheafcalc as sc
-from sheafcalc import metrics as mt, morse, ops
+from sheafcalc import metrics as mt, modp, morse, ops
 from sheafcalc.errors import ValidationError
 from sheafcalc.exactnum import Infinity
 from sheafcalc.intervals import stalk
@@ -182,6 +182,134 @@ def test_stability_bound(rng):
         d = mt.bottleneck(morse.sublevel_barcode(K, f), morse.sublevel_barcode(K, g))
         sup = max(abs(a - b) for a, b in zip(f.values, g.values))
         assert not isinstance(d, Infinity) and d <= sup
+
+
+# --- fast paths against the code they replaced --------------------------------
+
+
+def ref_simplex_key(f: morse.VertexFunction, s):
+    """Lower-star key on (Fraction value, vertex) pairs, sorted per simplex."""
+    keys = sorted(((f.values[v], v) for v in s), reverse=True)
+    return (keys[0], len(s), keys)
+
+
+def ref_reduce_boundary(order, p):
+    """Left-to-right column reduction over F_p without clearing."""
+    index_of = {s: i for i, s in enumerate(order)}
+    cols, pivot_owner, pairs = [], {}, []
+    for j, s in enumerate(order):
+        col = {index_of[f]: sign % p for f, sign in morse._facet_signs(s)}
+        while col:
+            piv = max(col)
+            if piv not in pivot_owner:
+                pivot_owner[piv] = j
+                pairs.append((piv, j))
+                break
+            other = cols[pivot_owner[piv]]
+            factor = (col[piv] * pow(other[piv], -1, p)) % p
+            for row, val in other.items():
+                nv = (col.get(row, 0) - factor * val) % p
+                if nv:
+                    col[row] = nv
+                else:
+                    col.pop(row, None)
+        cols.append(col)
+    dead = {i for i, _ in pairs} | {j for _, j in pairs}
+    return pairs, [j for j in range(len(order)) if j not in dead]
+
+
+def ref_relative_cohomology(K, L, p):
+    """H^q(K, L) with the image of delta_{q-1} built by the nested scan of
+    every q-simplex for each active (q-1)-simplex."""
+    out = {}
+    for q in range(K.dim + 1):
+        sq = K.of_dim(q)
+        idx = {s: i for i, s in enumerate(sq)}
+        active = [s for s in sq if s not in L]
+        apos = {s: i for i, s in enumerate(active)}
+        rows = []
+        for tau in (s for s in K.of_dim(q + 1) if s not in L):
+            row = [0] * len(active)
+            for f, sign in morse._facet_signs(tau):
+                if f in apos:
+                    row[apos[f]] = sign % p
+            rows.append(row)
+        z_local = modp.nullspace(rows, p) if active else []
+        if rows == [] and active:
+            z_local = [[int(i == j) for i in range(len(active))] for j in range(len(active))]
+        b_cols = []
+        for sig in ([s for s in K.of_dim(q - 1) if s not in L] if q else []):
+            col = [0] * len(active)
+            for tau in sq:
+                if tau in L:
+                    continue
+                for f, sign in morse._facet_signs(tau):
+                    if f == sig:
+                        col[apos[tau]] = (col[apos[tau]] + sign) % p
+            if any(col):
+                b_cols.append(col)
+        stack = b_cols + z_local
+        pivots = modp.row_echelon([list(r) for r in zip(*stack)], p)[1] if stack else []
+        reps = [z_local[c - len(b_cols)] for c in pivots if c >= len(b_cols)]
+
+        def globalize(vec):
+            g = [0] * len(sq)
+            for loc, s in enumerate(active):
+                g[idx[s]] = vec[loc]
+            return g
+
+        out[q] = ([globalize(v) for v in reps], [globalize(v) for v in b_cols], sq)
+    return out
+
+
+def grid_torus(n: int) -> morse.SimplicialComplex:
+    tris = []
+    for i in range(n):
+        for j in range(n):
+            v, r = i * n + j, i * n + (j + 1) % n
+            d, dr = ((i + 1) % n) * n + j, ((i + 1) % n) * n + (j + 1) % n
+            tris += [tuple(sorted((v, d, dr))), tuple(sorted((v, r, dr)))]
+    return morse.SimplicialComplex.from_maximal(n * n, tris)
+
+
+def random_complexes(rng):
+    """Closed tori, non-manifold 2-complexes, graphs, lone vertices."""
+    yield grid_torus(3)
+    yield grid_torus(4)
+    yield torus7()
+    for _ in range(6):
+        n = rng.randint(4, 9)
+        tris = [tuple(rng.sample(range(n), 3)) for _ in range(rng.randint(1, 8))]
+        edges = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 5))]
+        yield morse.SimplicialComplex.from_maximal(n + rng.randint(0, 2), tris + edges)
+    for _ in range(6):
+        n = rng.randint(2, 10)
+        edges = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 2 * n))]
+        yield morse.SimplicialComplex.from_maximal(n + rng.randint(0, 2), edges)
+    yield morse.SimplicialComplex.from_maximal(3, [])
+
+
+def random_values(rng, n):
+    """Vertex values with many ties: few distinct levels, some repeated."""
+    spread = rng.choice((0, 1, 2, 6))
+    return morse.VertexFunction(tuple(F(rng.randint(-spread, spread), rng.randint(1, 2)) for _ in range(n)))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_fast_paths_match_reference(rng, p):
+    for K in random_complexes(rng):
+        for _ in range(3):
+            f = random_values(rng, K.n_vertices)
+            order, values = morse._lower_star_order(K, f)
+            assert order == sorted(K.simplices, key=lambda s: ref_simplex_key(f, s))
+            assert values == [f.simplex_value(s) for s in order]
+            pairs, essential = morse._reduce_boundary(order, p)
+            ref_pairs, ref_essential = ref_reduce_boundary(order, p)
+            assert set(pairs) == set(ref_pairs) and set(essential) == set(ref_essential)
+            for t in rng.sample(sorted(set(f.values)), min(2, len(set(f.values)))):
+                L = morse.sublevel_complex(K, f, t)
+                assert morse._relative_cohomology(K, L, p) == ref_relative_cohomology(K, L, p)
+        assert morse._relative_cohomology(K, set(), p) == ref_relative_cohomology(K, set(), p)
 
 
 # --- fronts -------------------------------------------------------------------

@@ -31,11 +31,33 @@ import sys
 import tempfile
 
 
-def parse_args(argv):
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+def parse_args(argv, doc=__doc__):
+    ap = argparse.ArgumentParser(description=doc.split("\n\n")[0])
     ap.add_argument("--root", default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     ap.add_argument("--seeds", type=int, nargs="+", default=list(range(1, 11)))
     return ap.parse_args(argv)
+
+
+def each_job(root: str, seeds):
+    """Yield (cli module, workload, seed, job) for every job of every workload.
+
+    Imports ``sheafcalc`` and ``workloads`` from the checkout at root; each
+    seed's inputs live in a temporary directory while its jobs are yielded.
+    """
+    root = os.path.abspath(root)
+    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
+    import workloads
+    from sheafcalc import cli
+
+    for workload in sorted(workloads.WORKLOADS):
+        for seed in seeds:
+            workdir = tempfile.mkdtemp(prefix="benchmark-jobs-")
+            try:
+                jobs = workloads.make_jobs(workload, seed, workdir)
+                for job in sorted(jobs, key=lambda j: j.key):
+                    yield cli, workload, seed, job
+            finally:
+                shutil.rmtree(workdir, ignore_errors=True)
 
 
 def run_job(cli, argv) -> tuple:
@@ -51,22 +73,10 @@ def run_job(cli, argv) -> tuple:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    root = os.path.abspath(args.root)
-    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
-    import workloads
-    from sheafcalc import cli
-
-    for workload in sorted(workloads.WORKLOADS):
-        for seed in args.seeds:
-            workdir = tempfile.mkdtemp(prefix="job-digests-")
-            try:
-                jobs = workloads.make_jobs(workload, seed, workdir)
-                for job in sorted(jobs, key=lambda j: j.key):
-                    rc, out = run_job(cli, job.argv)
-                    digest = hashlib.sha256(out.encode()).hexdigest()
-                    print(workload, seed, job.key, rc, digest, flush=True)
-            finally:
-                shutil.rmtree(workdir, ignore_errors=True)
+    for cli, workload, seed, job in each_job(args.root, args.seeds):
+        rc, out = run_job(cli, job.argv)
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        print(workload, seed, job.key, rc, digest, flush=True)
     return 0
 
 
