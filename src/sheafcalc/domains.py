@@ -6,6 +6,10 @@ action bins [m pi r^2, (m+1) pi r^2) (the ceiling form of the published
 formulas is ambiguous exactly at the bin boundaries, and the half-open
 convention is the one that reproduces the quoted barcodes).
 
+`action_bin` is the one place a level meets the spectrum: it finds the bin
+of T in O(1), so stalks, S_T and transfer maps cost O(1) in T, and only
+the barcode and spectrum list grow with their cutoff.
+
 `eigen_count` is the independent brute-force oracle: it counts positive
 eigenvalues of the discrete-loop generating-function quadratic form with
 certified interval arithmetic, and must agree with the stalk degrees for
@@ -21,7 +25,7 @@ from typing import Optional, Tuple, Union
 from mpmath import iv
 
 from .errors import SpectralProximityError, ValidationError
-from .exactnum import PI_HI, PI_LO, POS_INF, PiRational, _json_rational
+from .exactnum import PI_HI, PI_LO, POS_INF, Infinity, PiRational, _json_rational, exact_str
 from .intervals import (
     Endpoint,
     GradedBar,
@@ -40,6 +44,8 @@ ExactT = Union[int, Fraction, PiRational]
 def as_pi_scalar(x: ExactT) -> PiRational:
     if isinstance(x, PiRational):
         return x
+    if isinstance(x, Infinity):
+        raise ValidationError(f"filtration value must be finite, got {x}")
     return PiRational(Fraction(0), Fraction(x))
 
 
@@ -103,11 +109,6 @@ class ScaledBall:
 DomainSpec = Union[Ball, Ellipsoid, ScaledBall]
 
 
-def _require_nonneg(T: PiRational) -> None:
-    if T.sign() < 0:
-        raise ValidationError("filtration value must be >= 0")
-
-
 def action_bin(T: ExactT, rsq: Fraction) -> int:
     """Largest m >= 0 with m pi rsq <= T (half-open bins).
 
@@ -116,7 +117,8 @@ def action_bin(T: ExactT, rsq: Fraction) -> int:
     PiComparisonError because the enclosure is too wide to tell.
     """
     t = as_pi_scalar(T)
-    _require_nonneg(t)
+    if t.sign() < 0:
+        raise ValidationError("filtration value must be >= 0")
     s_over_pi = t.s / (PI_HI if t.s > 0 else PI_LO) if t.s else 0
     m = max(0, (t.q + s_over_pi) // rsq)
     while pi_times(m * rsq) > t:
@@ -153,16 +155,15 @@ def _cos_angle(k: int, M: int):
 def _check_band(T: Fraction, rsq: Fraction) -> None:
     band = _EXCLUSION * rsq  # times pi, folded into the comparison
     m = action_bin(T, rsq)
-    for mm in (m - 1, m, m + 1, m + 2):
-        if mm < 0:
-            continue
+    # only the bin's two ends can lie within the band, a tiny part of a bin
+    for mm in (m, m + 1):
         # |T - mm pi rsq| >= band * pi
         diff = as_pi_scalar(T) - pi_times(mm * rsq)
         if diff.sign() < 0:
             diff = -diff
         if diff < pi_times(band):
             raise SpectralProximityError(
-                f"T={T} is within the exclusion band of {mm}*pi*r^2"
+                f"T is within the exclusion band of {mm}*pi*r^2"
             )
 
 
@@ -185,7 +186,8 @@ def _eigen_count_rsq(T: Fraction, rsq: Fraction, M: int) -> int:
     theta = 2 * T / (rsq * M)
     if theta >= pi_times(1):
         raise ValidationError(
-            f"discretization too coarse: need 2T/(r^2 M) < pi, got {theta}"
+            "discretization too coarse: need 2T/(r^2 M) < pi, and its integer "
+            f"part has {int(theta).bit_length()} bits; raise M"
         )
     _check_band(T, rsq)
     th = iv.mpf(theta.numerator) / iv.mpf(theta.denominator)
@@ -197,7 +199,7 @@ def _eigen_count_rsq(T: Fraction, rsq: Fraction, M: int) -> int:
             count += 1
         elif not (diff.b < 0):
             raise SpectralProximityError(
-                f"eigenvalue sign for k={k}, M={M} not certifiable at T={T}"
+                f"eigenvalue sign for k={k}, M={M} not certifiable at this T"
             )
     return count
 
@@ -213,12 +215,7 @@ def _rsqs(d: DomainSpec) -> list[Fraction]:
 
 def _spec_values(d: DomainSpec, limit: PiRational) -> list[PiRational]:
     """Action-spectrum values of the domain sheaf that are <= limit."""
-    qs: set[Fraction] = set()
-    for rsq in _rsqs(d):
-        m = 0
-        while pi_times(m * rsq) <= limit:
-            qs.add(m * rsq)
-            m += 1
+    qs = {m * rsq for rsq in _rsqs(d) for m in range(action_bin(limit, rsq) + 1)}
     return [pi_times(q) for q in sorted(qs)]
 
 
@@ -249,24 +246,14 @@ def domain_barcode(d: DomainSpec, Tmax: ExactT) -> GradedBarcode:
     transition map vanishes and the stalks determine the barcode.
     """
     tmax = as_pi_scalar(Tmax)
-    _require_nonneg(tmax)
     specs = _spec_values(d, tmax)
-    if not specs or specs[0] != pi_times(0):
-        specs.insert(0, pi_times(0))
-    bars: list[GradedBar] = []
-    for i, lo in enumerate(specs):
-        if lo >= tmax:
-            break
-        if i + 1 < len(specs):
-            hi = specs[i + 1]
-        else:
-            hi = _next_spec_after(d, lo)
-        mid = (lo + hi) * Fraction(1, 2)
-        deg = _stalk_degree(d, mid)
-        bars.append(
-            GradedBar(Interval(Endpoint(lo, True), Endpoint(hi, False)), deg)
-        )
-    return canonicalize(GradedBarcode(tuple(bars)))
+    his = specs[1:] + [_next_spec_after(d, specs[-1])]
+    bars = tuple(
+        GradedBar(Interval(Endpoint(lo, True), Endpoint(hi, False)), _stalk_degree(d, lo))
+        for lo, hi in zip(specs, his)
+        if lo < tmax
+    )
+    return canonicalize(GradedBarcode(bars))
 
 
 def _next_spec_after(d: DomainSpec, lo: PiRational) -> PiRational:
@@ -275,28 +262,35 @@ def _next_spec_after(d: DomainSpec, lo: PiRational) -> PiRational:
 
 def sheaf_invariant(d: DomainSpec, T: ExactT) -> HomSpace:
     """S_T of the domain: RHom of its sheaf against k_[T,oo) placed n
-    degrees up, reported so the ball lands in degree exactly 2mn."""
+    degrees up, reported so the ball lands in degree exactly 2mn.
+
+    Only the stratum [lo, hi) holding T pairs with the probe, so that one
+    bar stands for the sheaf: lo is the largest spectrum value <= T, found
+    by `action_bin` for each radius, which makes the cost O(1) in T.
+    """
     t = as_pi_scalar(T)
-    _require_nonneg(t)
-    bc = domain_barcode(d, t + pi_times(max(_rsqs(d))))
-    probe = GradedBarcode(
-        (GradedBar(Interval(Endpoint(t, True), Endpoint(POS_INF, False)), d.n),)
+    lo = max(pi_times(action_bin(t, rsq) * rsq) for rsq in _rsqs(d))
+    stratum = GradedBar(
+        Interval(Endpoint(lo, True), Endpoint(_next_spec_after(d, lo), False)),
+        _stalk_degree(d, t),
     )
-    total = rhom_total(bc, probe)
+    probe = GradedBar(Interval(Endpoint(t, True), Endpoint(POS_INF, False)), d.n)
+    total = rhom_total(GradedBarcode((stratum,)), GradedBarcode((probe,)))
     return HomSpace({-deg: dim for deg, dim in total.dims.items()})
 
 
 def transfer_is_iso(d: DomainSpec, T1: ExactT, T2: ExactT) -> bool:
     """Whether the canonical map S_T1 -> S_T2 is an isomorphism: true iff
-    [T1, T2] avoids the action spectrum."""
+    [T1, T2] avoids the action spectrum, that is iff for every radius T1
+    and T2 share an action bin and T1 is not the bin's left end.  O(1) in
+    T1 and T2."""
     t1, t2 = as_pi_scalar(T1), as_pi_scalar(T2)
-    _require_nonneg(t1)
+    bins = [(rsq, action_bin(t1, rsq)) for rsq in _rsqs(d)]
     if t1 > t2:
         raise ValidationError("need T1 <= T2")
-    for s in _spec_values(d, t2):
-        if t1 <= s <= t2:
-            return False
-    return True
+    return all(
+        t1 != pi_times(m * rsq) and action_bin(t2, rsq) == m for rsq, m in bins
+    )
 
 
 def inclusion_cone_rank(r, c, T, n: int, M: int) -> HomSpace:
@@ -355,12 +349,14 @@ def nonsqueeze_check(n: int, r1, r2, R) -> NonsqueezeVerdict:
     s_ell = sheaf_invariant(ell, T)
     ball_deg = next(iter(s_ball.dims))
     ell_deg = next(iter(s_ell.dims))
+    bd, ed = exact_str(ball_deg), exact_str(ell_deg)
     trace = (
-        f"choose T = {T} inside (pi r2^2, pi r1^2) = ({pi_times(r2*r2)}, {pi_times(r1*r1)})",
-        f"S_T(B({r1})) = k[-{ball_deg}] (first action bin, degree {ball_deg})",
-        f"S_T(E({r2},{R},..)) = k[-{ell_deg}] (small radius already past its first bin)",
+        f"choose T = {exact_str(T)} inside (pi r2^2, pi r1^2) = "
+        f"({exact_str(pi_times(r2 * r2))}, {exact_str(pi_times(r1 * r1))})",
+        f"S_T(B({r1})) = k[-{bd}] (first action bin, degree {bd})",
+        f"S_T(E({r2},{R},..)) = k[-{ed}] (small radius already past its first bin)",
         "an embedding would factor S_T(B(R+)) -> S_T(E) -> S_T(B(r1)) through degree "
-        f"{ell_deg} != {ball_deg}, forcing the composite to vanish",
+        f"{ed} != {bd}, forcing the composite to vanish",
         "but the rescaling mapping cone has rank <= 1, so the restriction "
         "S_T(B(R+)) -> S_T(B(r1)) cannot vanish: contradiction",
     )

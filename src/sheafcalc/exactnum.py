@@ -265,13 +265,19 @@ def scalar_to_json(x: Extended):
         return "+inf"
     if x is NEG_INF:
         return "-inf"
+    if isinstance(x, PiRational):
+        if x.q == 0:
+            return exact_str(x.s)
+        return {"pi": exact_str(x.q), "plus": exact_str(x.s)}
+    return exact_str(x)
+
+
+def exact_str(x: Union[int, Fraction, PiRational]) -> str:
+    """str(x), or a DomainError (exit 3) naming the digit count when x holds
+    an integer past the interpreter's int-to-string digit limit."""
     try:
-        if isinstance(x, PiRational):
-            if x.q == 0:
-                return str(x.s)
-            return {"pi": str(x.q), "plus": str(x.s)}
         return str(x)
-    except ValueError:  # past the interpreter's int-to-string digit limit
+    except ValueError:
         parts = (x.q, x.s) if isinstance(x, PiRational) else (x,)
         digits = max(_digit_count(n) for v in parts for n in (v.numerator, v.denominator))
         raise DomainError(f"an exact result has a {digits}-digit numerator or denominator, "

@@ -21,6 +21,7 @@ from .exactnum import (
     PiRational,
     Scalar,
     add,
+    exact_str,
     is_finite,
     neg,
     scalar_from_json,
@@ -324,7 +325,7 @@ class HomSpace:
         return f"HomSpace({self._dims})"
 
     def to_json(self):
-        return {"dims": {str(d): n for d, n in self._dims.items()}}
+        return {"dims": {exact_str(d): n for d, n in self._dims.items()}}
 
 
 # ---------------------------------------------------------------------------

@@ -77,13 +77,9 @@ def rank(m: list[list[int]], p: int) -> int:
     return len(row_echelon(m, p)[1])
 
 
-def nullspace(m: list[list[int]], p: int) -> list[list[int]]:
-    """Basis of the right kernel, as a list of column vectors."""
-    cols = len(m[0]) if m else 0
-    if cols == 0:
-        return []
-    if not m:
-        return [[1 if i == j else 0 for i in range(cols)] for j in range(cols)]
+def nullspace(m: list[list[int]], cols: int, p: int) -> list[list[int]]:
+    """Basis of the right kernel of the rows m, each of length cols, as a
+    list of column vectors; with no rows it is the standard basis."""
     ech, pivots = row_echelon(m, p)
     free = [c for c in range(cols) if c not in pivots]
     basis = []

@@ -314,9 +314,7 @@ def _relative_cohomology(K: SimplicialComplex, L: set, p: int):
                 if f in apos:
                     row[apos[f]] = sign % p
             rows.append(row)
-        z_local = modp.nullspace(rows, p) if active else []
-        if rows == [] and active:
-            z_local = [[1 if i == j else 0 for i in range(len(active))] for j in range(len(active))]
+        z_local = modp.nullspace(rows, len(active), p)
         # image of delta_{q-1}, scattered from one pass over the active q-simplices
         sqm1 = [s for s in K.of_dim(q - 1) if s not in L] if q else []
         mpos = {s: i for i, s in enumerate(sqm1)}
@@ -341,11 +339,7 @@ def _relative_cohomology(K: SimplicialComplex, L: set, p: int):
                 g[idx[s]] = vec[loc]
             return g
 
-        out[q] = (
-            [globalize(v) for v in reps_local],
-            [globalize(v) for v in b_cols],
-            sq,
-        )
+        out[q] = ([globalize(v) for v in reps_local], [globalize(v) for v in b_cols])
     return out
 
 
@@ -371,7 +365,7 @@ def sheaf_route_model(K: SimplicialComplex, h: VertexFunction, p: int = 2) -> St
         degmaps = []
         for i in range(len(crit)):
             src_reps = datas[i + 1][q][0]
-            tgt_reps, tgt_b, _ = datas[i][q]
+            tgt_reps, tgt_b = datas[i][q]
             span = tgt_b + tgt_reps
             cols = []
             for rep in src_reps:

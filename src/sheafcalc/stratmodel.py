@@ -259,12 +259,7 @@ def rhom_oracle(src: Interval, tgt: Interval, p: int = 2) -> HomSpace:
                 row[pidx[j]] = (row[pidx[j]] - wmap) % p
             if any(row):
                 rows.append(row)
-    if nvars == 0:
-        hom = 0
-    elif not rows:
-        hom = nvars
-    else:
-        hom = len(modp.nullspace(rows, p))
+    hom = len(modp.nullspace(rows, nvars, p))
     euler = sum(a * b for a, b in zip(v.open_dim, w.open_dim))
     euler += sum(a * b for a, b in zip(v.point_dim, w.point_dim))
     for j in range(k):

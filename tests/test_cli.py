@@ -241,6 +241,13 @@ def test_inexact_bar_json_rejected(tmp_path, capsys, field, value):
         (["morse", "sublevel", "@"], '{"values": [0, 1, 2], "simplices": [[0, 0, 1]]}', None),
         (["morse", "sublevel", "@"], '{"values": [0, 1, 2], "simplices": [[0, 1, 5]]}', None),
         (["morse", "sublevel", "@"], '{"values": [0, 1, 2], "simplices": [[0, -1]]}', None),
+        (["domain", "ball", "--n", "1", "--r", "1", "--stalk", "+inf"], None, None),
+        (["domain", "ball", "--n", "1", "--r", "1", "--invariant=+inf"], None, None),
+        (["domain", "ball", "--n", "1", "--r", "1", "--invariant=-inf"], None, None),
+        (["domain", "ball", "--n", "1", "--r", "1", "--tmax", "+inf"], None, None),
+        (["domain", "ball", "--n", "1", "--r", "1", "--transfer", "0", "+inf"], None, None),
+        (["domain", "ball", "--n", "1", "--r", "1", "--eigen", "1e10000"], None, None),
+        (["domain", "ball", "--n", "1", "--r", "1", "--cone", "1e10000", "--c", "1/2"], None, None),
     ],
     ids=[
         "float-n", "bool-n", "float-r", "float-R", "float-c", "spec-json-syntax", "cli-r",
@@ -249,6 +256,8 @@ def test_inexact_bar_json_rejected(tmp_path, capsys, field, value):
         "bad-pi-literal", "json-int-past-digit-limit", "json-nested-too-deep", "not-utf8",
         "complex-str-vertex", "complex-list-vertex", "complex-float-vertex", "complex-bool-vertex",
         "complex-repeated-vertex", "complex-unknown-vertex", "complex-negative-vertex",
+        "stalk-inf", "invariant-inf", "invariant-neg-inf", "tmax-inf", "transfer-inf",
+        "eigen-past-digit-limit", "cone-past-digit-limit",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, argv, text, env):
@@ -299,6 +308,40 @@ def test_result_past_int_digit_limit_exits_3(tmp_path, capsys):
     assert code == 3 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "6000-digit" in err and len(err) < 200
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nonsqueeze", "--n", "2", "--r1", "1" + "0" * 2200, "--r2", "1", "--R", "1" + "0" * 2201],
+        ["domain", "ball", "--n", "1", "--r", "1", "--invariant", "1e4400pi"],
+    ],
+    ids=["nonsqueeze-trace", "invariant-degree"],
+)
+def test_domain_output_past_int_digit_limit_exits_3(capsys, argv):
+    # T = pi (r1^2 + 1)/2 and the degrees near it have 4,400 digits
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "4401-digit" in err
+
+
+@pytest.mark.parametrize(
+    "argv, key, want",
+    [
+        (["nonsqueeze", "--n", "2", "--r1", "100", "--r2", "1", "--R", "101"], "ellipsoid_invariant", {"dims": {"10000": 1}}),
+        (["nonsqueeze", "--n", "2", "--r1", "1000", "--r2", "1", "--R", "1001"], "ellipsoid_invariant", {"dims": {"1000000": 1}}),
+        (["domain", "ball", "--n", "2", "--r", "1", "--invariant", "1000000pi"], "dims", {"4000000": 1}),
+        (["domain", "ball", "--n", "2", "--r", "1", "--transfer", "1/2", "1000000pi"], "transfer_is_iso", False),
+    ],
+    ids=["nonsqueeze-100", "nonsqueeze-1000", "invariant", "transfer"],
+)
+def test_large_levels_answer_at_once(capsys, argv, key, want):
+    # a million action bins below the level; none of them is visited
+    start = time.perf_counter()
+    code, out, _ = run_cli(argv, capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 0 and json.loads(out)[key] == want
 
 
 def test_long_result_prints_exactly(tmp_path, capsys):

@@ -5,9 +5,10 @@ import pytest
 
 import sheafcalc as sc
 from sheafcalc import domains as dm
+from sheafcalc import ops
 from sheafcalc.errors import SpectralProximityError, ValidationError
 from sheafcalc.exactnum import cmp
-from sheafcalc.intervals import spec, stalk
+from sheafcalc.intervals import canonicalize, spec, stalk
 
 
 def rand_T_in_bin(rng, rsq: F, m: int) -> F:
@@ -188,3 +189,124 @@ def test_nonsqueeze_negative_cases():
 def test_domain_json_round_trip():
     for d in (dm.Ball(2, F(3, 2)), dm.Ellipsoid(2, 1, 10), dm.ScaledBall(F(1, 2), dm.Ball(1, 1))):
         assert dm.domain_from_json(dm.domain_to_json(d)) == d
+
+
+# --- fast paths against the spectrum walks they replace ----------------------
+
+
+def ref_spec_values(d, limit):
+    """Every m pi rsq <= limit, found by counting m up from 0."""
+    qs = set()
+    for rsq in dm._rsqs(d):
+        m = 0
+        while dm.pi_times(m * rsq) <= limit:
+            qs.add(m * rsq)
+            m += 1
+    return [dm.pi_times(q) for q in sorted(qs)]
+
+
+def ref_transfer_is_iso(d, t1, t2):
+    """Scan the spectrum up to T2 for a value inside [T1, T2]."""
+    return not any(t1 <= s <= t2 for s in ref_spec_values(d, t2))
+
+
+def ref_sheaf_invariant(d, t):
+    """RHom of the whole barcode up to T + pi max rsq against the probe."""
+    top = dm.pi_times(max(dm._rsqs(d)))
+    specs = ref_spec_values(d, t + top + top)
+    bars = [
+        sc.GradedBar(sc.interval(lo, hi), dm._stalk_degree(d, (lo + hi) * F(1, 2)))
+        for lo, hi in zip(specs, specs[1:])
+        if lo < t + top
+    ]
+    probe = sc.barcode(sc.GradedBar(sc.interval(t, "+inf"), d.n))
+    total = ops.rhom_total(canonicalize(sc.GradedBarcode(tuple(bars))), probe)
+    return sc.HomSpace({-deg: dim for deg, dim in total.dims.items()})
+
+
+def ref_check_band(T, rsq):
+    """The band test against the four spectrum values around T."""
+    m = dm.action_bin(T, rsq)
+    for mm in (m - 1, m, m + 1, m + 2):
+        if mm < 0:
+            continue
+        diff = dm.as_pi_scalar(T) - dm.pi_times(mm * rsq)
+        if diff.sign() < 0:
+            diff = -diff
+        if diff < dm.pi_times(dm._EXCLUSION * rsq):
+            raise SpectralProximityError(f"within the band of {mm}")
+
+
+def seeded_domains(rng):
+    def radius():
+        return F(rng.randint(1, 8), rng.randint(1, 2))
+
+    for _ in range(3):
+        yield dm.Ball(rng.randint(1, 3), radius())
+        r = radius()
+        yield dm.Ellipsoid(rng.randint(2, 3), r, r * F(rng.randint(2, 6), 2))
+        yield dm.ScaledBall(F(rng.randint(1, 4), 4), dm.Ball(rng.randint(1, 3), radius()))
+
+
+def levels(rng, d):
+    """0, the first spectrum values of each radius, levels just off them
+    on both sides, and q*pi + s levels with s != 0."""
+    out = [dm.pi_times(0)]
+    for rsq in dm._rsqs(d):
+        for m in range(3):
+            on = m * rsq
+            out += [dm.pi_times(on), dm.PiRational(on, F(1, 1000)), dm.pi_times(on + F(1, 10**9))]
+            if m:
+                out += [dm.PiRational(on, F(-1, 1000)), dm.pi_times(on - F(1, 10**9))]
+    for _ in range(6):
+        t = dm.PiRational(rsq * F(rng.randint(0, 20), 7), F(rng.choice([-3, -1, 1, 2, 5]), rng.randint(2, 9)))
+        if t.sign() > 0:
+            out.append(t)
+    return sorted(set(out))
+
+
+def test_spectrum_matches_walk(rng):
+    for d in seeded_domains(rng):
+        for t in levels(rng, d):
+            assert dm.domain_spec(d, t) == ref_spec_values(d, t)
+
+
+def test_sheaf_invariant_matches_whole_barcode(rng):
+    for d in seeded_domains(rng):
+        for t in levels(rng, d):
+            assert dm.sheaf_invariant(d, t) == ref_sheaf_invariant(d, t)
+
+
+def test_transfer_matches_walk(rng):
+    seen = set()
+    for d in seeded_domains(rng):
+        ts = levels(rng, d)
+        for i, t1 in enumerate(ts):
+            # the next few levels up, then a few anywhere above
+            for t2 in ts[i : i + 3] + rng.sample(ts[i:], min(3, len(ts) - i)):
+                iso = dm.transfer_is_iso(d, t1, t2)
+                assert iso == ref_transfer_is_iso(d, t1, t2)
+                seen.add(iso)
+    assert seen == {True, False}
+
+
+def test_band_check_matches_four_neighbours(rng):
+    def verdict(check, T, rsq):
+        try:
+            check(T, rsq)
+        except SpectralProximityError:
+            return False
+        return True
+
+    seen = set()
+    for d in seeded_domains(rng):
+        for rsq in dm._rsqs(d):
+            for m in range(4):
+                for k in (2, 4, 6, 8):
+                    near = F(round(m * math.pi * float(rsq) * 10**k), 10**k)
+                    for T in (near, near + F(1, 10**k), near - F(1, 10**k)):
+                        if T >= 0:
+                            v = verdict(dm._check_band, T, rsq)
+                            assert v == verdict(ref_check_band, T, rsq)
+                            seen.add(v)
+    assert seen == {True, False}

@@ -234,9 +234,7 @@ def ref_relative_cohomology(K, L, p):
                 if f in apos:
                     row[apos[f]] = sign % p
             rows.append(row)
-        z_local = modp.nullspace(rows, p) if active else []
-        if rows == [] and active:
-            z_local = [[int(i == j) for i in range(len(active))] for j in range(len(active))]
+        z_local = modp.nullspace(rows, len(active), p)
         b_cols = []
         for sig in ([s for s in K.of_dim(q - 1) if s not in L] if q else []):
             col = [0] * len(active)
@@ -258,7 +256,7 @@ def ref_relative_cohomology(K, L, p):
                 g[idx[s]] = vec[loc]
             return g
 
-        out[q] = ([globalize(v) for v in reps], [globalize(v) for v in b_cols], sq)
+        out[q] = ([globalize(v) for v in reps], [globalize(v) for v in b_cols])
     return out
 
 

@@ -5,11 +5,12 @@ writes the workload's inputs with ``perfbench/workloads.make_jobs`` into a
 temporary directory, runs every job in-process through ``sheafcalc.cli.main``
 under cProfile and prints one line per job kind, summed over its jobs:
 
-    workload seed kind primitive_calls fraction_compares
+    workload seed kind primitive_calls fraction_compares pirational_signs
 
 ``primitive_calls`` counts every non-recursive Python-level call;
-``fraction_compares`` counts calls of ``Fraction``'s comparison operators.
-Both repeat exactly from run to run, so two checkouts compare without
+``fraction_compares`` counts calls of ``Fraction``'s comparison operators;
+``pirational_signs`` counts calls of ``PiRational.sign``, which every
+compare of two ``q*pi + s`` values makes.  All three repeat exactly from run to run, so two checkouts compare without
 timing noise (a few dozen calls per job can still differ between checkouts
 in different directories, from the interpreter's own ``abc`` caches):
 
@@ -34,14 +35,18 @@ COMPARES = {"__eq__", "__lt__", "__le__", "__gt__", "__ge__"}
 
 
 def counts(profile: cProfile.Profile) -> tuple:
-    """(primitive calls, Fraction comparison calls) recorded by a profile."""
+    """(primitive calls, Fraction comparison calls, PiRational.sign calls)
+    recorded by a profile."""
     stats = pstats.Stats(profile)
-    compares = sum(
-        prim
-        for (path, _line, name), (prim, *_rest) in stats.stats.items()
-        if name in COMPARES and os.path.basename(path) == "fractions.py"
-    )
-    return stats.prim_calls, compares
+
+    def calls(names, filename):
+        return sum(
+            prim
+            for (path, _line, name), (prim, *_rest) in stats.stats.items()
+            if name in names and os.path.basename(path) == filename
+        )
+
+    return stats.prim_calls, calls(COMPARES, "fractions.py"), calls({"sign"}, "exactnum.py")
 
 
 def main(argv=None) -> int:
@@ -52,11 +57,11 @@ def main(argv=None) -> int:
         profile.enable()
         run_job(cli, job.argv)
         profile.disable()
-        acc = totals.setdefault((workload, seed, job.kind), [0, 0])
+        acc = totals.setdefault((workload, seed, job.kind), [0, 0, 0])
         for k, n in enumerate(counts(profile)):
             acc[k] += n
-    for (workload, seed, kind), (calls, compares) in sorted(totals.items()):
-        print(workload, seed, kind, calls, compares)
+    for (workload, seed, kind), acc in sorted(totals.items()):
+        print(workload, seed, kind, *acc)
     return 0
 
 
