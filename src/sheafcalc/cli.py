@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import metrics, morse, ops
 from .domains import (
@@ -29,12 +28,11 @@ from .domains import (
     transfer_is_iso,
 )
 from .errors import DomainError, ValidationError
-from .exactnum import Infinity, _json_rational, parse_scalar, scalar_to_json
+from .exactnum import Infinity, _json_rational, parse_rational, parse_scalar, scalar_to_json
 from .intervals import (
     GradedBarcode,
     barcode_from_json,
     barcode_to_json,
-    canonicalize,
     convert_convention,
     ray_sections,
     spec,
@@ -102,13 +100,6 @@ def _field(args) -> int:
         raise ValidationError(f"${FIELD_ENV} must be an integer, got {env!r}") from exc
 
 
-def _rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"bad rational literal {text!r}") from exc
-
-
 # -- subcommand handlers ------------------------------------------------------
 
 
@@ -123,7 +114,7 @@ def _cmd_barcode(args) -> int:
     elif args.convention:
         _emit_barcode(args, convert_convention(b, args.convention))
     else:
-        _emit_barcode(args, canonicalize(b))
+        _emit_barcode(args, b)
     return 0
 
 
@@ -222,7 +213,7 @@ def _parse_complex(text: str):
     lines = [ln for ln in lines if ln]
     try:
         nv, ns = (int(x) for x in lines[0].split())
-        values = [Fraction(x) for x in lines[1].split()]
+        values = [parse_rational(x) for x in lines[1].split()]
         if len(values) != nv:
             raise ValidationError(f"expected {nv} vertex values")
         maximal = []
@@ -274,15 +265,15 @@ def _parse_domain(args):
     if args.n is None or args.r is None:
         raise ValidationError("need --n and --r")
     if args.domain == "ball":
-        return Ball(args.n, _rational(args.r))
+        return Ball(args.n, parse_rational(args.r))
     if args.domain == "ellipsoid":
         if args.R is None:
             raise ValidationError("ellipsoid needs --R")
-        return Ellipsoid(args.n, _rational(args.r), _rational(args.R))
+        return Ellipsoid(args.n, parse_rational(args.r), parse_rational(args.R))
     if args.domain == "scaled-ball":
         if args.c is None:
             raise ValidationError("scaled-ball needs --c")
-        return ScaledBall(_rational(args.c), Ball(args.n, _rational(args.r)))
+        return ScaledBall(parse_rational(args.c), Ball(args.n, parse_rational(args.r)))
     raise ValidationError(f"unknown domain {args.domain!r}")
 
 
@@ -302,12 +293,12 @@ def _cmd_domain(args) -> int:
     if args.eigen is not None:
         if not isinstance(d, Ball):
             raise ValidationError("eigen counts are defined for plain balls")
-        _emit(args, _dump({"eigen_count": eigen_count(_rational(args.eigen), d.r, args.M)}))
+        _emit(args, _dump({"eigen_count": eigen_count(parse_rational(args.eigen), d.r, args.M)}))
         return 0
     if args.cone is not None:
         if not isinstance(d, Ball) or args.c is None:
             raise ValidationError("mapping-cone ranks need a ball plus --c")
-        h = inclusion_cone_rank(d.r, _rational(args.c), _rational(args.cone), d.n, args.M)
+        h = inclusion_cone_rank(d.r, parse_rational(args.c), parse_rational(args.cone), d.n, args.M)
         _emit(args, _dump(h.to_json()))
         return 0
     if args.tmax is None:
@@ -318,7 +309,7 @@ def _cmd_domain(args) -> int:
 
 
 def _cmd_nonsqueeze(args) -> int:
-    v = nonsqueeze_check(args.n, _rational(args.r1), _rational(args.r2), _rational(args.R))
+    v = nonsqueeze_check(args.n, parse_rational(args.r1), parse_rational(args.r2), parse_rational(args.R))
     payload = {
         "obstructed": v.obstructed,
         "verdict": v.verdict,
@@ -333,11 +324,7 @@ def _cmd_nonsqueeze(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    b = _read_barcode(args.input)
-    if args.format == "text":
-        _emit(args, text_barcode(b))
-    else:
-        _emit(args, svg_barcode(b, args.title))
+    _emit_barcode(args, _read_barcode(args.input), args.title)
     return 0
 
 

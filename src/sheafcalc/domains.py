@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Tuple, Union
 
 from mpmath import iv
@@ -142,14 +143,14 @@ def ellipsoid_stalk(n: int, r, R, T: ExactT) -> HomSpace:
 # eigenvalue-count oracle
 
 _EXCLUSION = Fraction(1, 10**6)
-_angle_cache: dict[Tuple[int, int], object] = {}
+# eigen_count is linear in M and keeps M intervals; past this it stalls
+MAX_M = 20_000
 
 
-def _cos_angle(k: int, M: int):
-    key = (k, M)
-    if key not in _angle_cache:
-        _angle_cache[key] = iv.cos(2 * iv.pi * iv.mpf(k) / iv.mpf(M))
-    return _angle_cache[key]
+@lru_cache(maxsize=4)
+def _cos_angles(M: int) -> tuple:
+    """cos(2 pi k / M) for k = 0 .. M-1 as certified intervals."""
+    return tuple(iv.cos(2 * iv.pi * iv.mpf(k) / iv.mpf(M)) for k in range(M))
 
 
 def _check_band(T: Fraction, rsq: Fraction) -> None:
@@ -179,8 +180,8 @@ def eigen_count(T, r, M: int) -> int:
 
 
 def _eigen_count_rsq(T: Fraction, rsq: Fraction, M: int) -> int:
-    if M < 1:
-        raise ValidationError("need M >= 1")
+    if not 1 <= M <= MAX_M:
+        raise ValidationError(f"need 1 <= M <= {MAX_M}")
     if T < 0:
         raise ValidationError("need T >= 0")
     theta = 2 * T / (rsq * M)
@@ -193,8 +194,8 @@ def _eigen_count_rsq(T: Fraction, rsq: Fraction, M: int) -> int:
     th = iv.mpf(theta.numerator) / iv.mpf(theta.denominator)
     cos_theta = iv.cos(th)
     count = 0
-    for k in range(M):
-        diff = _cos_angle(k, M) - cos_theta
+    for k, cos_angle in enumerate(_cos_angles(M)):
+        diff = cos_angle - cos_theta
         if diff.a > 0:
             count += 1
         elif not (diff.b < 0):
@@ -238,14 +239,21 @@ def domain_stalk(d: DomainSpec, T: ExactT) -> HomSpace:
     return HomSpace({_stalk_degree(d, as_pi_scalar(T)): 1})
 
 
+# the barcode grows linearly with its cutoff; 20,000 strata take seconds
+MAX_STRATA = 20_000
+
+
 def domain_barcode(d: DomainSpec, Tmax: ExactT) -> GradedBarcode:
     """Sheaf barcode of the domain up to filtration Tmax.
 
     One bar per stratum between consecutive action-spectrum values, closed
     left and open right: adjacent stalks sit in different degrees, so every
-    transition map vanishes and the stalks determine the barcode.
+    transition map vanishes and the stalks determine the barcode.  At most
+    MAX_STRATA strata, counted in O(1) before anything is built.
     """
     tmax = as_pi_scalar(Tmax)
+    if sum(action_bin(tmax, rsq) + 1 for rsq in _rsqs(d)) > MAX_STRATA:
+        raise ValidationError(f"the barcode up to this cutoff has more than {MAX_STRATA} strata")
     specs = _spec_values(d, tmax)
     his = specs[1:] + [_next_spec_after(d, specs[-1])]
     bars = tuple(

@@ -15,6 +15,7 @@ never appear in any comparison path.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -241,6 +242,28 @@ def as_float(x: Extended) -> float:
 
 # -- parsing and JSON forms -------------------------------------------------
 
+# Fraction expands a decimal exponent into an integer with that many digits,
+# so '1e2000000' alone takes seconds; past this magnitude it is refused.
+MAX_EXPONENT = 100_000
+_EXPONENT = re.compile(r"E[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+def parse_rational(text: str) -> Fraction:
+    """The exact rational of a literal such as '3/2', '-0.25' or '1e-3'.
+
+    Every string-to-Fraction conversion of input goes through here, so an
+    exponent past MAX_EXPONENT is refused before any big integer is built.
+    """
+    m = ("e" in text or "E" in text) and _EXPONENT.search(text)
+    # seven significant digits are past the cap already, so read no more
+    if m and int(m[1].replace("_", "").lstrip("0")[:7] or 0) > MAX_EXPONENT:
+        raise ValidationError(f"decimal exponent past +-{MAX_EXPONENT} in a rational literal")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"bad rational literal {text!r}") from exc
+
+
 def parse_scalar(text: str) -> Extended:
     """Parse '-inf', '+inf', '3/2', '2pi', 'pi-1/2', '3pi+1' style literals."""
     t = text.strip().replace(" ", "")
@@ -248,16 +271,13 @@ def parse_scalar(text: str) -> Extended:
         return NEG_INF
     if t in ("+inf", "inf", "oo", "+oo"):
         return POS_INF
-    try:
-        if "pi" not in t:
-            return Fraction(t)
-        head, _, tail = t.partition("pi")
-        q = Fraction({"": 1, "+": 1, "-": -1}.get(head, head))
-        if tail and tail[0] not in "+-":
-            raise ValueError(tail)
-        return PiRational(q, Fraction(tail or 0))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"bad scalar literal {text!r}") from exc
+    if "pi" not in t:
+        return parse_rational(t)
+    head, _, tail = t.partition("pi")
+    if tail and tail[0] not in "+-":
+        raise ValidationError(f"bad scalar literal {text!r}")
+    q = parse_rational({"": "1", "+": "1", "-": "-1"}.get(head, head))
+    return PiRational(q, parse_rational(tail or "0"))
 
 
 def scalar_to_json(x: Extended):
@@ -293,11 +313,10 @@ def _digit_count(n: int) -> int:
 
 def _json_rational(v, whole) -> Fraction:
     """An exact rational from a JSON integer or string; floats and bools are refused."""
-    if isinstance(v, str) or (isinstance(v, int) and not isinstance(v, bool)):
-        try:
-            return Fraction(v)
-        except (ValueError, ZeroDivisionError):
-            pass
+    if isinstance(v, str):
+        return parse_rational(v)
+    if isinstance(v, int) and not isinstance(v, bool):
+        return Fraction(v)
     raise ValidationError(f"{v!r} in {whole!r} is not an exact rational (a JSON integer or string)")
 
 

@@ -3,7 +3,9 @@
 Matrices are lists of row lists of ints in [0, p).  Plain Gaussian
 elimination serves every size in this package: from a few rows up to the
 75-column relative coboundary matrices of a 5x5 torus in the sheaf route.
-Exactness matters more than speed.
+Exactness matters more than speed.  `row_echelon` returns the reduced form:
+columns appended last change no pivot, and their coordinates in the pivot
+columns are read off the reduced rows.
 """
 
 from __future__ import annotations
@@ -91,16 +93,3 @@ def nullspace(m: list[list[int]], cols: int, p: int) -> list[list[int]]:
         basis.append(v)
     return basis
 
-
-def solve_in_span(basis_cols: list[list[int]], target: list[int], p: int) -> list[int] | None:
-    """Coefficients expressing `target` in the span of `basis_cols`, or None."""
-    n = len(target)
-    k = len(basis_cols)
-    aug = [[basis_cols[j][i] % p for j in range(k)] + [target[i] % p] for i in range(n)]
-    ech, pivots = row_echelon(aug, p)
-    if k in pivots:
-        return None
-    coeff = [0] * k
-    for r, pc in enumerate(pivots):
-        coeff[pc] = ech[r][k]
-    return coeff

@@ -3,8 +3,9 @@
 Two independent routes produce the same barcode: the upper-star persistence
 of the vertex function completed in [-,-) type, and the constructible-sheaf
 route that evaluates relative cohomology H^*(K, {h <= t}) at one sample
-point per stratum, extracts inclusion-induced transition ranks, and
-decomposes the resulting StratModel.  Their agreement (after the documented
+point per stratum, reads the inclusion-induced transition maps off the same
+F_p elimination that picks each stratum's representatives, and decomposes
+the resulting StratModel.  Their agreement (after the documented
 degree reindex q = n - i coming from the duality step, which needs a closed
 manifold of dimension <= 2) is the machine-checked heart of this module.
 
@@ -296,14 +297,20 @@ def is_closed_manifold(K: SimplicialComplex) -> bool:
     return True
 
 
-def _relative_cohomology(K: SimplicialComplex, L: set, p: int):
-    """Bases of H^q(K, L): returns per q (reps, coboundary_cols) in global
-    coordinates over all q-simplices of K."""
+def _relative_cohomology(K: SimplicialComplex, L: set, p: int, carried: dict):
+    """Bases of H^q(K, L) and the map into them from a larger L's bases.
+
+    Returns per q (active, reps, transition): reps are cocycles over the
+    q-simplices outside L, listed in `active`.  `carried` is an earlier
+    result for some L_big containing L; its reps are cocycles here too, and
+    go in as the last columns of the one elimination that picks the reps,
+    so they change no pivot.  transition[r][c] is then the coefficient of
+    reps[r] in carried rep c modulo coboundaries, read off the reduced row
+    of that pivot.
+    """
     out = {}
     for q in range(K.dim + 1):
-        sq = K.of_dim(q)
-        idx = {s: i for i, s in enumerate(sq)}
-        active = [s for s in sq if s not in L]
+        active = [s for s in K.of_dim(q) if s not in L]
         sq1 = [s for s in K.of_dim(q + 1) if s not in L]
         apos = {s: i for i, s in enumerate(active)}
         # delta_q on active coordinates
@@ -324,22 +331,21 @@ def _relative_cohomology(K: SimplicialComplex, L: set, p: int):
                 if f in mpos:
                     cols[mpos[f]][a] = sign % p
         b_cols = [col for col in cols if any(col)]
+        # carried cocycles vanish on L_big, so they live on these coordinates
+        big_active, big_reps, _ = carried[q]
+        moved = [[0] * len(active) for _ in big_reps]
+        for col, rep in zip(moved, big_reps):
+            for s, v in zip(big_active, rep):
+                col[apos[s]] = v
         # representatives: z columns adding pivots beyond the b columns
-        stack = b_cols + z_local
-        if stack:
-            mat = [[stack[c][r] for c in range(len(stack))] for r in range(len(active))]
-            _, pivots = modp.row_echelon(mat, p)
-        else:
-            pivots = []
-        reps_local = [z_local[c - len(b_cols)] for c in pivots if c >= len(b_cols)]
-
-        def globalize(vec):
-            g = [0] * len(sq)
-            for loc, s in enumerate(active):
-                g[idx[s]] = vec[loc]
-            return g
-
-        out[q] = ([globalize(v) for v in reps_local], [globalize(v) for v in b_cols])
+        stack = b_cols + z_local + moved
+        ech, pivots = modp.row_echelon([list(r) for r in zip(*stack)], p)
+        nb, nbz = len(b_cols), len(b_cols) + len(z_local)
+        if pivots and pivots[-1] >= nbz:
+            raise ValidationError("transition cocycle left the target span")
+        reps = [z_local[c - nb] for c in pivots if c >= nb]
+        transition = tuple(tuple(row[nbz:]) for row, c in zip(ech, pivots) if c >= nb)
+        out[q] = (active, reps, transition)
     return out
 
 
@@ -348,34 +354,24 @@ def sheaf_route_model(K: SimplicialComplex, h: VertexFunction, p: int = 2) -> St
 
     Dims come from relative cohomology at one sample per stratum; the
     transition across a critical value is induced by the cochain-level
-    inclusion C^*(K, L_big) into C^*(K, L_small).
+    inclusion C^*(K, L_big) into C^*(K, L_small).  Samples are visited from
+    the top stratum down, each carrying its representatives into the next
+    one's elimination, which reads the transition off directly.
     """
     _check_function(K, h)
-    crit_vals = sorted(set(h.values))
-    crit = tuple(Fraction(v) for v in crit_vals)
-    pts = sample_points(crit)
-    datas = [_relative_cohomology(K, sublevel_complex(K, h, t), p) for t in pts]
+    crit = tuple(sorted(set(h.values)))
     degrees = range(K.dim + 1)
-    open_dims = {}
-    point_dims = {}
-    maps = {}
-    for q in degrees:
-        open_dims[q] = tuple(len(d[q][0]) for d in datas)
-        point_dims[q] = tuple(len(datas[i + 1][q][0]) for i in range(len(crit)))
-        degmaps = []
-        for i in range(len(crit)):
-            src_reps = datas[i + 1][q][0]
-            tgt_reps, tgt_b = datas[i][q]
-            span = tgt_b + tgt_reps
-            cols = []
-            for rep in src_reps:
-                coeff = modp.solve_in_span([list(v) for v in span], list(rep), p)
-                if coeff is None:
-                    raise ValidationError("transition cocycle left the target span")
-                cols.append(coeff[len(tgt_b):])
-            mat = [[cols[c][r] for c in range(len(cols))] for r in range(len(tgt_reps))]
-            degmaps.append(tuple(tuple(row) for row in mat))
-        maps[q] = tuple(degmaps)
+    data = {q: ((), [], ()) for q in degrees}
+    maps = {q: [] for q in degrees}
+    for t in reversed(sample_points(crit)):
+        data = _relative_cohomology(K, sublevel_complex(K, h, t), p, data)
+        for q, (_, _, transition) in data.items():
+            maps[q].append(transition)
+    # back to bottom-up order; a transition has one row per representative,
+    # and the top sample's transition comes from nothing
+    open_dims = {q: tuple(len(m) for m in reversed(ms)) for q, ms in maps.items()}
+    point_dims = {q: d[1:] for q, d in open_dims.items()}
+    maps = {q: tuple(reversed(ms[1:])) for q, ms in maps.items()}
     return StratModel(crit, open_dims, point_dims, maps, p)
 
 

@@ -248,6 +248,18 @@ def test_inexact_bar_json_rejected(tmp_path, capsys, field, value):
         (["domain", "ball", "--n", "1", "--r", "1", "--transfer", "0", "+inf"], None, None),
         (["domain", "ball", "--n", "1", "--r", "1", "--eigen", "1e10000"], None, None),
         (["domain", "ball", "--n", "1", "--r", "1", "--cone", "1e10000", "--c", "1/2"], None, None),
+        (["domain", "ball", "--n", "1", "--r", "1e2000000", "--stalk", "1"], None, None),
+        (["domain", "ball", "--n", "1", "--r", "1", "--stalk", "1e6000000"], None, None),
+        (["domain", "ball", "--n", "1", "--r", "1", "--stalk", "1E-2_000_000pi+1"], None, None),
+        (["barcode", "@"], '{"bars": [{"lo": {"v": "1e2000000", "closed": true}, '
+         '"hi": {"v": "+inf", "closed": false}, "deg": 0, "mult": 1}]}', None),
+        (["domain", "--spec-json", '{"ball":{"n":1,"r":"1e2000000"}}', "--invariant", "1"], None, None),
+        (["morse", "sublevel", "@"], '{"values": [0, "1e2000000", 1], "simplices": [[0, 1, 2]]}', None),
+        (["morse", "sublevel", "@"], "3 1\n0 1e2000000 1\n3 0 1 2\n", None),
+        (["domain", "ball", "--n", "1", "--r", "1", "--tmax", "20000pi"], None, None),
+        (["domain", "ellipsoid", "--n", "2", "--r", "1", "--R", "2", "--tmax", "1e100000pi"], None, None),
+        (["domain", "ball", "--n", "1", "--r", "1", "--eigen", "1", "--M", "20001"], None, None),
+        (["domain", "ball", "--n", "1", "--r", "1", "--cone", "1", "--c", "1/2", "--M", "100000000"], None, None),
     ],
     ids=[
         "float-n", "bool-n", "float-r", "float-R", "float-c", "spec-json-syntax", "cli-r",
@@ -258,6 +270,9 @@ def test_inexact_bar_json_rejected(tmp_path, capsys, field, value):
         "complex-repeated-vertex", "complex-unknown-vertex", "complex-negative-vertex",
         "stalk-inf", "invariant-inf", "invariant-neg-inf", "tmax-inf", "transfer-inf",
         "eigen-past-digit-limit", "cone-past-digit-limit",
+        "exponent-cli-rational", "exponent-scalar", "exponent-pi-scalar", "exponent-barcode-json",
+        "exponent-json-rational", "exponent-complex-json", "exponent-complex-off",
+        "tmax-strata-cap", "tmax-strata-cap-huge", "eigen-M-cap", "cone-M-cap",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, argv, text, env):
@@ -270,7 +285,9 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, argv, te
         argv = [str(path) if a == "@" else a for a in argv]
     if env is not None:
         monkeypatch.setenv("SHEAFCALC_FIELD", env)
+    start = time.perf_counter()
     code, out, err = run_cli(argv, capsys)
+    assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 

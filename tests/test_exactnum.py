@@ -14,6 +14,7 @@ from sheafcalc.exactnum import (
     PiRational,
     add,
     cmp,
+    parse_rational,
     parse_scalar,
     scalar_from_json,
     scalar_to_json,
@@ -94,6 +95,15 @@ def test_parse_rejects_garbage():
         parse_scalar("pie")
     with pytest.raises(ValidationError):
         parse_scalar("2pi3")
+
+
+def test_exponent_cap_is_exact():
+    assert parse_rational("1e100_000") == 10**100000
+    assert parse_rational(" 3E-0100000 ") == F(3, 10**100000)
+    assert parse_rational("2.5e00000000000000000003") == 2500
+    for text in ("1e100001", "1e-100001", "1e1_000_000", "1e" + "9" * 5000):
+        with pytest.raises(ValidationError, match="exponent"):
+            parse_rational(text)
 
 
 def test_scalar_json_round_trip():
