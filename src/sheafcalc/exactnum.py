@@ -8,8 +8,11 @@ certified rational enclosure of pi and raise `PiComparisonError` when the
 enclosure cannot separate the operands (it is far narrower than anything a
 sane input can produce, but we never guess).
 
-The two infinities are dedicated singletons `NEG_INF` / `POS_INF`; floats
-never appear in any comparison path.
+The two infinities are dedicated singletons `NEG_INF` / `POS_INF`.  Every
+`Extended` value (Fraction, PiRational or an infinity) compares, adds,
+subtracts, negates and converts to float with Python's own operators;
++inf + -inf has no value and raises `ValidationError`.  Floats never appear
+in any comparison path.
 """
 
 from __future__ import annotations
@@ -67,6 +70,27 @@ class Infinity:
 
     def __ge__(self, other):
         return self.sign >= (other.sign if isinstance(other, Infinity) else 0)
+
+    # An infinity absorbs every finite value and itself; opposite infinities
+    # have no sum.  The reflected forms serve finite + inf and finite - inf.
+
+    def __add__(self, other):
+        if isinstance(other, Infinity) and other.sign != self.sign:
+            raise ValidationError("inf + -inf is undefined")
+        return self if isinstance(other, (int, Fraction, PiRational, Infinity)) else NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, (int, Fraction, PiRational, Infinity)):
+            return self + -other
+        return NotImplemented
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
+    def __float__(self):
+        return math.inf * self.sign
 
 
 POS_INF = Infinity(1)
@@ -217,29 +241,6 @@ def is_finite(x: Extended) -> bool:
     return not isinstance(x, Infinity)
 
 
-def add(x: Extended, y: Extended) -> Extended:
-    """Extended addition; +inf + -inf is rejected as meaningless."""
-    if isinstance(x, Infinity) and isinstance(y, Infinity):
-        if x.sign != y.sign:
-            raise ValidationError("inf + -inf is undefined")
-        return x
-    if isinstance(x, Infinity):
-        return x
-    if isinstance(y, Infinity):
-        return y
-    return x + y
-
-
-def neg(x: Extended) -> Extended:
-    return -x
-
-
-def as_float(x: Extended) -> float:
-    if isinstance(x, Infinity):
-        return float("inf") * x.sign
-    return float(x)
-
-
 # -- parsing and JSON forms -------------------------------------------------
 
 # Fraction expands a decimal exponent into an integer with that many digits,
@@ -261,7 +262,11 @@ def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"bad rational literal {text!r}") from exc
+        limit = sys.get_int_max_str_digits()
+        if limit and len(text) > limit:
+            raise ValidationError(f"rational literal of {len(text)} characters is past Python's "
+                                  f"{limit}-digit integer limit") from exc
+        raise ValidationError(f"bad rational literal {_excerpt(text)}") from exc
 
 
 def parse_scalar(text: str) -> Extended:
@@ -275,9 +280,14 @@ def parse_scalar(text: str) -> Extended:
         return parse_rational(t)
     head, _, tail = t.partition("pi")
     if tail and tail[0] not in "+-":
-        raise ValidationError(f"bad scalar literal {text!r}")
+        raise ValidationError(f"bad scalar literal {_excerpt(text)}")
     q = parse_rational({"": "1", "+": "1", "-": "-1"}.get(head, head))
     return PiRational(q, parse_rational(tail or "0"))
+
+
+def _excerpt(text: str) -> str:
+    """repr of an input literal for a message, cut after 40 characters."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
 
 
 def scalar_to_json(x: Extended):

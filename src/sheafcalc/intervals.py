@@ -15,15 +15,12 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Tuple
 
 from .errors import ConventionError, TamarkinClassError, ValidationError
 from .exactnum import (
-    POS_INF,
     Extended,
     Infinity,
     PiRational,
     Scalar,
-    add,
     exact_str,
     is_finite,
-    neg,
     scalar_from_json,
     scalar_to_json,
 )
@@ -93,8 +90,6 @@ class Interval:
 
     @property
     def length(self) -> Extended:
-        if not (self.lo.finite and self.hi.finite):
-            return POS_INF
         return self.hi.value - self.lo.value
 
     def is_tamarkin(self) -> bool:
@@ -114,15 +109,15 @@ class Interval:
 
     def shift(self, c: Scalar) -> "Interval":
         return Interval(
-            Endpoint(add(self.lo.value, c), self.lo.closed),
-            Endpoint(add(self.hi.value, c), self.hi.closed),
+            Endpoint(self.lo.value + c, self.lo.closed),
+            Endpoint(self.hi.value + c, self.hi.closed),
         )
 
     def reflect(self) -> "Interval":
         """Image under t -> -t (endpoint types travel with the endpoints)."""
         return Interval(
-            Endpoint(neg(self.hi.value), self.hi.closed),
-            Endpoint(neg(self.lo.value), self.lo.closed),
+            Endpoint(-self.hi.value, self.hi.closed),
+            Endpoint(-self.lo.value, self.lo.closed),
         )
 
     def reflect_swap(self) -> "Interval":

@@ -60,7 +60,7 @@ class SimplicialComplex:
             if any(v < 0 or v >= self.n_vertices for v in s):
                 raise ValidationError(f"simplex {s} uses an unknown vertex")
         for s in self.simplices:
-            for f in _facets(s):
+            for f, _ in _facet_signs(s):
                 if f and f not in seen:
                     raise ValidationError(f"face {f} of {s} is missing")
 
@@ -82,12 +82,6 @@ class SimplicialComplex:
     @property
     def dim(self) -> int:
         return max((len(s) - 1 for s in self.simplices), default=0)
-
-
-def _facets(s: Simplex) -> list[Simplex]:
-    if len(s) <= 1:
-        return []
-    return [s[:i] + s[i + 1:] for i in range(len(s))]
 
 
 def _facet_signs(s: Simplex) -> list[Tuple[Simplex, int]]:
@@ -266,7 +260,7 @@ def is_closed_manifold(K: SimplicialComplex) -> bool:
         return all(deg.get(v, 0) == 2 for v in range(K.n_vertices))
     edges_cnt: dict[Simplex, int] = {}
     for t in K.of_dim(2):
-        for f in _facets(t):
+        for f, _ in _facet_signs(t):
             edges_cnt[f] = edges_cnt.get(f, 0) + 1
     if set(edges_cnt) != set(K.of_dim(1)) or any(c != 2 for c in edges_cnt.values()):
         return False
@@ -301,51 +295,48 @@ def _relative_cohomology(K: SimplicialComplex, L: set, p: int, carried: dict):
     """Bases of H^q(K, L) and the map into them from a larger L's bases.
 
     Returns per q (active, reps, transition): reps are cocycles over the
-    q-simplices outside L, listed in `active`.  `carried` is an earlier
-    result for some L_big containing L; its reps are cocycles here too, and
-    go in as the last columns of the one elimination that picks the reps,
-    so they change no pivot.  transition[r][c] is then the coefficient of
-    reps[r] in carried rep c modulo coboundaries, read off the reduced row
-    of that pivot.
+    q-simplices outside L, listed in `active`.  Each coboundary delta_q is
+    built once, one row per active (q+1)-simplex: its nullspace gives the
+    cocycles at q, and at q+1 its rows begin the rows of the elimination, so
+    the first nb columns span the coboundaries (zero columns never pivot).
+    `carried` is an earlier result for some L_big containing L; its
+    reps are cocycles here too, and go in as the last columns of the one
+    elimination that picks the reps, so they change no pivot.
+    transition[r][c] is then the coefficient of reps[r] in carried rep c
+    modulo coboundaries, read off the reduced row of that pivot.
     """
     out = {}
+    active = [s for s in K.of_dim(0) if s not in L]
+    delta_prev, nb = [[] for _ in active], 0  # delta_{q-1}: a row per active q-simplex, nb wide
     for q in range(K.dim + 1):
-        active = [s for s in K.of_dim(q) if s not in L]
-        sq1 = [s for s in K.of_dim(q + 1) if s not in L]
+        above = [s for s in K.of_dim(q + 1) if s not in L]
         apos = {s: i for i, s in enumerate(active)}
-        # delta_q on active coordinates
         rows = []
-        for tau in sq1:
+        for tau in above:
             row = [0] * len(active)
             for f, sign in _facet_signs(tau):
                 if f in apos:
                     row[apos[f]] = sign % p
             rows.append(row)
         z_local = modp.nullspace(rows, len(active), p)
-        # image of delta_{q-1}, scattered from one pass over the active q-simplices
-        sqm1 = [s for s in K.of_dim(q - 1) if s not in L] if q else []
-        mpos = {s: i for i, s in enumerate(sqm1)}
-        cols = [[0] * len(active) for _ in sqm1]
-        for a, tau in enumerate(active):
-            for f, sign in _facet_signs(tau):
-                if f in mpos:
-                    cols[mpos[f]][a] = sign % p
-        b_cols = [col for col in cols if any(col)]
         # carried cocycles vanish on L_big, so they live on these coordinates
         big_active, big_reps, _ = carried[q]
         moved = [[0] * len(active) for _ in big_reps]
         for col, rep in zip(moved, big_reps):
             for s, v in zip(big_active, rep):
                 col[apos[s]] = v
-        # representatives: z columns adding pivots beyond the b columns
-        stack = b_cols + z_local + moved
-        ech, pivots = modp.row_echelon([list(r) for r in zip(*stack)], p)
-        nb, nbz = len(b_cols), len(b_cols) + len(z_local)
+        # representatives: z columns adding pivots beyond the coboundary block
+        stack = [
+            delta_prev[a] + [z[a] for z in z_local] + [m[a] for m in moved] for a in range(len(active))
+        ]
+        ech, pivots = modp.row_echelon(stack, p)
+        nbz = nb + len(z_local)
         if pivots and pivots[-1] >= nbz:
             raise ValidationError("transition cocycle left the target span")
         reps = [z_local[c - nb] for c in pivots if c >= nb]
         transition = tuple(tuple(row[nbz:]) for row, c in zip(ech, pivots) if c >= nb)
         out[q] = (active, reps, transition)
+        active, delta_prev, nb = above, rows, len(active)
     return out
 
 

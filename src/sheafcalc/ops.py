@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .errors import ConvolutionTypeError, TamarkinClassError, ValidationError
-from .exactnum import NEG_INF, POS_INF, Extended, Infinity, Scalar, add, is_finite, neg
+from .exactnum import NEG_INF, POS_INF, Extended, Infinity, Scalar, is_finite
 from .intervals import (
     Endpoint,
     GradedBar,
@@ -91,10 +91,10 @@ def _convolve_pair(i: Interval, j: Interval) -> list[Tuple[Interval, int]]:
     """k_[a,b) * k_[c,d) as (interval, degree offset) summands.
 
     A singleton {s} acts as the shift by s.  The finite rule is the
-    two-branch case split on b+c < a+d; infinite right ends are handled by
-    evaluating both candidate bars with extended arithmetic, dropping empty
-    ones, and letting a comparison between two +oo values select the second
-    branch.
+    two-branch case split on b+c < a+d.  The same code serves infinite
+    right ends: both candidate bars are formed with extended sums and empty
+    ones dropped, and when b and d are both +oo, +oo < +oo is False and
+    selects the second branch.
     """
     if i.is_singleton:
         return [(j.shift(i.lo.value), 0)]
@@ -102,14 +102,10 @@ def _convolve_pair(i: Interval, j: Interval) -> list[Tuple[Interval, int]]:
         return [(i.shift(j.lo.value), 0)]
     a, b = i.lo.value, i.hi.value
     c, d = j.lo.value, j.hi.value
-    if isinstance(b, Infinity) and isinstance(d, Infinity):
-        first = False
+    if b + c < a + d:
+        cand = [(_lcro(a + c, b + c), 0), (_lcro(a + d, b + d), 1)]
     else:
-        first = add(b, c) < add(a, d)
-    if first:
-        cand = [(_lcro(add(a, c), add(b, c)), 0), (_lcro(add(a, d), add(b, d)), 1)]
-    else:
-        cand = [(_lcro(add(a, c), add(a, d)), 0), (_lcro(add(b, c), add(b, d)), 1)]
+        cand = [(_lcro(a + c, a + d), 0), (_lcro(b + c, b + d), 1)]
     return [(iv, off) for iv, off in cand if iv is not None]
 
 
@@ -131,10 +127,10 @@ def _convolve_np_pair(i: Interval, j: Interval) -> list[Tuple[Interval, int]]:
         c, d = j.lo.value, j.hi.value
         if isinstance(d, Infinity):
             # (-oo,y) *np [c,oo) = (-oo, y+c)
-            iv = _lcro(NEG_INF, add(y, c))
+            iv = _lcro(NEG_INF, y + c)
             return [(iv, 0)] if iv is not None else []
         # (-oo,y) *np [c,d) = k_[y+c, y+d)[-1]
-        iv = _lcro(add(y, c), add(y, d))
+        iv = _lcro(y + c, y + d)
         return [(iv, 1)] if iv is not None else []
     raise ConvolutionTypeError(
         f"non-proper convolution table has no entry for {i} * {j}"
@@ -248,9 +244,6 @@ def _rhom_sheaf_pair(i: Interval, j: Interval) -> list[Tuple[Interval, int]]:
     a, b = i.lo.value, i.hi.value
     c, d = j.lo.value, j.hi.value
 
-    def closed(lo, hi):
-        return Interval(Endpoint(lo, True), Endpoint(hi, True))
-
     def of(lo, lo_cl, hi, hi_cl):
         return Interval(Endpoint(lo, lo_cl and is_finite(lo)), Endpoint(hi, hi_cl and is_finite(hi)))
 
@@ -289,14 +282,7 @@ def torsion(f: GradedBarcode) -> Extended:
     Bars of type (-oo,b) never die under the canonical shift morphisms, so
     they count as infinite torsion exactly like [a,oo) bars.
     """
-    best: Extended = Fraction(0)
-    for x in f.bars:
-        length = x.interval.length
-        if isinstance(length, Infinity):
-            return POS_INF
-        if length > best:
-            best = length
-    return best
+    return max((x.interval.length for x in f.bars), default=Fraction(0))
 
 
 def tau_rank(f: GradedBarcode, c: Scalar) -> HomSpace:
@@ -318,28 +304,16 @@ def capacity_prime(f: GradedBarcode) -> Extended:
 
     Closed form on the bars [alpha, beta) of H = Hom*(f, f): a bar
     straddling 0 (alpha < 0 <= beta) keeps the map alive up to
-    min(-alpha, beta - alpha); other bars never contribute.  Validated on
-    the capacity anchors; always <= capacity(f).
+    min(-alpha, beta - alpha), infinite when alpha is -oo; other bars never
+    contribute (no bar of H is unbounded above).  Validated on the capacity
+    anchors; always <= capacity(f).
     """
     require_tamarkin(f, "capacity_prime")
-    h = hom_star(f, f)
     best: Extended = Fraction(0)
-    zero = Fraction(0)
-    for x in h.bars:
+    for x in hom_star(f, f).bars:
         alpha, beta = x.interval.lo.value, x.interval.hi.value
-        if isinstance(beta, Infinity) and alpha >= zero:
-            return POS_INF
-        if alpha < zero <= beta:
-            c1 = neg(alpha)
-            if isinstance(beta, Infinity):
-                contrib = c1
-            else:
-                c2 = beta - alpha if not isinstance(alpha, Infinity) else POS_INF
-                contrib = c1 if c1 <= c2 else c2
-            if isinstance(contrib, Infinity):
-                return POS_INF
-            if contrib > best:
-                best = contrib
+        if alpha < 0 <= beta:
+            best = max(best, min(-alpha, beta - alpha))
     return best
 
 

@@ -8,7 +8,7 @@ pure function of the canonical barcode (fixed float formatting, no state).
 
 from __future__ import annotations
 
-from .exactnum import Infinity, PiRational, as_float
+from .exactnum import Infinity, PiRational
 from .intervals import GradedBarcode, canonicalize, spec
 
 _W = 720
@@ -50,7 +50,7 @@ def _tick_label(v) -> str:
 
 
 def _window(b: GradedBarcode) -> tuple[float, float]:
-    vals = [as_float(v) for v in spec(b)]
+    vals = [float(v) for v in spec(b)]
     if not vals:
         return (0.0, 1.0)
     lo, hi = min(vals), max(vals)
@@ -66,8 +66,7 @@ def svg_barcode(b: GradedBarcode, title: str = "") -> str:
     span = hi - lo
 
     def x_of(v) -> float:
-        f = as_float(v)
-        f = min(max(f, lo), hi)
+        f = min(max(float(v), lo), hi)
         return _MARGIN + (_W - 2 * _MARGIN) * (f - lo) / span
 
     degrees = sorted({bar.degree for bar in cb.bars})
@@ -151,7 +150,7 @@ def text_barcode(b: GradedBarcode, width: int = 64) -> str:
     span = hi - lo
 
     def col(v) -> int:
-        f = min(max(as_float(v), lo), hi)
+        f = min(max(float(v), lo), hi)
         return int(round((width - 1) * (f - lo) / span))
 
     lines = []

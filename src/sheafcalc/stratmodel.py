@@ -89,9 +89,6 @@ class StratModel:
     def degrees(self) -> list[int]:
         return sorted(set(self.open_dims) | set(self.point_dims))
 
-    def open_dim(self, deg: int, s: int) -> int:
-        return self.open_dims.get(deg, ())[s] if deg in self.open_dims else 0
-
 
 def sample_points(critical: Sequence[Scalar]) -> list[Scalar]:
     """One interior sample per open stratum; sentinels replaced by l_1 -+ 1."""

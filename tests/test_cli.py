@@ -210,6 +210,15 @@ def test_inexact_bar_json_rejected(tmp_path, capsys, field, value):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+_LONG_LITERAL = "0." + "1" * 5000
+LONG_LITERAL_CASES = [
+    (["domain", "ball", "--n", "1", "--r", "1", "--stalk", _LONG_LITERAL], None),
+    (["barcode", "@"], json.dumps({"bars": [dict(GOOD_BAR, lo={"v": _LONG_LITERAL, "closed": True})]})),
+    (["morse", "sublevel", "@"], f"3 1\n0 {_LONG_LITERAL} 1\n3 0 1 2\n"),
+]
+LONG_LITERAL_IDS = ["long-literal-scalar", "long-literal-barcode-json", "long-literal-complex-off"]
+
+
 @pytest.mark.parametrize(
     "argv, text, env",
     [
@@ -260,7 +269,8 @@ def test_inexact_bar_json_rejected(tmp_path, capsys, field, value):
         (["domain", "ellipsoid", "--n", "2", "--r", "1", "--R", "2", "--tmax", "1e100000pi"], None, None),
         (["domain", "ball", "--n", "1", "--r", "1", "--eigen", "1", "--M", "20001"], None, None),
         (["domain", "ball", "--n", "1", "--r", "1", "--cone", "1", "--c", "1/2", "--M", "100000000"], None, None),
-    ],
+    ]
+    + [(argv, text, None) for argv, text in LONG_LITERAL_CASES],
     ids=[
         "float-n", "bool-n", "float-r", "float-R", "float-c", "spec-json-syntax", "cli-r",
         "cli-r1-zero-denominator", "complex-json-syntax", "front-json-syntax", "front-missing-key",
@@ -273,7 +283,8 @@ def test_inexact_bar_json_rejected(tmp_path, capsys, field, value):
         "exponent-cli-rational", "exponent-scalar", "exponent-pi-scalar", "exponent-barcode-json",
         "exponent-json-rational", "exponent-complex-json", "exponent-complex-off",
         "tmax-strata-cap", "tmax-strata-cap-huge", "eigen-M-cap", "cone-M-cap",
-    ],
+    ]
+    + LONG_LITERAL_IDS,
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, argv, text, env):
     if text is not None:
@@ -290,6 +301,19 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, argv, te
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, text", LONG_LITERAL_CASES, ids=LONG_LITERAL_IDS)
+def test_long_literal_message_names_its_length(tmp_path, capsys, argv, text):
+    # the 5,002-character literal is past the interpreter's 4,300-digit
+    # int-from-string limit; the message says so without echoing it
+    if text is not None:
+        path = tmp_path / "in"
+        path.write_text(text)
+        argv = [str(path) if a == "@" else a for a in argv]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and len(err) < 200 and "5002 characters" in err
 
 
 @pytest.mark.parametrize(

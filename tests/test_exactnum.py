@@ -12,7 +12,6 @@ from sheafcalc.exactnum import (
     PI_LO,
     POS_INF,
     PiRational,
-    add,
     cmp,
     parse_rational,
     parse_scalar,
@@ -53,9 +52,9 @@ def test_infinities():
     assert cmp(NEG_INF, POS_INF) < 0
     assert cmp(POS_INF, F(10**9)) > 0
     assert cmp(NEG_INF, PiRational(F(-100), F(0))) < 0
-    assert add(POS_INF, F(5)) is POS_INF
+    assert POS_INF + F(5) is POS_INF
     with pytest.raises(ValidationError):
-        add(POS_INF, NEG_INF)
+        POS_INF + NEG_INF
 
 
 def test_native_order_agrees_with_cmp():

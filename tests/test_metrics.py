@@ -8,7 +8,7 @@ import pytest
 import sheafcalc as sc
 from sheafcalc import metrics as mt, ops
 from sheafcalc.errors import OracleSizeError, PlanError
-from sheafcalc.exactnum import POS_INF, Infinity, PiRational, cmp, is_finite, neg
+from sheafcalc.exactnum import POS_INF, Infinity, PiRational, cmp, is_finite
 
 from conftest import rand_tamarkin_barcode
 
@@ -113,7 +113,7 @@ def _ref_ends_within(x, y, delta):
         return x == y
     d = x - y
     if cmp(d, F(0)) < 0:
-        d = neg(d)
+        d = -d
     return cmp(d, delta) <= 0
 
 
@@ -200,7 +200,7 @@ def _ref_candidate_deltas(b1, b2):
                 for x, y in ((a.lo.value, b.lo.value), (a.hi.value, b.hi.value)):
                     if is_finite(x) and is_finite(y):
                         diff = x - y
-                        cands.append(diff if cmp(diff, F(0)) >= 0 else neg(diff))
+                        cands.append(diff if cmp(diff, F(0)) >= 0 else -diff)
     uniq = []
     for v in sorted(cands, key=functools.cmp_to_key(cmp)):
         if not uniq or cmp(uniq[-1], v) != 0:
