@@ -9,6 +9,7 @@ produce byte-identical results.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -28,7 +29,7 @@ from .domains import (
     transfer_is_iso,
 )
 from .errors import DomainError, ValidationError
-from .exactnum import Infinity, _json_rational, parse_rational, parse_scalar, scalar_to_json
+from .exactnum import Infinity, _excerpt, _json_rational, parse_rational, parse_scalar, scalar_to_json
 from .intervals import (
     GradedBarcode,
     barcode_from_json,
@@ -220,7 +221,7 @@ def _parse_complex(text: str):
         for ln in lines[2 : 2 + ns]:
             parts = [int(x) for x in ln.split()]
             if parts[0] != len(parts) - 1:
-                raise ValidationError(f"bad simplex line {ln!r}")
+                raise ValidationError(f"bad simplex line {_excerpt(ln)}")
             maximal.append(tuple(parts[1:]))
     except (ValueError, IndexError, ZeroDivisionError) as exc:
         raise ValidationError(f"malformed complex file: {exc}") from exc
@@ -328,6 +329,7 @@ def _cmd_plot(args) -> int:
     return 0
 
 
+@functools.cache  # one parser shared per process: building it costs about as much as a small job
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="sheafcalc",

@@ -26,7 +26,7 @@ from typing import Optional, Tuple, Union
 from mpmath import iv
 
 from .errors import SpectralProximityError, ValidationError
-from .exactnum import PI_HI, PI_LO, POS_INF, Infinity, PiRational, _json_rational, exact_str
+from .exactnum import PI_HI, PI_LO, POS_INF, Infinity, PiRational, _excerpt, _json_rational, exact_str
 from .intervals import (
     Endpoint,
     GradedBar,
@@ -392,7 +392,7 @@ def domain_from_json(obj) -> DomainSpec:
     def n_of(rec) -> int:
         if isinstance(rec["n"], int) and not isinstance(rec["n"], bool):
             return rec["n"]
-        raise ValidationError(f"bad domain spec {obj!r}: 'n' must be a JSON integer")
+        raise ValidationError(f"bad domain spec {_excerpt(obj)}: 'n' must be a JSON integer")
 
     def q(v) -> Fraction:
         return _json_rational(v, obj)
@@ -408,5 +408,5 @@ def domain_from_json(obj) -> DomainSpec:
             s = obj["scaled_ball"]
             return ScaledBall(q(s["c"]), Ball(n_of(s["ball"]), q(s["ball"]["r"])))
     except (KeyError, TypeError) as exc:
-        raise ValidationError(f"bad domain spec {obj!r}") from exc
-    raise ValidationError(f"bad domain spec {obj!r}")
+        raise ValidationError(f"bad domain spec {_excerpt(obj)}") from exc
+    raise ValidationError(f"bad domain spec {_excerpt(obj)}")

@@ -144,8 +144,9 @@ class PiRational:
     # -- comparisons ------------------------------------------------------
 
     def sign(self) -> int:
-        if self.q == 0:
-            return -1 if self.s < 0 else (0 if self.s == 0 else 1)
+        if self.q == 0 or self.s == 0:
+            x = self.q or self.s  # pi > 0, so q*pi alone has the sign of q
+            return (x > 0) - (x < 0)
         lo = self.q * (PI_LO if self.q > 0 else PI_HI) + self.s
         hi = self.q * (PI_HI if self.q > 0 else PI_LO) + self.s
         if lo > 0:
@@ -285,9 +286,10 @@ def parse_scalar(text: str) -> Extended:
     return PiRational(q, parse_rational(tail or "0"))
 
 
-def _excerpt(text: str) -> str:
-    """repr of an input literal for a message, cut after 40 characters."""
-    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+def _excerpt(value) -> str:
+    """repr of an input value for a message, cut after 40 characters."""
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
 
 
 def scalar_to_json(x: Extended):
@@ -327,16 +329,16 @@ def _json_rational(v, whole) -> Fraction:
         return parse_rational(v)
     if isinstance(v, int) and not isinstance(v, bool):
         return Fraction(v)
-    raise ValidationError(f"{v!r} in {whole!r} is not an exact rational (a JSON integer or string)")
+    raise ValidationError(f"{_excerpt(v)} in {_excerpt(whole)} is not an exact rational (a JSON integer or string)")
 
 
 def scalar_from_json(v) -> Extended:
     if isinstance(v, dict):
         if "pi" not in v:
-            raise ValidationError(f"bad symbolic endpoint {v!r}")
+            raise ValidationError(f"bad symbolic endpoint {_excerpt(v)}")
         return PiRational(_json_rational(v["pi"], v), _json_rational(v.get("plus", "0"), v))
     if isinstance(v, int) and not isinstance(v, bool):
         return Fraction(v)
     if isinstance(v, str):
         return parse_scalar(v)
-    raise ValidationError(f"bad endpoint value {v!r}")
+    raise ValidationError(f"bad endpoint value {_excerpt(v)}")

@@ -19,6 +19,7 @@ from .exactnum import (
     Infinity,
     PiRational,
     Scalar,
+    _excerpt,
     exact_str,
     is_finite,
     scalar_from_json,
@@ -41,7 +42,7 @@ class Endpoint:
         if isinstance(self.value, int):
             object.__setattr__(self, "value", Fraction(self.value))
         elif not isinstance(self.value, (Fraction, PiRational, Infinity)):
-            raise ValidationError(f"bad endpoint value {self.value!r}")
+            raise ValidationError(f"bad endpoint value {_excerpt(self.value)}")
 
     @property
     def finite(self) -> bool:
@@ -476,13 +477,13 @@ def barcode_from_json(obj) -> GradedBarcode:
             flags = [e["closed"] for e in ends]
             counts = (rec.get("deg", 0), rec.get("mult", 1))
         except (KeyError, TypeError) as exc:
-            raise ValidationError(f"bad bar record {rec!r}") from exc
+            raise ValidationError(f"bad bar record {_excerpt(rec)}") from exc
         # floats and bools would be quietly converted; exact input refuses them
         if not all(isinstance(f, bool) for f in flags) or not all(
             isinstance(n, int) and not isinstance(n, bool) for n in counts
         ):
             raise ValidationError(
-                f"bad bar record {rec!r}: 'deg' and 'mult' must be integers, 'closed' true or false"
+                f"bad bar record {_excerpt(rec)}: 'deg' and 'mult' must be integers, 'closed' true or false"
             )
         lo, hi = (Endpoint(scalar_from_json(v), f) for v, f in zip(values, flags))
         bars.append(GradedBar(Interval(lo, hi), *counts))
@@ -490,6 +491,6 @@ def barcode_from_json(obj) -> GradedBarcode:
     declared = obj.get("convention")
     if declared is not None and declared != out.convention:
         raise ValidationError(
-            f"declared convention {declared!r} does not match bars ({out.convention})"
+            f"declared convention {_excerpt(declared)} does not match bars ({out.convention})"
         )
     return out

@@ -19,6 +19,7 @@ persistence of t_- + t_+ and yields the capacity anchors.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -26,7 +27,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 from . import modp
 from .errors import ValidationError
-from .exactnum import POS_INF, Infinity
+from .exactnum import POS_INF, Infinity, _excerpt
 from .intervals import (
     Endpoint,
     GradedBar,
@@ -42,36 +43,44 @@ Simplex = Tuple[int, ...]
 
 @dataclass(frozen=True)
 class SimplicialComplex:
+    """Simplices of dimension <= 2 on the vertices range(n_vertices).
+
+    The constructor holds the simplex rules, checked in one pass: a simplex
+    is a tuple of 1 to 3 strictly increasing int vertices (not bools) in
+    range(n_vertices), none is listed twice, and its facets are all listed.
+    """
+
     n_vertices: int
     simplices: Tuple[Simplex, ...]
 
     def __post_init__(self):
-        seen = set()
+        n = self.n_vertices
+        try:
+            present = set(self.simplices)
+        except TypeError as exc:
+            raise ValidationError("a simplex must be a tuple of vertex ints") from exc
+        if len(present) < len(self.simplices):
+            dup = next(s for s, c in Counter(self.simplices).items() if c > 1)
+            raise ValidationError(f"duplicate simplex {_excerpt(dup)}")
         for s in self.simplices:
-            if tuple(sorted(s)) != s:
-                raise ValidationError(f"simplex {s} must be sorted")
-            if len(set(s)) != len(s):
-                raise ValidationError(f"simplex {s} has repeated vertices")
-            if len(s) > 3:
-                raise ValidationError("only dimensions <= 2 are supported")
-            if s in seen:
-                raise ValidationError(f"duplicate simplex {s}")
-            seen.add(s)
-            if any(v < 0 or v >= self.n_vertices for v in s):
-                raise ValidationError(f"simplex {s} uses an unknown vertex")
-        for s in self.simplices:
+            if not (isinstance(s, tuple) and 0 < len(s) <= 3 and all(type(v) is int for v in s)
+                    and 0 <= s[0] and s[-1] < n and all(a < b for a, b in zip(s, s[1:]))):
+                raise ValidationError(f"simplex {_excerpt(s)} needs 1 to 3 increasing int vertices in 0..{n - 1}")
             for f, _ in _facet_signs(s):
-                if f and f not in seen:
+                if f not in present:
                     raise ValidationError(f"face {f} of {s} is missing")
 
     @classmethod
     def from_maximal(cls, n_vertices: int, maximal: Iterable[Sequence[int]]) -> "SimplicialComplex":
+        """Every vertex in range(n_vertices) and every face of the given
+        simplices.  Only what face generation needs is checked first: at most
+        3 vertices (a huge simplex has 2^n faces), all ints (for sorted)."""
         acc: set[Simplex] = {(v,) for v in range(n_vertices)}
-        for m in map(tuple, maximal):  # checked first: a huge simplex has 2^n faces
+        for m in map(tuple, maximal):
             if len(m) > 3:
                 raise ValidationError("only dimensions <= 2 are supported")
-            if not all(type(v) is int and 0 <= v < n_vertices for v in m) or len(set(m)) < len(m):
-                raise ValidationError(f"simplex {m} needs distinct vertices from 0 to {n_vertices - 1}")
+            if not all(type(v) is int for v in m):
+                raise ValidationError(f"simplex {_excerpt(m)} needs int vertices")
             for k in range(1, len(m) + 1):
                 acc.update(combinations(sorted(m), k))
         return cls(n_vertices, tuple(sorted(acc, key=lambda s: (len(s), s))))
@@ -246,49 +255,36 @@ def superlevel_complex(K: SimplicialComplex, f: VertexFunction, t: Fraction) -> 
 
 
 def is_closed_manifold(K: SimplicialComplex) -> bool:
-    """Closed manifold check for dimensions <= 2 (uniform top dimension)."""
+    """Closed manifold test for dimension d <= 2, in one pass over the top
+    simplices: every (d-1)-simplex lies in exactly two of them, every vertex
+    in one, and for d = 2 each vertex's link (the edges opposite it) is
+    connected, hence one cycle, as face counts of two give each link vertex
+    two link edges.  A complex of dimension 0 passes."""
     d = K.dim
     if d == 0:
         return True
-    if d == 1:
-        if K.of_dim(2):
-            return False
-        deg: dict[int, int] = {}
-        for e in K.of_dim(1):
-            for v in e:
-                deg[v] = deg.get(v, 0) + 1
-        return all(deg.get(v, 0) == 2 for v in range(K.n_vertices))
-    edges_cnt: dict[Simplex, int] = {}
-    for t in K.of_dim(2):
-        for f, _ in _facet_signs(t):
-            edges_cnt[f] = edges_cnt.get(f, 0) + 1
-    if set(edges_cnt) != set(K.of_dim(1)) or any(c != 2 for c in edges_cnt.values()):
+    count: dict[Simplex, int] = {}
+    links: dict[int, list[Simplex]] = {}
+    for s in K.of_dim(d):
+        for (f, _), v in zip(_facet_signs(s), s):  # f is the facet opposite v
+            count[f] = count.get(f, 0) + 1
+            links.setdefault(v, []).append(f)
+    # every face of a top simplex is in K, so equal sizes mean equal sets
+    if len(count) != len(K.of_dim(d - 1)) or any(c != 2 for c in count.values()):
         return False
-    for v in range(K.n_vertices):
-        link = [tuple(sorted(set(t) - {v})) for t in K.of_dim(2) if v in t]
-        if not link:
-            return False
-        # the link edges must form a single cycle
-        adj: dict[int, list[int]] = {}
-        for a, b in link:
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
-        if any(len(n) != 2 for n in adj.values()):
-            return False
-        start = next(iter(adj))
-        seen = {start}
-        prev, cur = None, start
-        while True:
-            nxt = [x for x in adj[cur] if x != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            if cur == start:
-                break
-            seen.add(cur)
-        if seen != set(adj):
-            return False
-    return True
+    return len(links) == K.n_vertices and (d == 1 or all(map(_connected, links.values())))
+
+
+def _connected(edges: list[Simplex]) -> bool:
+    adj: dict[int, set[int]] = {}
+    for a, b in edges:
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    seen, frontier = set(), {edges[0][0]}
+    while frontier:
+        seen |= frontier
+        frontier = set().union(*map(adj.get, frontier)) - seen
+    return len(seen) == len(adj)
 
 
 def _relative_cohomology(K: SimplicialComplex, L: set, p: int, carried: dict):

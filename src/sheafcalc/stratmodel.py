@@ -170,15 +170,10 @@ def decompose(model: StratModel) -> GradedBarcode:
             comp[(j, j)] = modp.identity(dims[j])
             for i in range(j - 1, -1, -1):
                 comp[(i, j)] = modp.mat_mul(ms[i], comp[(i + 1, j)], p)
-
-        def r(i: int, j: int) -> int:
-            if i < 0 or j > k:
-                return 0
-            return modp.rank(comp[(i, j)], p)
-
+        r = {ij: modp.rank(m, p) for ij, m in comp.items()}  # absent (out of range): 0
         for i in range(k + 1):
             for j in range(i, k + 1):
-                mult = r(i, j) - r(i - 1, j) - r(i, j + 1) + r(i - 1, j + 1)
+                mult = r[i, j] - r.get((i - 1, j), 0) - r.get((i, j + 1), 0) + r.get((i - 1, j + 1), 0)
                 if mult < 0:
                     raise ValidationError("model is not interval-decomposable")
                 if mult == 0:

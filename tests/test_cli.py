@@ -8,6 +8,7 @@ import pytest
 
 import sheafcalc as sc
 from sheafcalc.cli import main
+from sheafcalc.errors import ValidationError
 from sheafcalc.intervals import barcode_from_json, barcode_to_json
 
 
@@ -314,6 +315,50 @@ def test_long_literal_message_names_its_length(tmp_path, capsys, argv, text):
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and len(err) < 200 and "5002 characters" in err
+
+
+_BIG = [1] * 5000
+_BIG_TEXT = json.dumps(_BIG)
+HUGE_VALUE_CASES = [
+    (["barcode", "@"], json.dumps({"bars": [dict(GOOD_BAR, lo={"v": {"pi": _BIG}, "closed": True})]})),
+    (["barcode", "@"], json.dumps({"bars": [dict(GOOD_BAR, lo={"v": {"q": _BIG}, "closed": True})]})),
+    (["barcode", "@"], json.dumps({"bars": [dict(GOOD_BAR, lo={"v": _BIG, "closed": True})]})),
+    (["barcode", "@"], json.dumps({"bars": [dict(GOOD_BAR, deg=_BIG)]})),
+    (["barcode", "@"], json.dumps({"bars": [dict(GOOD_BAR, lo=_BIG)]})),
+    (["barcode", "@"], json.dumps({"bars": [GOOD_BAR], "convention": _BIG})),
+    (["domain", "--spec-json", '{"ball":{"n":1,"r":' + _BIG_TEXT + "}}", "--invariant", "1"], None),
+    (["domain", "--spec-json", '{"ball":{"n":' + _BIG_TEXT + ',"r":"1"}}', "--invariant", "1"], None),
+    (["domain", "--spec-json", '{"ball":' + _BIG_TEXT + "}", "--invariant", "1"], None),
+    (["morse", "front", "@"], json.dumps({"xs": [_BIG, "1"], "t_minus": ["0", "0"], "t_plus": ["1", "1"]})),
+    (["morse", "sublevel", "@"], json.dumps({"values": [_BIG, 0, 1], "simplices": [[0, 1, 2]]})),
+    (["morse", "sublevel", "@"], "3 1\n0 1 2\n" + " ".join(["5"] * 5000) + "\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    HUGE_VALUE_CASES,
+    ids=[
+        "pi-endpoint-list", "symbolic-endpoint-object", "endpoint-value-list", "deg-list", "bar-end-list",
+        "convention-list", "spec-json-r-list", "spec-json-n-list", "spec-json-ball-list", "front-value-list",
+        "complex-value-list", "complex-simplex-line",
+    ],
+)
+def test_huge_value_message_is_one_short_line(tmp_path, capsys, argv, text):
+    # a 5,000-element JSON list in a bad spot is quoted only in part
+    if text is not None:
+        path = tmp_path / "in"
+        path.write_text(text)
+        argv = [str(path) if a == "@" else a for a in argv]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200, err[:300]
+
+
+def test_bad_endpoint_message_is_short():
+    with pytest.raises(ValidationError) as info:
+        sc.Endpoint(_BIG, True)
+    assert len(str(info.value)) < 200 and "characters" in str(info.value)
 
 
 @pytest.mark.parametrize(

@@ -48,6 +48,21 @@ def test_pirational_mixed_equality_is_exact():
     assert hash(PiRational(F(0), F(5, 2))) == hash(F(5, 2))
 
 
+def test_pure_pi_multiple_sign_agrees_with_enclosure():
+    # q*pi with s == 0 takes the sign of q without the enclosure; the
+    # enclosure, worked out here apart, must give the same sign
+    rng = random.Random(7)
+    qs = [F(0), F(1), F(-1), F(1, 10**90), F(-1, 10**90), F(7, 3)]
+    for digits in (10, 100, 2000, 4000):
+        n = rng.randrange(10 ** (digits - 1), 10**digits)
+        qs += [F(n, rng.randrange(1, 10**digits)), F(-n, 3), F(1, n), F(-1, n)]
+    for q in qs:
+        lo, hi = sorted((q * PI_LO, q * PI_HI))
+        expect = 1 if lo > 0 else (-1 if hi < 0 else 0)
+        assert PiRational(q, F(0)).sign() == expect
+        assert (PiRational(q, F(0)) > 0) == (expect > 0)
+
+
 def test_infinities():
     assert cmp(NEG_INF, POS_INF) < 0
     assert cmp(POS_INF, F(10**9)) > 0
