@@ -32,6 +32,7 @@ from .errors import DomainError, ValidationError
 from .exactnum import Infinity, _excerpt, _json_rational, parse_rational, parse_scalar, scalar_to_json
 from .intervals import (
     GradedBarcode,
+    HomSpace,
     barcode_from_json,
     barcode_to_json,
     convert_convention,
@@ -72,21 +73,24 @@ def _read_barcode(path: str) -> GradedBarcode:
 
 
 def _emit(args, payload: str) -> None:
-    if getattr(args, "output", None):
+    if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
 
 
-def _emit_barcode(args, b: GradedBarcode, title: str = "") -> None:
-    fmt = getattr(args, "format", "json")
-    if fmt == "svg":
-        _emit(args, svg_barcode(b, title))
-    elif fmt == "text":
-        _emit(args, text_barcode(b))
-    else:
-        _emit(args, _dump(barcode_to_json(b)))
+def _render(args, result, title: str) -> str:
+    """A barcode in its --format, any other result as canonical JSON."""
+    if isinstance(result, GradedBarcode):
+        if args.format == "svg":
+            return svg_barcode(result, title)
+        if args.format == "text":
+            return text_barcode(result)
+        result = barcode_to_json(result)
+    elif isinstance(result, HomSpace):
+        result = result.to_json()
+    return _dump(result)
 
 
 def _field(args) -> int:
@@ -102,79 +106,45 @@ def _field(args) -> int:
 
 
 # -- subcommand handlers ------------------------------------------------------
+# Each returns its result: a barcode (with its SVG title where it has one), a
+# HomSpace or a JSON-ready dict; `main` renders and writes it.
 
 
-def _cmd_barcode(args) -> int:
+def _cmd_barcode(args):
     b = _read_barcode(args.input)
     if args.stalk is not None:
-        _emit(args, _dump(stalk(b, parse_scalar(args.stalk)).to_json()))
-    elif args.sections is not None:
-        _emit(args, _dump(ray_sections(b, parse_scalar(args.sections)).to_json()))
-    elif args.spectrum:
-        _emit(args, _dump({"spec": [scalar_to_json(v) for v in spec(b)]}))
-    elif args.convention:
-        _emit_barcode(args, convert_convention(b, args.convention))
-    else:
-        _emit_barcode(args, b)
-    return 0
+        return stalk(b, parse_scalar(args.stalk))
+    if args.sections is not None:
+        return ray_sections(b, parse_scalar(args.sections))
+    if args.spectrum:
+        return {"spec": [scalar_to_json(v) for v in spec(b)]}
+    if args.convention:
+        return convert_convention(b, args.convention)
+    return b
 
 
-def _cmd_ops(args) -> int:
+def _cmd_ops(args):
     a = _read_barcode(args.a)
-    unary_scalar = {
-        "torsion": ops.torsion,
-        "capacity": ops.capacity,
-        "capacity-prime": ops.capacity_prime,
-    }
-    if args.op in unary_scalar:
-        _emit(args, _dump({args.op: scalar_to_json(unary_scalar[args.op](a))}))
-        return 0
+    # looked up at call time, so a wrapper installed on `ops` is seen
+    fn = getattr(ops, args.op.replace("-", "_"))
+    if args.op in ("torsion", "capacity", "capacity-prime"):
+        return {args.op: scalar_to_json(fn(a))}
     if args.op == "adjoint":
-        _emit_barcode(args, ops.adjoint(a))
-        return 0
-    if args.op == "shift-t":
+        return fn(a)
+    if args.op in ("shift-t", "tau-rank"):
         if args.c is None:
-            raise ValidationError("shift-t needs --c")
-        _emit_barcode(args, ops.shift_t(a, parse_scalar(args.c)))
-        return 0
+            raise ValidationError(f"{args.op} needs --c")
+        return fn(a, parse_scalar(args.c))
     if args.op == "shift-deg":
         if args.k is None:
             raise ValidationError("shift-deg needs --k")
-        _emit_barcode(args, ops.shift_deg(a, args.k))
-        return 0
-    if args.op == "tau-rank":
-        if args.c is None:
-            raise ValidationError("tau-rank needs --c")
-        _emit(args, _dump(ops.tau_rank(a, parse_scalar(args.c)).to_json()))
-        return 0
+        return fn(a, args.k)
     if args.b is None:
         raise ValidationError(f"{args.op} needs a second barcode")
-    b = _read_barcode(args.b)
-    binary = {
-        "convolve": ops.convolve,
-        "convolve-np": ops.convolve_np,
-        "hom-star": ops.hom_star,
-        "rhom-sheaf": ops.rhom_sheaf,
-    }
-    if args.op in binary:
-        _emit_barcode(args, binary[args.op](a, b))
-        return 0
-    if args.op == "rhom-total":
-        _emit(args, _dump(ops.rhom_total(a, b).to_json()))
-        return 0
-    raise ValidationError(f"unknown op {args.op!r}")
+    return fn(a, _read_barcode(args.b))
 
 
-def _witness_json(witness) -> dict:
-    return {
-        "delta": scalar_to_json(witness.delta),
-        "pairs": [list(p) for p in witness.pairs],
-        "erased_left": list(witness.erased_left),
-        "erased_right": list(witness.erased_right),
-    }
-
-
-def _cmd_dist(args) -> int:
+def _cmd_dist(args):
     if args.b is None:
         # combined {"b1": ..., "b2": ...} wire format
         obj = _loads(_read_text(args.a), args.a)
@@ -194,9 +164,13 @@ def _cmd_dist(args) -> int:
         payload = {"bottleneck": scalar_to_json(d)}
         witness = None if isinstance(d, Infinity) else metrics.delta_matched(b1, b2, d)[1]
     if witness is not None:
-        payload["witness"] = _witness_json(witness)
-    _emit(args, _dump(payload))
-    return 0
+        payload["witness"] = {
+            "delta": scalar_to_json(witness.delta),
+            "pairs": [list(p) for p in witness.pairs],
+            "erased_left": list(witness.erased_left),
+            "erased_right": list(witness.erased_right),
+        }
+    return payload
 
 
 def _parse_complex(text: str):
@@ -205,7 +179,8 @@ def _parse_complex(text: str):
         obj = _loads(text, "complex file")
         try:
             values = [_json_rational(v, "values") for v in obj["values"]]
-            simplices = [tuple(sorted(s)) for s in obj["simplices"]]
+            # unsorted: from_maximal checks the vertices are ints before sorting
+            simplices = [tuple(s) for s in obj["simplices"]]
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValidationError("complex JSON needs 'values' and 'simplices'") from exc
         K = morse.SimplicialComplex.from_maximal(len(values), simplices)
@@ -229,7 +204,7 @@ def _parse_complex(text: str):
     return K, morse.VertexFunction(tuple(values))
 
 
-def _cmd_morse(args) -> int:
+def _cmd_morse(args):
     p = _field(args)
     if args.route == "front":
         obj = _loads(_read_text(args.input), args.input)
@@ -240,10 +215,8 @@ def _cmd_morse(args) -> int:
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValidationError("front JSON needs 'xs', 't_minus' and 't_plus' lists of rationals") from exc
         if args.capacity:
-            _emit(args, _dump({"front_capacity": scalar_to_json(morse.front_capacity(front))}))
-        else:
-            _emit_barcode(args, morse.front_hom_star(front, p))
-        return 0
+            return {"front_capacity": scalar_to_json(morse.front_capacity(front))}
+        return morse.front_hom_star(front, p)
     K, f = _parse_complex(_read_text(args.input))
     routes = {
         "sublevel": morse.sublevel_barcode,
@@ -252,10 +225,12 @@ def _cmd_morse(args) -> int:
     }
     b = routes[args.route](K, f, p)
     if args.two_critical_bound:
-        _emit(args, _dump({"c0_two_critical_bound": scalar_to_json(morse.c0_two_critical_bound(b))}))
-    else:
-        _emit_barcode(args, b, title=f"{args.route} barcode")
-    return 0
+        return {"c0_two_critical_bound": scalar_to_json(morse.c0_two_critical_bound(b))}
+    return b, f"{args.route} barcode"
+
+
+# the positional kind names, for the SVG title of a --spec-json domain too
+_KINDS = {Ball: "ball", Ellipsoid: "ellipsoid", ScaledBall: "scaled-ball"}
 
 
 def _parse_domain(args):
@@ -271,62 +246,46 @@ def _parse_domain(args):
         if args.R is None:
             raise ValidationError("ellipsoid needs --R")
         return Ellipsoid(args.n, parse_rational(args.r), parse_rational(args.R))
-    if args.domain == "scaled-ball":
-        if args.c is None:
-            raise ValidationError("scaled-ball needs --c")
-        return ScaledBall(parse_rational(args.c), Ball(args.n, parse_rational(args.r)))
-    raise ValidationError(f"unknown domain {args.domain!r}")
+    # scaled-ball, the last kind argparse allows
+    if args.c is None:
+        raise ValidationError("scaled-ball needs --c")
+    return ScaledBall(parse_rational(args.c), Ball(args.n, parse_rational(args.r)))
 
 
-def _cmd_domain(args) -> int:
+def _cmd_domain(args):
     d = _parse_domain(args)
     if args.stalk is not None:
-        _emit(args, _dump(domain_stalk(d, parse_scalar(args.stalk)).to_json()))
-        return 0
+        return domain_stalk(d, parse_scalar(args.stalk))
     if args.invariant is not None:
-        h = sheaf_invariant(d, parse_scalar(args.invariant))
-        _emit(args, _dump(h.to_json()))
-        return 0
+        return sheaf_invariant(d, parse_scalar(args.invariant))
     if args.transfer is not None:
         t1, t2 = (parse_scalar(x) for x in args.transfer)
-        _emit(args, _dump({"transfer_is_iso": transfer_is_iso(d, t1, t2)}))
-        return 0
+        return {"transfer_is_iso": transfer_is_iso(d, t1, t2)}
     if args.eigen is not None:
         if not isinstance(d, Ball):
             raise ValidationError("eigen counts are defined for plain balls")
-        _emit(args, _dump({"eigen_count": eigen_count(parse_rational(args.eigen), d.r, args.M)}))
-        return 0
+        return {"eigen_count": eigen_count(parse_rational(args.eigen), d.r, args.M)}
     if args.cone is not None:
         if not isinstance(d, Ball) or args.c is None:
             raise ValidationError("mapping-cone ranks need a ball plus --c")
-        h = inclusion_cone_rank(d.r, parse_rational(args.c), parse_rational(args.cone), d.n, args.M)
-        _emit(args, _dump(h.to_json()))
-        return 0
+        return inclusion_cone_rank(d.r, parse_rational(args.c), parse_rational(args.cone), d.n, args.M)
     if args.tmax is None:
         raise ValidationError("domain barcode needs --tmax")
-    b = domain_barcode(d, parse_scalar(args.tmax))
-    _emit_barcode(args, b, title=f"{args.domain} barcode")
-    return 0
+    return domain_barcode(d, parse_scalar(args.tmax)), f"{_KINDS[type(d)]} barcode"
 
 
-def _cmd_nonsqueeze(args) -> int:
+def _cmd_nonsqueeze(args):
     v = nonsqueeze_check(args.n, parse_rational(args.r1), parse_rational(args.r2), parse_rational(args.R))
-    payload = {
-        "obstructed": v.obstructed,
-        "verdict": v.verdict,
-        "trace": list(v.trace),
-    }
+    payload = {"obstructed": v.obstructed, "verdict": v.verdict, "trace": list(v.trace)}
     if v.chosen_T is not None:
         payload["T"] = scalar_to_json(v.chosen_T)
         payload["ball_invariant"] = v.ball_invariant.to_json()
         payload["ellipsoid_invariant"] = v.ellipsoid_invariant.to_json()
-    _emit(args, _dump(payload))
-    return 0
+    return payload
 
 
-def _cmd_plot(args) -> int:
-    _emit_barcode(args, _read_barcode(args.input), args.title)
-    return 0
+def _cmd_plot(args):
+    return _read_barcode(args.input), args.title
 
 
 @functools.cache  # one parser shared per process: building it costs about as much as a small job
@@ -419,13 +378,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ValidationError, OSError) as exc:
+        result = args.func(args)
+        result, title = result if isinstance(result, tuple) else (result, "")
+        _emit(args, _render(args, result, title))
+    except (ValidationError, OSError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, DomainError) else 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -267,8 +267,16 @@ def canonicalize(b: GradedBarcode) -> GradedBarcode:
     return GradedBarcode(tuple(out))
 
 
+# the expansion lists each bar mult times; past this many it stalls or overflows
+MAX_EXPANDED = 20_000
+
+
 def expanded_bars(b: GradedBarcode) -> list[Tuple[Interval, int]]:
-    """Multiplicity-expanded (interval, degree) list in canonical order."""
+    """Multiplicity-expanded (interval, degree) list in canonical order.
+
+    Refused past MAX_EXPANDED bars, counted before anything is built."""
+    if b.total_mult() > MAX_EXPANDED:
+        raise ValidationError(f"barcode has more than {MAX_EXPANDED} bars counted with multiplicity")
     out = []
     for bar_ in canonicalize(b).bars:
         out.extend([(bar_.interval, bar_.degree)] * bar_.mult)

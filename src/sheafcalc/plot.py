@@ -9,7 +9,7 @@ pure function of the canonical barcode (fixed float formatting, no state).
 from __future__ import annotations
 
 from .exactnum import Infinity, PiRational
-from .intervals import GradedBarcode, canonicalize, spec
+from .intervals import GradedBarcode, canonicalize, expanded_bars, spec
 
 _W = 720
 _MARGIN = 56
@@ -69,12 +69,8 @@ def svg_barcode(b: GradedBarcode, title: str = "") -> str:
         f = min(max(float(v), lo), hi)
         return _MARGIN + (_W - 2 * _MARGIN) * (f - lo) / span
 
-    degrees = sorted({bar.degree for bar in cb.bars})
-    rows: list[tuple[int, object]] = []
-    for d in degrees:
-        for bar in cb.bars:
-            if bar.degree == d:
-                rows.extend([(d, bar)] * bar.mult)
+    rows = expanded_bars(cb)  # canonical order groups the rows by degree
+    degrees = {d for _, d in rows}
     height = 2 * _MARGIN + max(1, len(rows)) * _BAR_H + len(degrees) * _LANE_GAP
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -104,7 +100,7 @@ def svg_barcode(b: GradedBarcode, title: str = "") -> str:
         )
     y = float(_MARGIN)
     cur_deg = None
-    for d, bar in rows:
+    for iv, d in rows:
         if d != cur_deg:
             cur_deg = d
             y += _LANE_GAP
@@ -112,7 +108,6 @@ def svg_barcode(b: GradedBarcode, title: str = "") -> str:
                 f'<text x="8" y="{_fmt(y)}" font-family="monospace" '
                 f'font-size="11">deg {d}</text>'
             )
-        iv = bar.interval
         x1 = _MARGIN if isinstance(iv.lo.value, Infinity) else x_of(iv.lo.value)
         x2 = _W - _MARGIN if isinstance(iv.hi.value, Infinity) else x_of(iv.hi.value)
         out.append(

@@ -126,6 +126,32 @@ def test_domain_svg_ticks(capsys):
     assert out.count('stroke="#1f4e8c"') >= 3  # three bars
 
 
+@pytest.mark.parametrize(
+    "kind, spec_json, positional",
+    [
+        ("ball", '{"ball":{"n":1,"r":"1"}}', ["--n", "1", "--r", "1"]),
+        ("ellipsoid", '{"ellipsoid":{"n":2,"r":"1","R":"2"}}', ["--n", "2", "--r", "1", "--R", "2"]),
+        ("scaled-ball", '{"scaled_ball":{"c":"1/2","ball":{"n":1,"r":"1"}}}', ["--n", "1", "--r", "1", "--c", "1/2"]),
+    ],
+)
+def test_domain_svg_title_same_for_spec_json(capsys, kind, spec_json, positional):
+    tail = ["--tmax", "3pi", "--format", "svg"]
+    code, by_spec, _ = run_cli(["domain", "--spec-json", spec_json, *tail], capsys)
+    code2, by_kind, _ = run_cli(["domain", kind, *positional, *tail], capsys)
+    assert code == 0 and code2 == 0
+    assert f">{kind} barcode</text>" in by_kind
+    assert by_spec == by_kind
+
+
+@pytest.mark.parametrize("simplices", [[["a", "b"]], [[0, "a"]]])
+def test_complex_json_vertex_error_names_the_simplex(tmp_path, capsys, simplices):
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps({"values": [0, 1, 2], "simplices": simplices}))
+    code, out, err = run_cli(["morse", "sublevel", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert "needs int vertices" in err
+
+
 def test_domain_invariant_and_eigen(capsys):
     code, out, _ = run_cli(["domain", "ball", "--n", "1", "--r", "1", "--invariant", "4"], capsys)
     assert code == 0 and json.loads(out) == {"dims": {"2": 1}}
@@ -218,6 +244,9 @@ LONG_LITERAL_CASES = [
     (["morse", "sublevel", "@"], f"3 1\n0 {_LONG_LITERAL} 1\n3 0 1 2\n"),
 ]
 LONG_LITERAL_IDS = ["long-literal-scalar", "long-literal-barcode-json", "long-literal-complex-off"]
+# one bar counted past the 20,000-bar expansion cap, and past a list index
+_PAST_CAP_MULT = json.dumps({"bars": [dict(GOOD_BAR, mult=20_001)]})
+_BIG_MULT = json.dumps({"bars": [dict(GOOD_BAR, mult=10**30)]})
 
 
 @pytest.mark.parametrize(
@@ -245,6 +274,7 @@ LONG_LITERAL_IDS = ["long-literal-scalar", "long-literal-barcode-json", "long-li
         (["barcode", "@"], "[" * 100000, None),
         (["barcode", "@"], b'{"bars": [\xff\xfe]}', None),
         (["morse", "sublevel", "@"], '{"values": [0, 1, 2], "simplices": [["a", "b"]]}', None),
+        (["morse", "sublevel", "@"], '{"values": [0, 1, 2], "simplices": [[0, "a"]]}', None),
         (["morse", "sublevel", "@"], '{"values": [0, 1, 2], "simplices": [[[0], [1]]]}', None),
         (["morse", "sublevel", "@"], '{"values": [0, 1, 2], "simplices": [[0, 1.0]]}', None),
         (["morse", "sublevel", "@"], '{"values": [0, 1, 2], "simplices": [[true, 0]]}', None),
@@ -270,6 +300,10 @@ LONG_LITERAL_IDS = ["long-literal-scalar", "long-literal-barcode-json", "long-li
         (["domain", "ellipsoid", "--n", "2", "--r", "1", "--R", "2", "--tmax", "1e100000pi"], None, None),
         (["domain", "ball", "--n", "1", "--r", "1", "--eigen", "1", "--M", "20001"], None, None),
         (["domain", "ball", "--n", "1", "--r", "1", "--cone", "1", "--c", "1/2", "--M", "100000000"], None, None),
+        (["dist", "@", "@"], _BIG_MULT, None),
+        (["plot", "@"], _BIG_MULT, None),
+        (["barcode", "@", "--format", "svg"], _PAST_CAP_MULT, None),
+        (["ops", "adjoint", "@", "--format", "svg"], _PAST_CAP_MULT, None),
     ]
     + [(argv, text, None) for argv, text in LONG_LITERAL_CASES],
     ids=[
@@ -277,13 +311,14 @@ LONG_LITERAL_IDS = ["long-literal-scalar", "long-literal-barcode-json", "long-li
         "cli-r1-zero-denominator", "complex-json-syntax", "front-json-syntax", "front-missing-key",
         "field-env", "complex-float-value", "complex-bool-value", "front-float", "front-bool",
         "bad-pi-literal", "json-int-past-digit-limit", "json-nested-too-deep", "not-utf8",
-        "complex-str-vertex", "complex-list-vertex", "complex-float-vertex", "complex-bool-vertex",
+        "complex-str-vertex", "complex-mixed-vertex", "complex-list-vertex", "complex-float-vertex", "complex-bool-vertex",
         "complex-repeated-vertex", "complex-unknown-vertex", "complex-negative-vertex",
         "stalk-inf", "invariant-inf", "invariant-neg-inf", "tmax-inf", "transfer-inf",
         "eigen-past-digit-limit", "cone-past-digit-limit",
         "exponent-cli-rational", "exponent-scalar", "exponent-pi-scalar", "exponent-barcode-json",
         "exponent-json-rational", "exponent-complex-json", "exponent-complex-off",
         "tmax-strata-cap", "tmax-strata-cap-huge", "eigen-M-cap", "cone-M-cap",
+        "dist-mult-past-int-index", "plot-mult-past-int-index", "svg-mult-cap", "ops-svg-mult-cap",
     ]
     + LONG_LITERAL_IDS,
 )

@@ -247,6 +247,17 @@ def test_ray_sections_against_quiver_oracle(rng):
             assert sc.ray_sections(b, c) == expect
 
 
+def test_expanded_bars_refused_past_cap_before_building():
+    # a list of 10**30 entries cannot be built at all, so reaching the
+    # ValidationError shows the count was checked first
+    for mult in (10**30, sc.intervals.MAX_EXPANDED + 1):
+        with pytest.raises(ValidationError, match="20000 bars"):
+            sc.expanded_bars(sc.barcode(sc.bar(0, 1, mult=mult)))
+    half = sc.intervals.MAX_EXPANDED // 2
+    at_cap = sc.barcode(sc.bar(0, 1, mult=half), sc.bar(0, 2, degree=1, mult=half))
+    assert len(sc.expanded_bars(at_cap)) == sc.intervals.MAX_EXPANDED
+
+
 def test_convention_inference():
     assert sc.barcode(sc.bar(0, 1)).convention == LEFT_CLOSED
     rc = sc.barcode(sc.GradedBar(sc.interval(0, 1, False, True)))
