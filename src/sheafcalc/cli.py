@@ -234,7 +234,9 @@ _KINDS = {Ball: "ball", Ellipsoid: "ellipsoid", ScaledBall: "scaled-ball"}
 
 
 def _parse_domain(args):
-    if getattr(args, "spec_json", None):
+    if args.spec_json is not None:
+        if (args.domain, args.n, args.r, args.R) != (None,) * 4:
+            raise ValidationError("--spec-json replaces the domain kind, --n, --r and --R; give one form")
         return domain_from_json(_loads(args.spec_json, "--spec-json"))
     if args.domain is None:
         raise ValidationError("need a domain kind or --spec-json")

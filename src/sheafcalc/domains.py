@@ -23,8 +23,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Tuple, Union
 
-from mpmath import iv
-
 from .errors import SpectralProximityError, ValidationError
 from .exactnum import PI_HI, PI_LO, POS_INF, Infinity, PiRational, _excerpt, _json_rational, exact_str
 from .intervals import (
@@ -36,8 +34,6 @@ from .intervals import (
     canonicalize,
 )
 from .ops import rhom_total
-
-iv.dps = 60
 
 ExactT = Union[int, Fraction, PiRational]
 
@@ -147,9 +143,20 @@ _EXCLUSION = Fraction(1, 10**6)
 MAX_M = 20_000
 
 
+@lru_cache(maxsize=None)
+def _iv():
+    """mpmath's interval context at 60 digits, imported by the first eigen
+    count, so no other subcommand pays for loading mpmath."""
+    from mpmath import iv
+
+    iv.dps = 60
+    return iv
+
+
 @lru_cache(maxsize=4)
 def _cos_angles(M: int) -> tuple:
     """cos(2 pi k / M) for k = 0 .. M-1 as certified intervals."""
+    iv = _iv()
     return tuple(iv.cos(2 * iv.pi * iv.mpf(k) / iv.mpf(M)) for k in range(M))
 
 
@@ -191,6 +198,7 @@ def _eigen_count_rsq(T: Fraction, rsq: Fraction, M: int) -> int:
             f"part has {int(theta).bit_length()} bits; raise M"
         )
     _check_band(T, rsq)
+    iv = _iv()
     th = iv.mpf(theta.numerator) / iv.mpf(theta.denominator)
     cos_theta = iv.cos(th)
     count = 0

@@ -141,6 +141,11 @@ class PiRational:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return PiRational(self.q / other, self.s / other)
+        return NotImplemented
+
     # -- comparisons ------------------------------------------------------
 
     def sign(self) -> int:

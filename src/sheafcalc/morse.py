@@ -357,9 +357,8 @@ def sheaf_route_model(K: SimplicialComplex, h: VertexFunction, p: int = 2) -> St
     # back to bottom-up order; a transition has one row per representative,
     # and the top sample's transition comes from nothing
     open_dims = {q: tuple(len(m) for m in reversed(ms)) for q, ms in maps.items()}
-    point_dims = {q: d[1:] for q, d in open_dims.items()}
     maps = {q: tuple(reversed(ms[1:])) for q, ms in maps.items()}
-    return StratModel(crit, open_dims, point_dims, maps, p)
+    return StratModel(crit, open_dims, maps, p)
 
 
 def reindex_sheaf_degrees(b: GradedBarcode, n: int) -> GradedBarcode:

@@ -8,7 +8,6 @@ pure function of the canonical barcode (fixed float formatting, no state).
 
 from __future__ import annotations
 
-from .exactnum import Infinity, PiRational
 from .intervals import GradedBarcode, canonicalize, expanded_bars, spec
 
 _W = 720
@@ -33,20 +32,6 @@ def _xml_text(s: str) -> str:
 
 def _fmt(x: float) -> str:
     return f"{x:.2f}"
-
-
-def _tick_label(v) -> str:
-    if isinstance(v, PiRational):
-        if v.q == 0:
-            return str(v.s)
-        if v.s == 0:
-            if v.q == 1:
-                return "π"
-            if v.q == -1:
-                return "-π"
-            return f"{v.q}π"
-        return str(v).replace("pi", "π")
-    return str(v)
 
 
 def _window(b: GradedBarcode) -> tuple[float, float]:
@@ -96,7 +81,7 @@ def svg_barcode(b: GradedBarcode, title: str = "") -> str:
         )
         out.append(
             f'<text x="{_fmt(x)}" y="{_fmt(axis_y + 16)}" text-anchor="middle" '
-            f'font-family="monospace" font-size="11">{_tick_label(v)}</text>'
+            f'font-family="monospace" font-size="11">{str(v).replace("pi", "π")}</text>'
         )
     y = float(_MARGIN)
     cur_deg = None
@@ -108,14 +93,13 @@ def svg_barcode(b: GradedBarcode, title: str = "") -> str:
                 f'<text x="8" y="{_fmt(y)}" font-family="monospace" '
                 f'font-size="11">deg {d}</text>'
             )
-        x1 = _MARGIN if isinstance(iv.lo.value, Infinity) else x_of(iv.lo.value)
-        x2 = _W - _MARGIN if isinstance(iv.hi.value, Infinity) else x_of(iv.hi.value)
+        x1, x2 = x_of(iv.lo.value), x_of(iv.hi.value)  # clamping takes -oo/+oo to the margins
         out.append(
             f'<line x1="{_fmt(x1)}" y1="{_fmt(y)}" x2="{_fmt(x2)}" y2="{_fmt(y)}" '
             f'stroke="#1f4e8c" stroke-width="3"/>'
         )
         for xv, e, left in ((x1, iv.lo, True), (x2, iv.hi, False)):
-            if isinstance(e.value, Infinity):
+            if not e.finite:
                 d_ = 6 if left else -6
                 out.append(
                     f'<path d="M {_fmt(xv + d_)} {_fmt(y - 4)} L {_fmt(xv)} {_fmt(y)} '
@@ -151,13 +135,12 @@ def text_barcode(b: GradedBarcode, width: int = 64) -> str:
     lines = []
     for bar in cb.bars:
         iv = bar.interval
-        c1 = 0 if isinstance(iv.lo.value, Infinity) else col(iv.lo.value)
-        c2 = width - 1 if isinstance(iv.hi.value, Infinity) else col(iv.hi.value)
+        c1, c2 = col(iv.lo.value), col(iv.hi.value)  # -oo/+oo clamp to the ends
         row = [" "] * width
         for c in range(c1, c2 + 1):
             row[c] = "="
-        row[c1] = "<" if isinstance(iv.lo.value, Infinity) else ("[" if iv.lo.closed else "(")
-        row[c2] = ">" if isinstance(iv.hi.value, Infinity) else ("]" if iv.hi.closed else ")")
+        row[c1] = ("[" if iv.lo.closed else "(") if iv.lo.finite else "<"
+        row[c2] = ("]" if iv.hi.closed else ")") if iv.hi.finite else ">"
         label = f"deg {bar.degree:>3} x{bar.mult}"
         lines.append(f"{label:<12}|{''.join(row)}| {iv}")
     return "\n".join(lines) + "\n"

@@ -1,20 +1,19 @@
 """Stratification (quiver) presentations of constructible sheaves on the line.
 
-Two presentations live here.
-
 `StratModel` is the one-directional model available for sheaves whose bars
 are of type [a,b) / [a,oo) / (-oo,b): stalk dimensions on the open strata
 cut out by the critical values, plus one transition matrix per critical
 value oriented right-to-left (the restriction maps that exist in that
-class).  `decompose` recovers the unique barcode by the standard
-rank-inclusion-exclusion of composite transition maps, which makes the
-model the brute-force oracle behind every derived expected value.
+class).  A point stalk equals the stalk on the stratum to its right, so
+the model stores none.  `decompose` recovers the unique barcode by the
+standard rank-inclusion-exclusion of composite transition maps, which makes
+the model the brute-force oracle behind every derived expected value.
 
-`ZigzagRep` is the full exit-path presentation (point stalks mapping into
-the adjacent open-stratum stalks) valid for arbitrary interval sheaves.
-The category of representations is hereditary, so RHom has just a Hom and
-an Ext^1 part; `rhom_oracle` computes both by explicit linear algebra over
-F_p and is therefore an oracle for every RHom table in the calculus.
+`rhom_oracle` works on the full exit-path presentation (point stalks
+mapping into the adjacent open-stratum stalks), valid for arbitrary
+interval sheaves.  The category of representations is hereditary, so RHom
+has just a Hom and an Ext^1 part; both come from explicit linear algebra
+over F_p, which makes it an oracle for every RHom table in the calculus.
 """
 
 from __future__ import annotations
@@ -33,16 +32,11 @@ from .intervals import (
     HomSpace,
     Interval,
     canonicalize,
+    expanded_bars,
     finite_ends,
     require_tamarkin,
     spec,
 )
-
-Matrix = Tuple[Tuple[int, ...], ...]
-
-
-def _freeze(m: Sequence[Sequence[int]]) -> Matrix:
-    return tuple(tuple(int(x) for x in row) for row in m)
 
 
 @dataclass(frozen=True)
@@ -52,15 +46,13 @@ class StratModel:
     critical: strictly increasing finite scalars l_1 < ... < l_k.
     open_dims[deg][s]: stalk dim on open stratum s, where stratum 0 is
         (-oo, l_1), stratum i is (l_i, l_{i+1}), stratum k is (l_k, +oo).
-    point_dims[deg][i]: stalk dim at l_{i+1} (equals the right-stratum dim
-        for this class of sheaves; kept as data and validated).
+        The stalk at l_{i+1} is that of stratum i+1.
     maps[deg][i]: matrix of the transition V_{i+1} -> V_i across l_{i+1},
         shape (open_dims[s=i], open_dims[s=i+1]).
     """
 
     critical: Tuple[Scalar, ...]
     open_dims: dict
-    point_dims: dict
     maps: dict
     p: int = 2
 
@@ -73,9 +65,6 @@ class StratModel:
         for deg, dims in self.open_dims.items():
             if len(dims) != k + 1:
                 raise ValidationError("open_dims must cover k+1 open strata")
-            pd = self.point_dims.get(deg, tuple([0] * k))
-            if len(pd) != k:
-                raise ValidationError("point_dims must cover k critical points")
             ms = self.maps.get(deg, tuple(() for _ in range(k)))
             if len(ms) != k:
                 raise ValidationError("need one transition matrix per critical value")
@@ -87,7 +76,7 @@ class StratModel:
                     )
 
     def degrees(self) -> list[int]:
-        return sorted(set(self.open_dims) | set(self.point_dims))
+        return sorted(self.open_dims)
 
 
 def sample_points(critical: Sequence[Scalar]) -> list[Scalar]:
@@ -104,48 +93,26 @@ def sample_points(critical: Sequence[Scalar]) -> list[Scalar]:
 def from_barcode(b: GradedBarcode, p: int = 2) -> StratModel:
     """Present a Tamarkin-class barcode on the stratification of its spec.
 
-    Transition matrices are block-diagonal: the identity on bars alive at
-    both sample points, zero elsewhere.
+    Each unit of multiplicity is one basis vector, alive on the strata its
+    interval meets; a transition is the identity on the vectors alive at
+    both sample points and zero elsewhere.
     """
     require_tamarkin(b, "from_barcode")
     cb = canonicalize(b)
     crit = tuple(spec(cb))
     pts = sample_points(crit)
-    degrees = sorted({x.degree for x in cb.bars})
+    units = expanded_bars(cb)
     open_dims: dict = {}
-    point_dims: dict = {}
     maps: dict = {}
-    for deg in degrees:
-        bars = [x for x in cb.bars if x.degree == deg]
-        alive = []
-        for t in pts:
-            cur = []
-            for x in bars:
-                cur.extend([x.interval.contains(t)] * x.mult)
-            alive.append(cur)
-        open_dims[deg] = tuple(sum(a) for a in alive)
-        point_dims[deg] = tuple(
-            sum(x.mult for x in bars if x.interval.contains(c)) for c in crit
+    for deg in sorted({d for _, d in units}):
+        ivs = [iv for iv, d in units if d == deg]
+        alive = [[n for n, iv in enumerate(ivs) if iv.contains(t)] for t in pts]
+        open_dims[deg] = tuple(map(len, alive))
+        maps[deg] = tuple(
+            tuple(tuple(int(a == c) for c in right) for a in left)
+            for left, right in zip(alive, alive[1:])
         )
-        degmaps = []
-        for i in range(len(crit)):
-            left, right = alive[i], alive[i + 1]
-            m = modp.zeros(sum(left), sum(right))
-            li = {}
-            r = 0
-            for j, a in enumerate(left):
-                if a:
-                    li[j] = r
-                    r += 1
-            c = 0
-            for j, a in enumerate(right):
-                if a:
-                    if j in li:
-                        m[li[j]][c] = 1
-                    c += 1
-            degmaps.append(_freeze(m))
-        maps[deg] = tuple(degmaps)
-    return StratModel(crit, open_dims, point_dims, maps, p)
+    return StratModel(crit, open_dims, maps, p)
 
 
 def decompose(model: StratModel) -> GradedBarcode:
@@ -161,10 +128,10 @@ def decompose(model: StratModel) -> GradedBarcode:
     p = model.p
     bars: list[GradedBar] = []
     for deg in model.degrees():
-        dims = model.open_dims.get(deg)
-        if dims is None or not any(dims):
+        dims = model.open_dims[deg]
+        if not any(dims):
             continue
-        ms = [[list(row) for row in m] for m in model.maps[deg]]
+        ms = model.maps[deg]
         comp: dict[tuple[int, int], list[list[int]]] = {}
         for j in range(k + 1):
             comp[(j, j)] = modp.identity(dims[j])
@@ -188,75 +155,45 @@ def decompose(model: StratModel) -> GradedBarcode:
 # full zigzag presentation and the RHom oracle
 
 
-@dataclass
-class ZigzagRep:
-    """Exit-path representation on a fixed finite set of critical values.
-
-    Vertices are the k+1 open strata and the k critical points; the two
-    arrows out of each point go to its neighbor strata.  Interval sheaves
-    have all dims in {0,1} and structure maps equal to 1 exactly when both
-    ends lie in the interval.
-    """
-
-    critical: Tuple[Scalar, ...]
-    open_dim: Tuple[int, ...]
-    point_dim: Tuple[int, ...]
-    left_map: Tuple[int, ...]   # point i -> stratum i
-    right_map: Tuple[int, ...]  # point i -> stratum i+1
-
-
-def zigzag_of_interval(i: Interval, critical: Sequence[Scalar]) -> ZigzagRep:
-    crit = tuple(critical)
-    pts = sample_points(crit)
-    open_dim = tuple(1 if i.contains(t) else 0 for t in pts)
-    point_dim = tuple(1 if i.contains(c) else 0 for c in crit)
-    left_map = tuple(
-        1 if point_dim[j] and open_dim[j] else 0 for j in range(len(crit))
-    )
-    right_map = tuple(
-        1 if point_dim[j] and open_dim[j + 1] else 0 for j in range(len(crit))
-    )
-    return ZigzagRep(crit, open_dim, point_dim, left_map, right_map)
-
-
 def rhom_oracle(src: Interval, tgt: Interval, p: int = 2) -> HomSpace:
     """Graded dims of RHom(k_src, k_tgt) by quiver linear algebra.
 
-    Hom is the solution space of the commutation constraints; the category
-    is hereditary, so dim Ext^1 = dim Hom - <src, tgt> with the Euler form
-    of the zigzag quiver.  Independent of every closed-form table.
+    Vertices are the k+1 open strata and the k critical points of both
+    intervals' ends; the two arrows out of each point go to its neighbor
+    strata.  An interval sheaf has every stalk dim in {0,1} and each
+    structure map 1 exactly when both of its ends have dim 1, so the
+    dimensions alone give the representation.  Hom is the solution space of
+    the commutation constraints; the category is hereditary, so
+    dim Ext^1 = dim Hom - <src, tgt> with the Euler form of the quiver.
+    Independent of every closed-form table.
     """
     modp.check_prime(p)
     crit = finite_ends((src, tgt))
-    v = zigzag_of_interval(src, crit)
-    w = zigzag_of_interval(tgt, crit)
+    pts = sample_points(crit)
     k = len(crit)
+    vo, wo = ([int(i.contains(t)) for t in pts] for i in (src, tgt))
+    vp, wp = ([int(i.contains(c)) for c in crit] for i in (src, tgt))
     # unknowns: one scalar per vertex where both dims are 1
-    strata_vars = [j for j in range(k + 1) if v.open_dim[j] and w.open_dim[j]]
-    point_vars = [j for j in range(k) if v.point_dim[j] and w.point_dim[j]]
+    strata_vars = [j for j in range(k + 1) if vo[j] and wo[j]]
+    point_vars = [j for j in range(k) if vp[j] and wp[j]]
     nvars = len(strata_vars) + len(point_vars)
     sidx = {j: n for n, j in enumerate(strata_vars)}
     pidx = {j: len(strata_vars) + n for n, j in enumerate(point_vars)}
     rows: list[list[int]] = []
     for j in range(k):
-        for stratum, vmap, wmap in (
-            (j, v.left_map[j], w.left_map[j]),
-            (j + 1, v.right_map[j], w.right_map[j]),
-        ):
-            # phi_stratum . vmap = wmap . phi_point
+        for stratum in (j, j + 1):
+            # phi_stratum . v(j -> stratum) = w(j -> stratum) . phi_j
             row = [0] * nvars
-            if vmap and stratum in sidx:
-                row[sidx[stratum]] = vmap % p
-            if wmap and j in pidx:
-                row[pidx[j]] = (row[pidx[j]] - wmap) % p
+            if vp[j] and stratum in sidx:
+                row[sidx[stratum]] = 1
+            if wo[stratum] and j in pidx:
+                row[pidx[j]] = -1 % p
             if any(row):
                 rows.append(row)
     hom = len(modp.nullspace(rows, nvars, p))
-    euler = sum(a * b for a, b in zip(v.open_dim, w.open_dim))
-    euler += sum(a * b for a, b in zip(v.point_dim, w.point_dim))
+    euler = sum(a * b for a, b in zip(vo, wo)) + sum(a * b for a, b in zip(vp, wp))
     for j in range(k):
-        euler -= v.point_dim[j] * w.open_dim[j]
-        euler -= v.point_dim[j] * w.open_dim[j + 1]
+        euler -= vp[j] * (wo[j] + wo[j + 1])
     ext1 = hom - euler
     if ext1 < 0:
         raise ValidationError("Euler-form bookkeeping failed")  # pragma: no cover

@@ -10,6 +10,7 @@ import sheafcalc as sc
 from sheafcalc.cli import main
 from sheafcalc.errors import ValidationError
 from sheafcalc.intervals import barcode_from_json, barcode_to_json
+from sheafcalc.plot import svg_barcode, text_barcode
 
 
 def write_barcode(tmp_path, name, b):
@@ -105,6 +106,12 @@ def test_domain_cone_rank(capsys):
         capsys,
     )
     assert code == 0 and json.loads(out) == {"dims": {"2": 1}}
+    # --c is no part of the domain, so it goes with --spec-json too
+    code, by_spec, _ = run_cli(
+        ["domain", "--spec-json", '{"ball":{"n":1,"r":"1"}}', "--cone", "2", "--c", "1/2", "--M", "32"],
+        capsys,
+    )
+    assert code == 0 and by_spec == out
 
 
 def test_ops_scalar_results(tmp_path, capsys):
@@ -124,6 +131,15 @@ def test_domain_svg_ticks(capsys):
     assert out.startswith("<svg")
     assert "π" in out and "2π" in out and "3π" in out
     assert out.count('stroke="#1f4e8c"') >= 3  # three bars
+
+
+def test_infinite_ends_meet_the_margins():
+    b = sc.barcode(sc.bar("-inf", 0, lo_closed=False), sc.bar(1, "+inf"))
+    svg = svg_barcode(b)
+    # both arrowheads point at the plot margins, 56 and 720 - 56
+    assert "L 56.00 " in svg and "L 664.00 " in svg and svg.count("<path") == 2
+    rows = [line.split("|")[1] for line in text_barcode(b, width=20).splitlines()]
+    assert rows[0][0] == "<" and rows[1][-1] == ">" and all(len(r) == 20 for r in rows)
 
 
 @pytest.mark.parametrize(
@@ -304,6 +320,9 @@ _BIG_MULT = json.dumps({"bars": [dict(GOOD_BAR, mult=10**30)]})
         (["plot", "@"], _BIG_MULT, None),
         (["barcode", "@", "--format", "svg"], _PAST_CAP_MULT, None),
         (["ops", "adjoint", "@", "--format", "svg"], _PAST_CAP_MULT, None),
+        (["domain", "ball", "--n", "3", "--r", "7", "--spec-json", '{"ellipsoid":{"n":2,"r":"1","R":"2"}}',
+          "--invariant", "4"], None, None),
+        (["domain", "--spec-json", '{"ball":{"n":1,"r":"1"}}', "--r", "2", "--invariant", "1"], None, None),
     ]
     + [(argv, text, None) for argv, text in LONG_LITERAL_CASES],
     ids=[
@@ -319,6 +338,7 @@ _BIG_MULT = json.dumps({"bars": [dict(GOOD_BAR, mult=10**30)]})
         "exponent-json-rational", "exponent-complex-json", "exponent-complex-off",
         "tmax-strata-cap", "tmax-strata-cap-huge", "eigen-M-cap", "cone-M-cap",
         "dist-mult-past-int-index", "plot-mult-past-int-index", "svg-mult-cap", "ops-svg-mult-cap",
+        "spec-json-with-kind", "spec-json-with-r",
     ]
     + LONG_LITERAL_IDS,
 )
@@ -508,6 +528,22 @@ def _cli_subprocess(argv, seconds):
     return subprocess.run(
         [sys.executable, "-m", "sheafcalc.cli", *argv], capture_output=True, text=True, timeout=seconds
     )
+
+
+def test_mpmath_loads_only_for_eigen_counts(tmp_path):
+    a = write_barcode(tmp_path, "a.json", sc.barcode(sc.bar(0, 2), sc.bar(1, "+inf")))
+    cx = tmp_path / "k.off"
+    cx.write_text("3 1\n0 1 2\n3 0 1 2\n")
+    probe = "import sys; from sheafcalc.cli import main; main(sys.argv[1:]); print('mpmath' in sys.modules)"
+    for argv, loaded in [
+        (["ops", "convolve", a, a], False),
+        (["dist", a, a], False),
+        (["morse", "sublevel", str(cx)], False),
+        (["domain", "ball", "--n", "1", "--r", "1", "--eigen", "7", "--M", "8"], True),
+    ]:
+        proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True, timeout=20)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout.splitlines()[-1] == str(loaded), argv
 
 
 def test_huge_stalk_level_answers_exactly():

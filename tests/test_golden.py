@@ -147,6 +147,7 @@ CALLS = [
     ("nonsqueeze", ["nonsqueeze", "--n", "2", "--r1", "6/5", "--r2", "1", "--R", "10"]),
     ("plot-svg", ["plot", "@pis", "--title", "pi & <ends>"]),
     ("plot-text", ["plot", "@mixed", "--format", "text"]),
+    ("plot-svg-infinite", ["plot", "@mixed"]),
 ]
 
 DIGESTS = {
@@ -192,6 +193,7 @@ DIGESTS = {
     "nonsqueeze": "ae82b6d6f30e23ec5c34ebdc2c1ab1779121bb54753313761c1efb63ef1f1adc",
     "plot-svg": "64b6314f102b6517b759af15e1289a63cf00b51478add6d46fd4ed6e54ef3be9",
     "plot-text": "f538de3628997b08abdf60c38cdc3ddc3d339ee4130bc1a426c57c044d82f0fc",
+    "plot-svg-infinite": "9226a1092c14c2921cd7f11255255dd796a0a7b2cfc96535e9d1e993c06f029e",
 }
 
 

@@ -281,10 +281,9 @@ def ref_sheaf_route_model(K, h, p):
     source representative."""
     crit = tuple(sorted(set(h.values)))
     datas = [ref_relative_cohomology(K, morse.sublevel_complex(K, h, t), p) for t in sample_points(crit)]
-    open_dims, point_dims, maps = {}, {}, {}
+    open_dims, maps = {}, {}
     for q in range(K.dim + 1):
         open_dims[q] = tuple(len(d[q][0]) for d in datas)
-        point_dims[q] = open_dims[q][1:]
         degmaps = []
         for i in range(len(crit)):
             tgt_reps, tgt_b = datas[i][q]
@@ -292,7 +291,7 @@ def ref_sheaf_route_model(K, h, p):
             assert None not in cols
             degmaps.append(tuple(tuple(c[len(tgt_b) + r] for c in cols) for r in range(len(tgt_reps))))
         maps[q] = tuple(degmaps)
-    return StratModel(crit, open_dims, point_dims, maps, p)
+    return StratModel(crit, open_dims, maps, p)
 
 
 def grid_torus(n: int) -> morse.SimplicialComplex:

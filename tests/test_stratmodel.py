@@ -1,11 +1,15 @@
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sheafcalc as sc
+from sheafcalc import modp
 from sheafcalc.errors import ValidationError
 from sheafcalc.exactnum import NEG_INF, POS_INF, PiRational, is_finite
+from sheafcalc.intervals import canonicalize, finite_ends, spec
 from sheafcalc.stratmodel import (
     _GERM_AMBIENT,
     StratModel,
@@ -14,6 +18,7 @@ from sheafcalc.stratmodel import (
     germ_at,
     rhom_oracle,
     rhom_sheaf_stalk_oracle,
+    sample_points,
 )
 
 from conftest import mixed_scalars, rand_tamarkin_barcode, random_interval, twin
@@ -27,9 +32,11 @@ def test_from_barcode_half_line():
 
 
 def test_from_barcode_single_bar_stalks():
-    m = from_barcode(sc.barcode(sc.bar(0, 2)))
+    b = sc.bar(0, 2)
+    m = from_barcode(sc.barcode(b))
     assert m.open_dims[0] == (0, 1, 0)
-    assert m.point_dims[0] == (1, 0)
+    # each point stalk is the stalk on the stratum to its right
+    assert tuple(int(b.interval.contains(c)) for c in m.critical) == m.open_dims[0][1:]
 
 
 def test_from_barcode_overlap_ranks():
@@ -47,7 +54,6 @@ def test_decompose_single_stratum():
     m = StratModel(
         (F(0), F(1)),
         {0: (0, 1, 0)},
-        {0: (1, 0)},
         {0: ((), ((),))},
         2,
     )
@@ -58,7 +64,6 @@ def test_decompose_identity_chain_gives_half_line():
     m = StratModel(
         (F(0), F(1)),
         {0: (0, 1, 1)},
-        {0: (1, 1)},
         {0: ((), ((1,),))},
         2,
     )
@@ -70,7 +75,6 @@ def test_decompose_left_infinite_stratum():
     m = StratModel(
         (F(0),),
         {0: (1, 0)},
-        {0: (0,)},
         {0: (((),),)},
         2,
     )
@@ -83,11 +87,138 @@ def test_round_trip_random(rng):
         assert decompose(from_barcode(b)) == b
 
 
+# --- the flag-list from_barcode, kept as the reference the index form replaced
+
+
+def ref_from_barcode(b):
+    """(critical, open_dims, point stalk dims, maps) of b, from per-bar
+    alive flags and hand-kept row and column counters."""
+    cb = canonicalize(b)
+    crit = tuple(spec(cb))
+    pts = sample_points(crit)
+    open_dims, points, maps = {}, {}, {}
+    for deg in sorted({x.degree for x in cb.bars}):
+        bars = [x for x in cb.bars if x.degree == deg]
+        alive = []
+        for t in pts:
+            cur = []
+            for x in bars:
+                cur.extend([x.interval.contains(t)] * x.mult)
+            alive.append(cur)
+        open_dims[deg] = tuple(sum(a) for a in alive)
+        points[deg] = tuple(sum(x.mult for x in bars if x.interval.contains(c)) for c in crit)
+        degmaps = []
+        for i in range(len(crit)):
+            left, right = alive[i], alive[i + 1]
+            m = modp.zeros(sum(left), sum(right))
+            li = {}
+            r = 0
+            for j, a in enumerate(left):
+                if a:
+                    li[j] = r
+                    r += 1
+            c = 0
+            for j, a in enumerate(right):
+                if a:
+                    if j in li:
+                        m[li[j]][c] = 1
+                    c += 1
+            degmaps.append(tuple(tuple(int(x) for x in row) for row in m))
+        maps[deg] = tuple(degmaps)
+    return crit, open_dims, points, maps
+
+
+def shared_end_barcode(rng, pool, max_bars=8):
+    """Tamarkin bars on a few shared ends from pool (rational and q*pi + s,
+    with equal values held as different objects), multiplicities 1-3 and
+    degrees 0-2."""
+    ends = rng.sample(pool, rng.randint(1, 5))
+    bars = []
+    for _ in range(rng.randint(1, max_bars)):
+        lo = rng.choice(ends)
+        hi = rng.choice([e for e in ends if e > lo] + [POS_INF])
+        bars.append(sc.bar(lo, hi, rng.randrange(3), rng.randint(1, 3)))
+    return sc.barcode(*bars)
+
+
+def test_from_barcode_matches_flag_list_reference():
+    rng = random.Random(0x57A7)
+    pool = mixed_scalars()
+    for n in range(1200):
+        if n % 2:
+            b = shared_end_barcode(rng, pool)
+        else:
+            b = rand_tamarkin_barcode(rng, max_bars=10, degrees=(0, 1, 2), lo=-6, hi=6, max_len=6)
+        crit, open_dims, points, maps = ref_from_barcode(b)
+        m = from_barcode(b)
+        assert (m.critical, m.open_dims, m.maps) == (crit, open_dims, maps)
+        assert points == {deg: dims[1:] for deg, dims in open_dims.items()}
+
+
+def test_pi_ends_reach_the_quiver_layer():
+    pi = PiRational(1, 0)
+    b = sc.barcode(sc.bar(pi, 2 * pi))
+    m = from_barcode(b)
+    assert m.critical == (pi, 2 * pi) and m.open_dims[0] == (0, 1, 0)
+    assert decompose(m) == b
+    i, j = sc.interval(pi, 2 * pi), sc.interval(1, pi)
+    assert rhom_oracle(i, j) == sc.rhom_total(sc.barcode(sc.GradedBar(i)), sc.barcode(sc.GradedBar(j)))
+    assert rhom_oracle(i, j) == sc.HomSpace({1: 1})
+    rng = random.Random(0x9175)
+    pool = mixed_scalars()
+    for _ in range(300):
+        i, j = (sc.interval(lo, rng.choice([e for e in pool if e > lo] + [POS_INF])) for lo in rng.sample(pool, 2))
+        f, g = sc.barcode(sc.GradedBar(i)), sc.barcode(sc.GradedBar(j))
+        assert rhom_oracle(i, j) == sc.rhom_total(f, g)
+
+
+def test_pirational_divides_by_int_and_fraction_only():
+    x = PiRational(1, 1)
+    assert x / 2 == PiRational(F(1, 2), F(1, 2))
+    assert x / F(-1, 3) == PiRational(-3, -3)
+    with pytest.raises(ZeroDivisionError):
+        x / 0
+    for other in (1.5, x, "2"):
+        with pytest.raises(TypeError):
+            x / other
+    with pytest.raises(TypeError):
+        2 / x
+
+
+_ENDS = st.lists(
+    st.one_of(
+        st.fractions(min_value=-6, max_value=6, max_denominator=4),
+        st.builds(PiRational, st.integers(-2, 2).filter(bool), st.fractions(min_value=-2, max_value=2, max_denominator=3)),
+    ),
+    min_size=1,
+    max_size=5,
+    unique=True,
+).map(sorted)
+
+
+@st.composite
+def shared_end_barcodes(draw):
+    """Tamarkin barcodes whose bars share a few rational or q*pi + s ends."""
+    ends = draw(_ENDS)
+    bars = []
+    for _ in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(0, len(ends) - 1))
+        hi = draw(st.sampled_from(ends[n + 1:] + [POS_INF]))
+        bars.append(sc.bar(ends[n], hi, draw(st.integers(0, 2)), draw(st.integers(1, 3))))
+    return sc.barcode(*bars)
+
+
+@settings(max_examples=80, deadline=None)
+@given(shared_end_barcodes())
+def test_round_trip_property(b):
+    assert decompose(from_barcode(b)) == b
+
+
 def test_malformed_shapes_rejected():
     with pytest.raises(ValidationError):
-        StratModel((F(0),), {0: (1, 1)}, {0: (1,)}, {0: (((1, 1),),)}, 2)
+        StratModel((F(0),), {0: (1, 1)}, {0: (((1, 1),),)}, 2)
     with pytest.raises(ValidationError):
-        StratModel((F(1), F(0)), {0: (0, 0, 0)}, {0: (0, 0)}, {0: ((), ())}, 2)
+        StratModel((F(1), F(0)), {0: (0, 0, 0)}, {0: ((), ())}, 2)
 
 
 # --- RHom zigzag oracle -----------------------------------------------------
@@ -112,6 +243,66 @@ def test_rhom_oracle_identity_and_singleton():
     assert rhom_oracle(sc.singleton(0), sc.singleton(0)) == sc.HomSpace({0: 1})
     assert rhom_oracle(sc.interval(0, 1), sc.interval(0, 1)) == sc.HomSpace({0: 1})
     assert rhom_oracle(sc.interval(0, 1, True, True), sc.singleton(1)) == sc.HomSpace({0: 1})
+
+
+def ref_rhom_oracle(src, tgt, p):
+    """The oracle on an explicit exit-path representation: dims, then each
+    structure map stored and looked up."""
+
+    def rep(i, crit):
+        open_dim = tuple(1 if i.contains(t) else 0 for t in sample_points(crit))
+        point_dim = tuple(1 if i.contains(c) else 0 for c in crit)
+        left = tuple(1 if point_dim[j] and open_dim[j] else 0 for j in range(len(crit)))
+        right = tuple(1 if point_dim[j] and open_dim[j + 1] else 0 for j in range(len(crit)))
+        return open_dim, point_dim, left, right
+
+    crit = finite_ends((src, tgt))
+    v, w = rep(src, crit), rep(tgt, crit)
+    k = len(crit)
+    strata_vars = [j for j in range(k + 1) if v[0][j] and w[0][j]]
+    point_vars = [j for j in range(k) if v[1][j] and w[1][j]]
+    nvars = len(strata_vars) + len(point_vars)
+    sidx = {j: n for n, j in enumerate(strata_vars)}
+    pidx = {j: len(strata_vars) + n for n, j in enumerate(point_vars)}
+    rows = []
+    for j in range(k):
+        for stratum, vmap, wmap in ((j, v[2][j], w[2][j]), (j + 1, v[3][j], w[3][j])):
+            row = [0] * nvars
+            if vmap and stratum in sidx:
+                row[sidx[stratum]] = vmap % p
+            if wmap and j in pidx:
+                row[pidx[j]] = (row[pidx[j]] - wmap) % p
+            if any(row):
+                rows.append(row)
+    hom = len(modp.nullspace(rows, nvars, p))
+    euler = sum(a * b for a, b in zip(v[0], w[0])) + sum(a * b for a, b in zip(v[1], w[1]))
+    for j in range(k):
+        euler -= v[1][j] * w[0][j] + v[1][j] * w[0][j + 1]
+    return sc.HomSpace({0: hom, 1: hom - euler})
+
+
+def small_intervals():
+    """Every interval with ends in {-oo, 0, 1, 2, 3, +oo} and every legal
+    closure flag: 45 of them."""
+    out = [sc.singleton(a) for a in range(4)]
+    for lo, hi in itertools.combinations([NEG_INF, 0, 1, 2, 3, POS_INF], 2):
+        for lc, hc in itertools.product((True, False), repeat=2):
+            if (lc and lo == NEG_INF) or (hc and hi == POS_INF):
+                continue
+            out.append(sc.interval(lo, hi, lc, hc))
+    return out
+
+
+def test_rhom_oracle_matches_stored_map_reference():
+    ivs = small_intervals()
+    assert len(set(ivs)) == 45
+    seen = set()
+    for p in (2, 3):
+        for i, j in itertools.product(ivs, repeat=2):
+            got = rhom_oracle(i, j, p)
+            assert got == ref_rhom_oracle(i, j, p)
+            seen.add(tuple(got.dims.items()))
+    assert seen == {(), ((0, 1),), ((1, 1),)}  # zero, Hom alone and Ext^1 alone all occur
 
 
 def test_rhom_oracle_field_independent(rng):
