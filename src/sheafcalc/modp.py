@@ -1,21 +1,29 @@
 """Dense linear algebra over a prime field F_p.
 
 Matrices are lists of row lists of ints in [0, p).  Plain Gaussian
-elimination serves every size in this package: from a few rows up to the
-75-column relative coboundary matrices of a 5x5 torus in the sheaf route.
-Exactness matters more than speed.  `row_echelon` returns the reduced form:
+elimination serves every size in this package: the composite transition
+ranks of `stratmodel.decompose`, the Betti oracle `morse.betti_numbers` and
+the commutation constraints of `stratmodel.rhom_oracle`.  Exactness matters
+more than speed.  `row_echelon` returns the reduced form:
 columns appended last change no pivot, and their coordinates in the pivot
 columns are read off the reduced rows.
 """
 
 from __future__ import annotations
 
+import math
+
 from .errors import ValidationError
+from .exactnum import _excerpt
+
+FIELD_CAP = 2**31
 
 
 def check_prime(p: int) -> int:
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
-        raise ValidationError(f"field characteristic must be prime, got {p}")
+    """p, if it is a prime below FIELD_CAP; a larger p is refused before any
+    trial division, which would otherwise run for ages or overflow."""
+    if not 2 <= p < FIELD_CAP or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        raise ValidationError(f"field characteristic must be a prime below 2^31, got {_excerpt(p)}")
     return p
 
 

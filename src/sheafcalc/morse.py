@@ -2,12 +2,13 @@
 
 Two independent routes produce the same barcode: the upper-star persistence
 of the vertex function completed in [-,-) type, and the constructible-sheaf
-route that evaluates relative cohomology H^*(K, {h <= t}) at one sample
-point per stratum, reads the inclusion-induced transition maps off the same
-F_p elimination that picks each stratum's representatives, and decomposes
-the resulting StratModel.  Their agreement (after the documented
-degree reindex q = n - i coming from the duality step, which needs a closed
-manifold of dimension <= 2) is the machine-checked heart of this module.
+route, whose stalk at t is the relative cohomology H^*(K, {h <= t}).  That
+route reduces the coboundary matrix of the cochains outside {h <= t} once,
+in the order in which they appear as t falls, reads every stalk and
+inclusion-induced transition off that one reduction, and decomposes the
+resulting StratModel.  Their agreement (after the documented degree reindex
+q = n - i coming from the duality step, which needs a closed manifold of
+dimension <= 2) is the machine-checked heart of this module.
 
 The persistence route orders simplices on integer vertex ranks, then reduces
 the boundary matrix with clearing (Chen-Kerber 2011, the "twist").
@@ -36,7 +37,7 @@ from .intervals import (
     canonicalize,
     map_bars,
 )
-from .stratmodel import StratModel, decompose, sample_points
+from .stratmodel import StratModel, decompose
 
 Simplex = Tuple[int, ...]
 
@@ -287,77 +288,55 @@ def _connected(edges: list[Simplex]) -> bool:
     return len(seen) == len(adj)
 
 
-def _relative_cohomology(K: SimplicialComplex, L: set, p: int, carried: dict):
-    """Bases of H^q(K, L) and the map into them from a larger L's bases.
-
-    Returns per q (active, reps, transition): reps are cocycles over the
-    q-simplices outside L, listed in `active`.  Each coboundary delta_q is
-    built once, one row per active (q+1)-simplex: its nullspace gives the
-    cocycles at q, and at q+1 its rows begin the rows of the elimination, so
-    the first nb columns span the coboundaries (zero columns never pivot).
-    `carried` is an earlier result for some L_big containing L; its
-    reps are cocycles here too, and go in as the last columns of the one
-    elimination that picks the reps, so they change no pivot.
-    transition[r][c] is then the coefficient of reps[r] in carried rep c
-    modulo coboundaries, read off the reduced row of that pivot.
-    """
-    out = {}
-    active = [s for s in K.of_dim(0) if s not in L]
-    delta_prev, nb = [[] for _ in active], 0  # delta_{q-1}: a row per active q-simplex, nb wide
-    for q in range(K.dim + 1):
-        above = [s for s in K.of_dim(q + 1) if s not in L]
-        apos = {s: i for i, s in enumerate(active)}
-        rows = []
-        for tau in above:
-            row = [0] * len(active)
-            for f, sign in _facet_signs(tau):
-                if f in apos:
-                    row[apos[f]] = sign % p
-            rows.append(row)
-        z_local = modp.nullspace(rows, len(active), p)
-        # carried cocycles vanish on L_big, so they live on these coordinates
-        big_active, big_reps, _ = carried[q]
-        moved = [[0] * len(active) for _ in big_reps]
-        for col, rep in zip(moved, big_reps):
-            for s, v in zip(big_active, rep):
-                col[apos[s]] = v
-        # representatives: z columns adding pivots beyond the coboundary block
-        stack = [
-            delta_prev[a] + [z[a] for z in z_local] + [m[a] for m in moved] for a in range(len(active))
-        ]
-        ech, pivots = modp.row_echelon(stack, p)
-        nbz = nb + len(z_local)
-        if pivots and pivots[-1] >= nbz:
-            raise ValidationError("transition cocycle left the target span")
-        reps = [z_local[c - nb] for c in pivots if c >= nb]
-        transition = tuple(tuple(row[nbz:]) for row, c in zip(ech, pivots) if c >= nb)
-        out[q] = (active, reps, transition)
-        active, delta_prev, nb = above, rows, len(active)
-    return out
-
-
 def sheaf_route_model(K: SimplicialComplex, h: VertexFunction, p: int = 2) -> StratModel:
     """StratModel of the sheaf whose stalk at t is H^*(K, {h <= t}).
 
-    Dims come from relative cohomology at one sample per stratum; the
-    transition across a critical value is induced by the cochain-level
-    inclusion C^*(K, L_big) into C^*(K, L_small).  Samples are visited from
-    the top stratum down, each carrying its representatives into the next
-    one's elimination, which reads the transition off directly.
+    A simplex of level r (the rank of its top vertex value) lies outside
+    {h <= t} on strata 0..r; those cochains form a subcomplex that grows as
+    t falls, so one coboundary reduction, by level highest first and a
+    coface before its faces, gives every stalk and transition (de Silva,
+    Morozov and Vejdemo-Johansson 2011; Bauer 2021).  A zero column starts
+    a class of degree dim sigma on strata level..0; a column with low i ends
+    the class started at i one stratum above its own level.  A transition
+    is the identity on the classes alive on both of its sides.
     """
     _check_function(K, h)
+    modp.check_prime(p)
     crit = tuple(sorted(set(h.values)))
-    degrees = range(K.dim + 1)
-    data = {q: ((), [], ()) for q in degrees}
-    maps = {q: [] for q in degrees}
-    for t in reversed(sample_points(crit)):
-        data = _relative_cohomology(K, sublevel_complex(K, h, t), p, data)
-        for q, (_, _, transition) in data.items():
-            maps[q].append(transition)
-    # back to bottom-up order; a transition has one row per representative,
-    # and the top sample's transition comes from nothing
-    open_dims = {q: tuple(len(m) for m in reversed(ms)) for q, ms in maps.items()}
-    maps = {q: tuple(reversed(ms[1:])) for q, ms in maps.items()}
+    rank = {v: r for r, v in enumerate(crit)}
+    level = {s: max(rank[h.values[v]] for v in s) for s in K.simplices}
+    order = sorted(K.simplices, key=lambda s: (-level[s], -len(s), s))
+    pos = {s: j for j, s in enumerate(order)}
+    cols: list[dict[int, int]] = [{} for _ in order]  # column j: coboundary of order[j]
+    for j, tau in enumerate(order):
+        for f, sign in _facet_signs(tau):
+            cols[pos[f]][j] = sign % p
+    owner: dict[int, int] = {}  # low row -> the column whose reduced form ends there
+    for j, col in enumerate(cols):
+        while col:
+            low = max(col)
+            if low not in owner:
+                owner[low] = j
+                break
+            other = cols[owner[low]]
+            factor = (col[low] * pow(other[low], -1, p)) % p
+            for row, val in other.items():
+                nv = (col.get(row, 0) - factor * val) % p
+                if nv:
+                    col[row] = nv
+                else:
+                    del col[row]
+    # (degree, lowest stratum, highest stratum) of each class alive somewhere
+    spans = [(len(s) - 1, level[order[owner[j]]] + 1 if j in owner else 0, level[s])
+             for j, s in enumerate(order) if not cols[j]]
+    spans = [x for x in spans if x[1] <= x[2]]
+    open_dims, maps = {}, {}
+    for q in range(K.dim + 1):
+        alive = [[n for n, (d, a, b) in enumerate(spans) if d == q and a <= t <= b] for t in range(len(crit) + 1)]
+        open_dims[q] = tuple(map(len, alive))
+        maps[q] = tuple(
+            tuple(tuple(int(x == y) for y in right) for x in left) for left, right in zip(alive, alive[1:])
+        )
     return StratModel(crit, open_dims, maps, p)
 
 

@@ -65,7 +65,9 @@ class StratModel:
         for deg, dims in self.open_dims.items():
             if len(dims) != k + 1:
                 raise ValidationError("open_dims must cover k+1 open strata")
-            ms = self.maps.get(deg, tuple(() for _ in range(k)))
+            if deg not in self.maps:
+                raise ValidationError(f"no transition matrices for degree {deg}")
+            ms = self.maps[deg]
             if len(ms) != k:
                 raise ValidationError("need one transition matrix per critical value")
             for i, m in enumerate(ms):

@@ -323,6 +323,9 @@ _BIG_MULT = json.dumps({"bars": [dict(GOOD_BAR, mult=10**30)]})
         (["domain", "ball", "--n", "3", "--r", "7", "--spec-json", '{"ellipsoid":{"n":2,"r":"1","R":"2"}}',
           "--invariant", "4"], None, None),
         (["domain", "--spec-json", '{"ball":{"n":1,"r":"1"}}', "--r", "2", "--invariant", "1"], None, None),
+        (["--field", str(10**400), "morse", "sublevel", "@"], "3 3\n0 1 2\n2 0 1\n2 1 2\n2 0 2\n", None),
+        (["--field", "1000000000000000003", "morse", "sheaf", "@"], "3 3\n0 1 2\n2 0 1\n2 1 2\n2 0 2\n", None),
+        (["morse", "sublevel", "@"], "3 3\n0 1 2\n2 0 1\n2 1 2\n2 0 2\n", str(10**400)),
     ]
     + [(argv, text, None) for argv, text in LONG_LITERAL_CASES],
     ids=[
@@ -338,7 +341,7 @@ _BIG_MULT = json.dumps({"bars": [dict(GOOD_BAR, mult=10**30)]})
         "exponent-json-rational", "exponent-complex-json", "exponent-complex-off",
         "tmax-strata-cap", "tmax-strata-cap-huge", "eigen-M-cap", "cone-M-cap",
         "dist-mult-past-int-index", "plot-mult-past-int-index", "svg-mult-cap", "ops-svg-mult-cap",
-        "spec-json-with-kind", "spec-json-with-r",
+        "spec-json-with-kind", "spec-json-with-r", "field-huge", "field-past-cap", "field-env-huge",
     ]
     + LONG_LITERAL_IDS,
 )

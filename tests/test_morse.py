@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -327,6 +328,25 @@ def random_values(rng, n):
     return morse.VertexFunction(tuple(F(rng.randint(-spread, spread), rng.randint(1, 2)) for _ in range(n)))
 
 
+def composite_ranks(model):
+    """Rank of every composite V_j -> V_i, per degree.  With the stalk dims
+    this is the complete isomorphism invariant of a type-A quiver
+    representation, so equal ranks mean an equal decomposition."""
+    out = {}
+    for q, ms in model.maps.items():
+        for j in range(len(ms) + 1):
+            m = modp.identity(model.open_dims[q][j])
+            for i in range(j - 1, -1, -1):
+                m = modp.mat_mul(ms[i], m, model.p)
+                out[q, i, j] = modp.rank(m, model.p)
+    return out
+
+
+def assert_isomorphic(a, b):
+    assert a.critical == b.critical and a.open_dims == b.open_dims
+    assert composite_ranks(a) == composite_ranks(b)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_fast_paths_match_reference(rng, p):
     for K in random_complexes(rng):
@@ -338,7 +358,23 @@ def test_fast_paths_match_reference(rng, p):
             pairs, essential = morse._reduce_boundary(order, p)
             ref_pairs, ref_essential = ref_reduce_boundary(order, p)
             assert set(pairs) == set(ref_pairs) and set(essential) == set(ref_essential)
-            assert morse.sheaf_route_model(K, f, p) == ref_sheaf_route_model(K, f, p)
+            assert_isomorphic(morse.sheaf_route_model(K, f, p), ref_sheaf_route_model(K, f, p))
+
+
+def test_sheaf_route_scales(rng):
+    # a 12x12 torus (864 simplices) under a tent-plus-noise function with
+    # 62 distinct values: one coboundary reduction, not one elimination per
+    # stratum, keeps the two-route check well under 2 s
+    n = 12
+    K = grid_torus(n)
+    tent = [min(i, n - i) for i in range(n)]
+    h = morse.VertexFunction(tuple(F(8 * a + 5 * b + rng.randint(0, 20), 4) for a in tent for b in tent))
+    start = time.perf_counter()
+    b = morse.sheaf_route_barcode(K, h)
+    assert time.perf_counter() - start < 2
+    # H^*(K) of the torus lives on the lowest stratum; the noise adds 19 bars
+    assert sorted(x.degree for x in b.bars if isinstance(x.interval.lo.value, Infinity)) == [0, 1, 1, 2]
+    assert len(b.bars) == 23
 
 
 # --- fronts -------------------------------------------------------------------

@@ -219,6 +219,9 @@ def test_malformed_shapes_rejected():
         StratModel((F(0),), {0: (1, 1)}, {0: (((1, 1),),)}, 2)
     with pytest.raises(ValidationError):
         StratModel((F(1), F(0)), {0: (0, 0, 0)}, {0: ((), ())}, 2)
+    # a degree with stalks but no transition matrices at all
+    with pytest.raises(ValidationError):
+        StratModel((F(0),), {0: (0, 1)}, {}, 2)
 
 
 # --- RHom zigzag oracle -----------------------------------------------------

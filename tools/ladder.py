@@ -1,0 +1,125 @@
+"""Size ladder: how each heavy subcommand's time grows with its input.
+
+For each kind below, runs one job per step in-process through
+``sheafcalc.cli.main``, doubling the input size from step to step until a
+step takes longer than ``--cap`` seconds.  Inputs come from the benchmark's
+generators in ``perfbench/workloads`` and are seeded by kind and step, so
+every run sees the same inputs:
+
+    sheaf, sublevel  ``morse sheaf`` / ``morse sublevel`` on an n x n grid
+                     torus (``grid_torus``, ``torus_values``); the size is
+                     its 6 n^2 simplices, n = 4, 6, 8, 11, 16, 23, ...
+    dist             ``dist`` on a barcode of n bars in one degree and its
+                     ``perturb``-ed copy (``tamarkin_bars``); size n
+    convolve         ``ops convolve`` of two n-bar barcodes in degrees 0-2
+                     (``tamarkin_bars``); size n
+
+It prints one line per step (kind, n, size, seconds, and the log-log slope
+from the step before) and, after each kind's steps, the least-squares
+log-log slope of time against size over all of them.  A slope near 1 is linear time,
+near 2 quadratic.  This is a report with no bounds; it exits 1 only if a
+job fails.
+
+    python3 tools/ladder.py --cap 2
+    python3 tools/ladder.py --cap 2 --root ../other-checkout
+
+``--root`` names the checkout whose ``src/`` and ``perfbench/`` are used
+(default: the one holding this script).  Nothing under ``perfbench/`` is
+written to.
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import math
+import os
+import random
+import shutil
+import sys
+import tempfile
+import time
+
+from job_digests import run_job
+
+
+def morse_step(route):
+    def step(workloads, rng, k, workdir):
+        n = round(4 * 2 ** (k / 2))
+        nv, tris = workloads.grid_torus(n)
+        path = os.path.join(workdir, "torus.off")
+        with open(path, "w") as fh:
+            fh.write(workloads.off_text(nv, workloads.torus_values(rng, n), tris))
+        return n, 6 * n * n, ["morse", route, path]
+
+    return step
+
+
+def dist_step(workloads, rng, k, workdir):
+    n = 25 * 2**k
+    a = workloads.tamarkin_bars(rng, n, 1, top=40)
+    b = workloads.perturb(rng, a, 1)
+    return n, n, ["dist", workloads.write_barcode(workdir, "a.json", a), workloads.write_barcode(workdir, "b.json", b)]
+
+
+def convolve_step(workloads, rng, k, workdir):
+    n = 25 * 2**k
+    paths = [workloads.write_barcode(workdir, f"{x}.json", workloads.tamarkin_bars(rng, n, 3)) for x in "ab"]
+    return n, n, ["ops", "convolve", *paths]
+
+
+KINDS = {
+    "sheaf": morse_step("sheaf"),
+    "sublevel": morse_step("sublevel"),
+    "dist": dist_step,
+    "convolve": convolve_step,
+}
+
+
+def slope(points) -> float:
+    """Least-squares slope of log(seconds) against log(size)."""
+    xs = [math.log(size) for size, _ in points]
+    ys = [math.log(sec) for _, sec in points]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    var = sum((x - mx) ** 2 for x in xs)
+    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / var if var else float("nan")
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--root", default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    ap.add_argument("--cap", type=float, default=2.0, help="stop a kind after its first step past this many seconds")
+    args = ap.parse_args(argv)
+    root = os.path.abspath(args.root)
+    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
+    import workloads
+    from sheafcalc import cli
+
+    failed = False
+    print("kind n size seconds step_slope", flush=True)
+    for kind, make in KINDS.items():
+        points = []
+        workdir = tempfile.mkdtemp(prefix="ladder-")
+        try:
+            for k in itertools.count():
+                n, size, argv_ = make(workloads, random.Random(f"{kind}:{k}"), k, workdir)
+                start = time.perf_counter()
+                rc, _ = run_job(cli, argv_)
+                sec = time.perf_counter() - start
+                step = f"{slope(points[-1:] + [(size, sec)]):.2f}" if points else "-"
+                points.append((size, sec))
+                print(kind, n, size, f"{sec:.4f}", step, flush=True)
+                if rc != 0:
+                    print(f"{kind}: exit {rc} at n = {n}", file=sys.stderr)
+                    failed = True
+                    break
+                if sec > args.cap:
+                    break
+        finally:
+            shutil.rmtree(workdir, ignore_errors=True)
+        print(f"{kind} slope {slope(points):.2f} over sizes {points[0][0]}..{points[-1][0]} ({len(points)} steps)")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
