@@ -1,10 +1,11 @@
 """Dense linear algebra over a prime field F_p.
 
 Matrices are lists of row lists of ints in [0, p).  Plain Gaussian
-elimination serves every size in this package: the composite transition
-ranks of `stratmodel.decompose`, the Betti oracle `morse.betti_numbers` and
-the commutation constraints of `stratmodel.rhom_oracle`.  Exactness matters
-more than speed.  `row_echelon` returns the reduced form:
+elimination serves every size in this package: the one elimination per
+critical value in `stratmodel.decompose`, the Betti oracle
+`morse.betti_numbers` and the commutation constraints of
+`stratmodel.rhom_oracle`.  Exactness matters more than speed.
+`row_echelon` returns the reduced form:
 columns appended last change no pivot, and their coordinates in the pivot
 columns are read off the reduced rows.
 """
@@ -36,24 +37,6 @@ def identity(n: int) -> list[list[int]]:
     for i in range(n):
         m[i][i] = 1
     return m
-
-
-def mat_mul(a: list[list[int]], b: list[list[int]], p: int) -> list[list[int]]:
-    if a and b and len(a[0]) != len(b):
-        raise ValidationError("matrix shape mismatch in product")
-    rows, inner = len(a), len(b)
-    cols = len(b[0]) if b else 0
-    out = zeros(rows, cols)
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            v = ai[k]
-            if v:
-                bk = b[k]
-                for j in range(cols):
-                    oi[j] = (oi[j] + v * bk[j]) % p
-    return out
 
 
 def row_echelon(m: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:

@@ -37,9 +37,13 @@ from .intervals import (
     canonicalize,
     map_bars,
 )
-from .stratmodel import StratModel, decompose
+from .stratmodel import StratModel, decompose, interval_model
 
 Simplex = Tuple[int, ...]
+
+# a 91 x 91 grid torus (49,686 simplices) under a tent-plus-noise function
+# takes about 1 s in `morse sublevel` and 2.5 s in `morse sheaf` (2-vCPU VM)
+MAX_SIMPLICES = 50_000
 
 
 @dataclass(frozen=True)
@@ -49,12 +53,15 @@ class SimplicialComplex:
     The constructor holds the simplex rules, checked in one pass: a simplex
     is a tuple of 1 to 3 strictly increasing int vertices (not bools) in
     range(n_vertices), none is listed twice, and its facets are all listed.
+    More than MAX_SIMPLICES simplices are refused before any of that.
     """
 
     n_vertices: int
     simplices: Tuple[Simplex, ...]
 
     def __post_init__(self):
+        if len(self.simplices) > MAX_SIMPLICES:
+            raise ValidationError(f"complex has {len(self.simplices)} simplices, more than the cap of {MAX_SIMPLICES}")
         n = self.n_vertices
         try:
             present = set(self.simplices)
@@ -82,8 +89,9 @@ class SimplicialComplex:
                 raise ValidationError("only dimensions <= 2 are supported")
             if not all(type(v) is int for v in m):
                 raise ValidationError(f"simplex {_excerpt(m)} needs int vertices")
+            m = sorted(m)
             for k in range(1, len(m) + 1):
-                acc.update(combinations(sorted(m), k))
+                acc.update(combinations(m, k))
         return cls(n_vertices, tuple(sorted(acc, key=lambda s: (len(s), s))))
 
     def of_dim(self, q: int) -> list[Simplex]:
@@ -297,8 +305,7 @@ def sheaf_route_model(K: SimplicialComplex, h: VertexFunction, p: int = 2) -> St
     coface before its faces, gives every stalk and transition (de Silva,
     Morozov and Vejdemo-Johansson 2011; Bauer 2021).  A zero column starts
     a class of degree dim sigma on strata level..0; a column with low i ends
-    the class started at i one stratum above its own level.  A transition
-    is the identity on the classes alive on both of its sides.
+    the class started at i one stratum above its own level.
     """
     _check_function(K, h)
     modp.check_prime(p)
@@ -326,18 +333,11 @@ def sheaf_route_model(K: SimplicialComplex, h: VertexFunction, p: int = 2) -> St
                     col[row] = nv
                 else:
                     del col[row]
-    # (degree, lowest stratum, highest stratum) of each class alive somewhere
+    # (degree, lowest stratum, highest stratum) of each class; one that ends
+    # on the level it starts on spans no stratum
     spans = [(len(s) - 1, level[order[owner[j]]] + 1 if j in owner else 0, level[s])
              for j, s in enumerate(order) if not cols[j]]
-    spans = [x for x in spans if x[1] <= x[2]]
-    open_dims, maps = {}, {}
-    for q in range(K.dim + 1):
-        alive = [[n for n, (d, a, b) in enumerate(spans) if d == q and a <= t <= b] for t in range(len(crit) + 1)]
-        open_dims[q] = tuple(map(len, alive))
-        maps[q] = tuple(
-            tuple(tuple(int(x == y) for y in right) for x in left) for left, right in zip(alive, alive[1:])
-        )
-    return StratModel(crit, open_dims, maps, p)
+    return interval_model(crit, range(K.dim + 1), spans, p)
 
 
 def reindex_sheaf_degrees(b: GradedBarcode, n: int) -> GradedBarcode:

@@ -5,9 +5,11 @@ are of type [a,b) / [a,oo) / (-oo,b): stalk dimensions on the open strata
 cut out by the critical values, plus one transition matrix per critical
 value oriented right-to-left (the restriction maps that exist in that
 class).  A point stalk equals the stalk on the stratum to its right, so
-the model stores none.  `decompose` recovers the unique barcode by the
-standard rank-inclusion-exclusion of composite transition maps, which makes
-the model the brute-force oracle behind every derived expected value.
+the model stores none.  `interval_model` builds the model of a sum of
+interval modules, from a barcode or from the classes the sheaf route lists,
+and `decompose` recovers the unique barcode by one elder-rule sweep across
+the critical values (Zomorodian-Carlsson 2005): linear algebra independent
+of the closed-form tables, behind every derived expected value.
 
 `rhom_oracle` works on the full exit-path presentation (point stalks
 mapping into the adjacent open-stratum stalks), valid for arbitrary
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from . import modp
 from .errors import ValidationError
@@ -92,65 +94,75 @@ def sample_points(critical: Sequence[Scalar]) -> list[Scalar]:
     return pts
 
 
+def interval_model(
+    critical: Sequence[Scalar], degrees: Iterable[int], classes: Iterable[Tuple[int, int, int]], p: int = 2
+) -> StratModel:
+    """StratModel of a sum of interval modules, one per class (degree,
+    lowest stratum, highest stratum) with a degree in `degrees`.  A class is
+    one basis vector on each stratum of its span (none if lowest > highest),
+    and a transition is the identity on the classes alive on both of its
+    sides and zero elsewhere."""
+    alive = {deg: [[] for _ in range(len(critical) + 1)] for deg in degrees}
+    for n, (deg, lo, hi) in enumerate(classes):
+        for s in range(lo, hi + 1):
+            alive[deg][s].append(n)
+    open_dims = {deg: tuple(map(len, a)) for deg, a in alive.items()}
+    maps = {
+        deg: tuple(tuple(tuple(int(x == y) for y in right) for x in left) for left, right in zip(a, a[1:]))
+        for deg, a in alive.items()
+    }
+    return StratModel(tuple(critical), open_dims, maps, p)
+
+
 def from_barcode(b: GradedBarcode, p: int = 2) -> StratModel:
     """Present a Tamarkin-class barcode on the stratification of its spec.
 
-    Each unit of multiplicity is one basis vector, alive on the strata its
-    interval meets; a transition is the identity on the vectors alive at
-    both sample points and zero elsewhere.
+    Each unit of multiplicity is one class: [l_i, l_j) is alive on strata
+    i..j-1 and [l_i, oo) on strata i..k, in the 1-based numbering of
+    `StratModel`.
     """
     require_tamarkin(b, "from_barcode")
     cb = canonicalize(b)
     crit = tuple(spec(cb))
-    pts = sample_points(crit)
-    units = expanded_bars(cb)
-    open_dims: dict = {}
-    maps: dict = {}
-    for deg in sorted({d for _, d in units}):
-        ivs = [iv for iv, d in units if d == deg]
-        alive = [[n for n, iv in enumerate(ivs) if iv.contains(t)] for t in pts]
-        open_dims[deg] = tuple(map(len, alive))
-        maps[deg] = tuple(
-            tuple(tuple(int(a == c) for c in right) for a in left)
-            for left, right in zip(alive, alive[1:])
-        )
-    return StratModel(crit, open_dims, maps, p)
+    index = {c: n for n, c in enumerate(crit)}  # PiRational(0, s) hashes as Fraction(s)
+    classes = [
+        (deg, index[iv.lo.value] + 1, index[iv.hi.value] if iv.hi.finite else len(crit))
+        for iv, deg in expanded_bars(cb)
+    ]
+    return interval_model(crit, sorted({deg for deg, _, _ in classes}), classes, p)
 
 
 def decompose(model: StratModel) -> GradedBarcode:
-    """Unique barcode of a StratModel via composite-rank inclusion-exclusion.
+    """Unique barcode of a StratModel by one sweep from stratum k down to 0.
 
-    With r(i,j) the rank of the composite V_j -> V_i (and 0 out of range),
-    the multiplicity of the bar alive exactly on strata i..j is
-    r(i,j) - r(i-1,j) - r(i,j+1) + r(i-1,j+1).  Stratum 0 opens the bar at
-    -oo, stratum k closes it at +oo, otherwise bars are [l_i, l_{j+1}).
+    The live classes, each tagged with the stratum it was born on, are kept
+    eldest first as vectors of the current stratum.  Across each critical
+    value, one elimination of [their images | identity] keeps its pivot
+    columns: a class whose image lies in its elders' span ends on the
+    stratum above (the elder rule), and the kept unit vectors are born on
+    the new stratum.  The live classes stay a basis in which those born on
+    stratum j or above span the image of V_j, so the bars count every
+    composite rank.  Stratum 0 opens a bar at -oo, stratum k closes it at
+    +oo, otherwise the bar on strata i..j is [l_i, l_{j+1}).
     """
-    crit = model.critical
-    k = len(crit)
-    p = model.p
-    bars: list[GradedBar] = []
+    crit, k, p = model.critical, len(model.critical), model.p
+    spans = []  # (degree, lowest stratum, highest stratum)
     for deg in model.degrees():
         dims = model.open_dims[deg]
-        if not any(dims):
-            continue
-        ms = model.maps[deg]
-        comp: dict[tuple[int, int], list[list[int]]] = {}
-        for j in range(k + 1):
-            comp[(j, j)] = modp.identity(dims[j])
-            for i in range(j - 1, -1, -1):
-                comp[(i, j)] = modp.mat_mul(ms[i], comp[(i + 1, j)], p)
-        r = {ij: modp.rank(m, p) for ij, m in comp.items()}  # absent (out of range): 0
-        for i in range(k + 1):
-            for j in range(i, k + 1):
-                mult = r[i, j] - r.get((i - 1, j), 0) - r.get((i, j + 1), 0) + r.get((i - 1, j + 1), 0)
-                if mult < 0:
-                    raise ValidationError("model is not interval-decomposable")
-                if mult == 0:
-                    continue
-                lo = Endpoint(NEG_INF, False) if i == 0 else Endpoint(crit[i - 1], True)
-                hi = Endpoint(POS_INF, False) if j == k else Endpoint(crit[j], False)
-                bars.append(GradedBar(Interval(lo, hi), deg, mult))
-    return canonicalize(GradedBarcode(tuple(bars)))
+        live = [(k, e) for e in modp.identity(dims[k])]  # (birth stratum, vector)
+        for i in range(k - 1, -1, -1):
+            rows = [[(c, a) for c, a in enumerate(row) if a] for row in model.maps[deg][i]]
+            images = [[sum(a * v[c] for c, a in row) % p for row in rows] for _, v in live]
+            unit = modp.identity(dims[i])
+            _, pivots = modp.row_echelon([[w[r] for w in images] + unit[r] for r in range(dims[i])], p)
+            kept = set(pivots)
+            spans += [(deg, i + 1, born) for c, (born, _) in enumerate(live) if c not in kept]
+            n = len(live)
+            live = [(live[c][0], images[c]) if c < n else (i, unit[c - n]) for c in pivots]
+        spans += [(deg, 0, born) for born, _ in live]
+    lows = [Endpoint(NEG_INF, False)] + [Endpoint(c, True) for c in crit]
+    highs = [Endpoint(c, False) for c in crit] + [Endpoint(POS_INF, False)]
+    return canonicalize(GradedBarcode(tuple(GradedBar(Interval(lows[lo], highs[hi]), deg) for deg, lo, hi in spans)))
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,26 @@ def rand_tamarkin_barcode(
     return sc.barcode(*bars)
 
 
+def mat_mul(a, b, p):
+    """Dense product of row-list matrices over F_p, for the references that
+    build composite transition maps."""
+    if a and b and len(a[0]) != len(b):
+        raise ValueError("matrix shape mismatch in product")
+    rows, inner = len(a), len(b)
+    cols = len(b[0]) if b else 0
+    out = [[0] * cols for _ in range(rows)]
+    for i in range(rows):
+        ai = a[i]
+        oi = out[i]
+        for k in range(inner):
+            v = ai[k]
+            if v:
+                bk = b[k]
+                for j in range(cols):
+                    oi[j] = (oi[j] + v * bk[j]) % p
+    return out
+
+
 def stratum_samples(b: sc.GradedBarcode):
     """Event values plus one interior point per stratum and both tails."""
     s = sc.spec(b)

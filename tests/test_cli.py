@@ -263,6 +263,8 @@ LONG_LITERAL_IDS = ["long-literal-scalar", "long-literal-barcode-json", "long-li
 # one bar counted past the 20,000-bar expansion cap, and past a list index
 _PAST_CAP_MULT = json.dumps({"bars": [dict(GOOD_BAR, mult=20_001)]})
 _BIG_MULT = json.dumps({"bars": [dict(GOOD_BAR, mult=10**30)]})
+# a circle on 25,001 vertices has 50,002 simplices, past the 50,000-simplex cap
+_PAST_CAP_CIRCLE = json.dumps({"values": [0] * 25_001, "simplices": [[i, (i + 1) % 25_001] for i in range(25_001)]})
 
 
 @pytest.mark.parametrize(
@@ -326,6 +328,8 @@ _BIG_MULT = json.dumps({"bars": [dict(GOOD_BAR, mult=10**30)]})
         (["--field", str(10**400), "morse", "sublevel", "@"], "3 3\n0 1 2\n2 0 1\n2 1 2\n2 0 2\n", None),
         (["--field", "1000000000000000003", "morse", "sheaf", "@"], "3 3\n0 1 2\n2 0 1\n2 1 2\n2 0 2\n", None),
         (["morse", "sublevel", "@"], "3 3\n0 1 2\n2 0 1\n2 1 2\n2 0 2\n", str(10**400)),
+        (["morse", "sublevel", "@"], _PAST_CAP_CIRCLE, None),
+        (["morse", "sheaf", "@"], _PAST_CAP_CIRCLE, None),
     ]
     + [(argv, text, None) for argv, text in LONG_LITERAL_CASES],
     ids=[
@@ -342,6 +346,7 @@ _BIG_MULT = json.dumps({"bars": [dict(GOOD_BAR, mult=10**30)]})
         "tmax-strata-cap", "tmax-strata-cap-huge", "eigen-M-cap", "cone-M-cap",
         "dist-mult-past-int-index", "plot-mult-past-int-index", "svg-mult-cap", "ops-svg-mult-cap",
         "spec-json-with-kind", "spec-json-with-r", "field-huge", "field-past-cap", "field-env-huge",
+        "complex-past-simplex-cap", "sheaf-past-simplex-cap",
     ]
     + LONG_LITERAL_IDS,
 )

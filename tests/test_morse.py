@@ -10,6 +10,8 @@ from sheafcalc.exactnum import Infinity
 from sheafcalc.intervals import stalk
 from sheafcalc.stratmodel import StratModel, sample_points
 
+from conftest import mat_mul
+
 
 def circle(n: int) -> morse.SimplicialComplex:
     return morse.SimplicialComplex.from_maximal(n, [(i, (i + 1) % n) for i in range(n)])
@@ -337,7 +339,7 @@ def composite_ranks(model):
         for j in range(len(ms) + 1):
             m = modp.identity(model.open_dims[q][j])
             for i in range(j - 1, -1, -1):
-                m = modp.mat_mul(ms[i], m, model.p)
+                m = mat_mul(ms[i], m, model.p)
                 out[q, i, j] = modp.rank(m, model.p)
     return out
 
@@ -375,6 +377,16 @@ def test_sheaf_route_scales(rng):
     # H^*(K) of the torus lives on the lowest stratum; the noise adds 19 bars
     assert sorted(x.degree for x in b.bars if isinstance(x.interval.lo.value, Infinity)) == [0, 1, 1, 2]
     assert len(b.bars) == 23
+    # a 16x16 torus under 256 distinct shuffled values has 256 strata: one
+    # sweep across the critical values, not a rank per pair of strata
+    n = 16
+    values = list(range(n * n))
+    rng.shuffle(values)
+    start = time.perf_counter()
+    b = morse.sheaf_route_barcode(grid_torus(n), vf(*values))
+    assert time.perf_counter() - start < 2
+    assert sorted(x.degree for x in b.bars if isinstance(x.interval.lo.value, Infinity)) == [0, 1, 1, 2]
+    assert sum(x.mult for x in b.bars) > 40
 
 
 # --- fronts -------------------------------------------------------------------

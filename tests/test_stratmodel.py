@@ -9,7 +9,15 @@ import sheafcalc as sc
 from sheafcalc import modp
 from sheafcalc.errors import ValidationError
 from sheafcalc.exactnum import NEG_INF, POS_INF, PiRational, is_finite
-from sheafcalc.intervals import canonicalize, finite_ends, spec
+from sheafcalc.intervals import (
+    Endpoint,
+    GradedBar,
+    GradedBarcode,
+    Interval,
+    canonicalize,
+    finite_ends,
+    spec,
+)
 from sheafcalc.stratmodel import (
     _GERM_AMBIENT,
     StratModel,
@@ -21,7 +29,7 @@ from sheafcalc.stratmodel import (
     sample_points,
 )
 
-from conftest import mixed_scalars, rand_tamarkin_barcode, random_interval, twin
+from conftest import mat_mul, mixed_scalars, rand_tamarkin_barcode, random_interval, twin
 
 
 def test_from_barcode_half_line():
@@ -84,7 +92,81 @@ def test_decompose_left_infinite_stratum():
 def test_round_trip_random(rng):
     for _ in range(100):
         b = rand_tamarkin_barcode(rng, max_bars=10, degrees=(0, 1, 2), lo=-20, hi=20, max_len=20)
-        assert decompose(from_barcode(b)) == b
+        m = from_barcode(b)
+        assert decompose(m) == ref_decompose(m) == b
+
+
+# --- the composite-rank decomposition, kept as the reference the sweep replaced
+
+
+def ref_decompose(model: StratModel) -> GradedBarcode:
+    """Unique barcode of a StratModel via composite-rank inclusion-exclusion.
+
+    With r(i,j) the rank of the composite V_j -> V_i (and 0 out of range),
+    the multiplicity of the bar alive exactly on strata i..j is
+    r(i,j) - r(i-1,j) - r(i,j+1) + r(i-1,j+1).  Stratum 0 opens the bar at
+    -oo, stratum k closes it at +oo, otherwise bars are [l_i, l_{j+1}).
+    A brute-force oracle: every composite is built and ranked.
+    """
+    crit = model.critical
+    k = len(crit)
+    p = model.p
+    bars: list[GradedBar] = []
+    for deg in model.degrees():
+        dims = model.open_dims[deg]
+        if not any(dims):
+            continue
+        ms = model.maps[deg]
+        comp: dict[tuple[int, int], list[list[int]]] = {}
+        for j in range(k + 1):
+            comp[(j, j)] = modp.identity(dims[j])
+            for i in range(j - 1, -1, -1):
+                comp[(i, j)] = mat_mul(ms[i], comp[(i + 1, j)], p)
+        r = {ij: modp.rank(m, p) for ij, m in comp.items()}  # absent (out of range): 0
+        for i in range(k + 1):
+            for j in range(i, k + 1):
+                mult = r[i, j] - r.get((i - 1, j), 0) - r.get((i, j + 1), 0) + r.get((i - 1, j + 1), 0)
+                if mult < 0:
+                    raise ValidationError("model is not interval-decomposable")
+                if mult == 0:
+                    continue
+                lo = Endpoint(NEG_INF, False) if i == 0 else Endpoint(crit[i - 1], True)
+                hi = Endpoint(POS_INF, False) if j == k else Endpoint(crit[j], False)
+                bars.append(GradedBar(Interval(lo, hi), deg, mult))
+    return canonicalize(GradedBarcode(tuple(bars)))
+
+
+def random_model(rng):
+    """A StratModel with uniformly random transition matrices over F_2, F_3
+    or F_5: 0-6 critical values, stalk dims 0-4 (zero dims common) and up to
+    three degrees, one of them possibly zero everywhere."""
+    p = rng.choice((2, 3, 5))
+    k = rng.randint(0, 6)
+    crit = tuple(F(c) for c in sorted(rng.sample(range(-10, 11), k)))
+    open_dims, maps = {}, {}
+    for deg in rng.sample(range(-1, 3), rng.randint(1, 3)):
+        top = rng.choice((0, 1, 2, 4))
+        dims = tuple(rng.randint(0, top) for _ in range(k + 1))
+        open_dims[deg] = dims
+        maps[deg] = tuple(
+            tuple(tuple(rng.randrange(p) for _ in range(dims[i + 1])) for _ in range(dims[i])) for i in range(k)
+        )
+    return StratModel(crit, open_dims, maps, p)
+
+
+def test_decompose_matches_composite_rank_reference():
+    rng = random.Random(0xDEC0)
+    total = 0
+    for _ in range(2400):
+        m = random_model(rng)
+        got = decompose(m)
+        assert got == ref_decompose(m)
+        # each unit of the barcode is one basis vector of the stalk it covers
+        assert sum(map(sum, m.open_dims.values())) == sum(
+            x.mult * sum(x.interval.contains(t) for t in sample_points(m.critical)) for x in got.bars
+        )
+        total += got.total_mult()
+    assert total > 5000
 
 
 # --- the flag-list from_barcode, kept as the reference the index form replaced

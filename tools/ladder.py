@@ -9,6 +9,8 @@ every run sees the same inputs:
     sheaf, sublevel  ``morse sheaf`` / ``morse sublevel`` on an n x n grid
                      torus (``grid_torus``, ``torus_values``); the size is
                      its 6 n^2 simplices, n = 4, 6, 8, 11, 16, 23, ...
+    sheaf-distinct   ``morse sheaf`` on the same tori under n^2 distinct
+                     shuffled vertex values, one stratum per vertex
     dist             ``dist`` on a barcode of n bars in one degree and its
                      ``perturb``-ed copy (``tamarkin_bars``); size n
     convolve         ``ops convolve`` of two n-bar barcodes in degrees 0-2
@@ -17,8 +19,9 @@ every run sees the same inputs:
 It prints one line per step (kind, n, size, seconds, and the log-log slope
 from the step before) and, after each kind's steps, the least-squares
 log-log slope of time against size over all of them.  A slope near 1 is linear time,
-near 2 quadratic.  This is a report with no bounds; it exits 1 only if a
-job fails.
+near 2 quadratic.  A morse kind stops before a torus with more simplices
+than ``morse.MAX_SIMPLICES``, which the CLI refuses.  This is a report with
+no bounds; it exits 1 only if a job fails.
 
     python3 tools/ladder.py --cap 2
     python3 tools/ladder.py --cap 2 --root ../other-checkout
@@ -43,16 +46,26 @@ import time
 from job_digests import run_job
 
 
-def morse_step(route):
+def morse_step(route, values):
     def step(workloads, rng, k, workdir):
         n = round(4 * 2 ** (k / 2))
         nv, tris = workloads.grid_torus(n)
         path = os.path.join(workdir, "torus.off")
         with open(path, "w") as fh:
-            fh.write(workloads.off_text(nv, workloads.torus_values(rng, n), tris))
+            fh.write(workloads.off_text(nv, values(workloads, rng, n), tris))
         return n, 6 * n * n, ["morse", route, path]
 
     return step
+
+
+def tent_values(workloads, rng, n):
+    return workloads.torus_values(rng, n)
+
+
+def distinct_values(workloads, rng, n):
+    values = list(range(n * n))
+    rng.shuffle(values)
+    return values
 
 
 def dist_step(workloads, rng, k, workdir):
@@ -69,8 +82,9 @@ def convolve_step(workloads, rng, k, workdir):
 
 
 KINDS = {
-    "sheaf": morse_step("sheaf"),
-    "sublevel": morse_step("sublevel"),
+    "sheaf": morse_step("sheaf", tent_values),
+    "sheaf-distinct": morse_step("sheaf", distinct_values),
+    "sublevel": morse_step("sublevel", tent_values),
     "dist": dist_step,
     "convolve": convolve_step,
 }
@@ -93,8 +107,9 @@ def main(argv=None) -> int:
     root = os.path.abspath(args.root)
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
     import workloads
-    from sheafcalc import cli
+    from sheafcalc import cli, morse
 
+    max_simplices = getattr(morse, "MAX_SIMPLICES", math.inf)  # a checkout older than the cap has none
     failed = False
     print("kind n size seconds step_slope", flush=True)
     for kind, make in KINDS.items():
@@ -103,6 +118,9 @@ def main(argv=None) -> int:
         try:
             for k in itertools.count():
                 n, size, argv_ = make(workloads, random.Random(f"{kind}:{k}"), k, workdir)
+                if argv_[0] == "morse" and size > max_simplices:
+                    print(f"{kind}: stops before n = {n}, whose {size} simplices pass the cap of {max_simplices}")
+                    break
                 start = time.perf_counter()
                 rc, _ = run_job(cli, argv_)
                 sec = time.perf_counter() - start
