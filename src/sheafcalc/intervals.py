@@ -4,11 +4,15 @@ A barcode is a finite multiset of intervals with integer cohomological
 degrees ("degree d" = the degree where the one-dimensional stalk sits, so a
 shift [n] lowers the degree field by n).  Everything here is immutable and
 exact; canonical form is sorted-and-merged, and equality is canonical
-multiset equality.
+multiset equality.  `scaled_ends` is the one endpoint-scaling helper: when
+every finite end is a Fraction it holds each as an integer over one common
+denominator, which is what the canonical sort, the bilinear ops kernel and
+the bottleneck cost tables compute on.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Tuple
@@ -246,25 +250,55 @@ def bar(lo, hi, degree: int = 0, mult: int = 1, lo_closed=True, hi_closed=False)
 EMPTY = GradedBarcode(())
 
 
-def _bar_key(x: GradedBar) -> tuple:
-    # at equal values a closed left end sorts first, an open right end first
-    lo, hi = x.interval.lo, x.interval.hi
-    return (x.degree, lo.value, not lo.closed, hi.value, hi.closed)
+def scaled_ends(intervals: Iterable[Interval]) -> Tuple[list[tuple], Optional[int]]:
+    """Each interval as (lo, lo_closed, hi, hi_closed), on integers when it can.
+
+    When every finite end is a Fraction, scale is the lcm of their
+    denominators and each finite end x is held as the integer x * scale;
+    the infinities stay as they are, so order, equality and sums are those
+    of the values.  When some end is a PiRational, scale is None and the
+    values stay as they are: the same code then runs on exact scalars.
+    """
+    rows = [(i.lo.value, i.lo.closed, i.hi.value, i.hi.closed) for i in intervals]
+    values = [v for r in rows for v in (r[0], r[2])]
+    if not all(isinstance(v, (Fraction, Infinity)) for v in values):
+        return rows, None
+    ratios = [None if isinstance(v, Infinity) else v.as_integer_ratio() for v in values]
+    dens = {r[1] for r in ratios if r}
+    scale = math.lcm(*dens)
+    factor = {d: scale // d for d in dens}
+    ints = [v if r is None else r[0] * factor[r[1]] for v, r in zip(values, ratios)]
+    return [(lo, lc, hi, hc) for lo, hi, (_, lc, _, hc) in zip(ints[::2], ints[1::2], rows)], scale
 
 
 def canonicalize(b: GradedBarcode) -> GradedBarcode:
     """Sort by (degree, lo, hi) and merge equal bars into multiplicity; a
-    merged bar keeps the interval of the last bar of its (stable) run."""
-    out: list[GradedBar] = []
-    prev = None
-    for bar_ in sorted(b.bars, key=_bar_key):
-        key = _bar_key(bar_)
-        if key == prev:
-            out[-1] = GradedBar(bar_.interval, bar_.degree, out[-1].mult + bar_.mult)
-        else:
-            out.append(bar_)
-        prev = key
+    merged bar keeps the interval of the last bar of its (stable) run.
+
+    At equal values a closed left end sorts first, an open right end first.
+    The sort runs on the `scaled_ends` values, integers when every finite
+    end is a Fraction."""
+    ends, _ = scaled_ends(x.interval for x in b.bars)
+    keys = [(x.degree, lo, not lc, hi, hc) for x, (lo, lc, hi, hc) in zip(b.bars, ends)]
+    out = []
+    for k, mult in merge_runs(keys, [x.mult for x in b.bars]):
+        x = b.bars[k]
+        out.append(x if mult == x.mult else GradedBar(x.interval, x.degree, mult))
     return GradedBarcode(tuple(out))
+
+
+def merge_runs(keys: list, mults: list[int]) -> list[Tuple[int, int]]:
+    """Stable sort on keys, each run of equal keys as (index of its last
+    entry, sum of its mults): the one sort-and-merge of canonical form."""
+    out: list[Tuple[int, int]] = []
+    prev = None
+    for k in sorted(range(len(keys)), key=keys.__getitem__):
+        if keys[k] == prev:
+            out[-1] = (k, out[-1][1] + mults[k])
+        else:
+            out.append((k, mults[k]))
+        prev = keys[k]
+    return out
 
 
 # the expansion lists each bar mult times; past this many it stalls or overflows

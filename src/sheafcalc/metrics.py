@@ -12,10 +12,10 @@ distinct finite costs plus 0 are the only thresholds where feasibility can
 change, so `bottleneck` binary-searches their ranks, rebuilding the
 matching graph at each step from integer rank compares, and returns an
 exact scalar from that finite set.  Ends that are all Fractions are
-scaled to integers over a common denominator first, so the table costs
-integer differences.  `delta_matched` builds the same tables and maps
-its delta to a rank, so the search and the certificate see the same
-graph.  `brute_interleave` exhaustively searches interleaving morphism
+scaled to integers by `intervals.scaled_ends` and doubled first, so the
+table costs integer differences and integer half lengths.
+`delta_matched` builds the same tables and maps its delta to a rank, so
+the search and the certificate see the same graph.  `brute_interleave` exhaustively searches interleaving morphism
 pairs over F_2 and exists purely as an acceptance oracle for the
 isometry theorem.
 """
@@ -23,7 +23,6 @@ isometry theorem.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
@@ -36,8 +35,9 @@ from .intervals import (
     Interval,
     canonicalize,
     expanded_bars,
+    scaled_ends,
 )
-from .ops import _lcro, torsion
+from .ops import _interval, _lcro, torsion
 
 
 @dataclass(frozen=True)
@@ -72,24 +72,8 @@ def _pair_cost(a: tuple, b: tuple):
     return hi if hi > lo else lo
 
 
-def _scaled_ends(bars: Sequence[Interval]) -> Tuple[list[tuple], Optional[int]]:
-    """Each bar's (lo, hi), as integers when every finite end is a Fraction.
-
-    Then each finite end x becomes x * scale, with scale twice the lcm of
-    the denominators, so that end gaps and half lengths are exact integer
-    differences; scale is None, and the ends stay as they are, when some
-    end is a PiRational.
-    """
-    ends = [(iv.lo.value, iv.hi.value) for iv in bars]
-    finite = [x for e in ends for x in e if not isinstance(x, Infinity)]
-    if not all(isinstance(x, Fraction) for x in finite):
-        return ends, None
-    scale = 2 * math.lcm(*(x.denominator for x in finite))
-
-    def key(x):
-        return x if isinstance(x, Infinity) else x.numerator * (scale // x.denominator)
-
-    return [(key(lo), key(hi)) for lo, hi in ends], scale
+def _twice(x):
+    return x if isinstance(x, Infinity) else 2 * x
 
 
 class _CostTable:
@@ -103,7 +87,12 @@ class _CostTable:
     """
 
     def __init__(self, left: Sequence[Interval], right: Sequence[Interval]):
-        ends, scale = _scaled_ends(list(left) + list(right))
+        rows, scale = scaled_ends(list(left) + list(right))
+        ends = [(lo, hi) for lo, _, hi, _ in rows]
+        if scale:
+            # doubled, so that half lengths are integers too
+            ends = [(_twice(lo), _twice(hi)) for lo, hi in ends]
+            scale *= 2
         lends, rends = ends[: len(left)], ends[len(left) :]
 
         def erase_cost(e):
@@ -457,9 +446,9 @@ def cone_of_morphism(v: GradedBarcode, w: GradedBarcode, plan: MorphismPlan) -> 
         c, d = ti.lo.value, ti.hi.value
         ker, coker = _lcro(d, b), _lcro(c, a)
         if ker is not None:
-            out.append(GradedBar(ker, sd, 1))
+            out.append(GradedBar(_interval(ker), sd, 1))
         if coker is not None:
-            out.append(GradedBar(coker, sd + 1, 1))
+            out.append(GradedBar(_interval(coker), sd + 1, 1))
     for k, (iv, deg) in enumerate(ev):
         if k not in matched_s:
             out.append(GradedBar(iv, deg, 1))

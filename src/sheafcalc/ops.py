@@ -7,6 +7,10 @@ line with coefficients in the cut of the product by an antidiagonal, and
 the two cohomology tables are fixed from the short-exact-sequence
 computations for constant sheaves on intervals.
 
+The bilinear ops (convolve, convolve_np, hom_star, rhom_sheaf) share one
+kernel, `_bilinear`, which scales every finite end of both factors to an
+integer over one common denominator whenever all of them are Fractions.
+
 Degree convention: "degree d" is the cohomological degree carrying the
 stalk, so a shift [n] sends degree d bars to degree d - n.
 """
@@ -25,38 +29,45 @@ from .intervals import (
     GradedBarcode,
     HomSpace,
     Interval,
-    canonicalize,
+    canonicalize,  # re-exported: the benchmark's traced run wraps ops.canonicalize
     finite_ends,
     map_bars,
+    merge_runs,
     require_tamarkin,
+    scaled_ends,
     shift_deg,
     shift_t,
-    singleton as _singleton_interval,
 )
 
 
-def _lcro(lo: Extended, hi: Extended) -> Optional[Interval]:
+# An interval as (lo, lo_closed, hi, hi_closed): the pair rules take and
+# return this form, on the integer ends of `scaled_ends` or on exact values.
+Ends = Tuple[Extended, bool, Extended, bool]
+
+
+def _lcro(lo: Extended, hi: Extended) -> Optional[Ends]:
     """[lo, hi) with extended endpoints; None when empty."""
     if lo >= hi:
         return None
-    return Interval(
-        Endpoint(lo, is_finite(lo)),
-        Endpoint(hi, False),
-    )
+    return (lo, is_finite(lo), hi, False)
 
 
-def _is_left_infinite(i: Interval) -> bool:
-    return not i.lo.finite and not i.hi.closed and i.hi.finite
+def _interval(e: Ends) -> Interval:
+    return Interval(Endpoint(e[0], e[1]), Endpoint(e[2], e[3]))
 
 
-def _classify_factor(i: Interval) -> str:
-    if i.is_singleton:
+def _classify_factor(lo: Extended, lo_closed: bool, hi: Extended, hi_closed: bool) -> str:
+    if lo == hi:
         return "singleton"
-    if i.is_tamarkin():
+    if lo_closed and not hi_closed:
         return "tamarkin"
-    if _is_left_infinite(i):
+    if not is_finite(lo) and not hi_closed and is_finite(hi):
         return "left-infinite"
     return "other"
+
+
+def _factor_class(i: Interval) -> str:
+    return _classify_factor(i.lo.value, i.lo.closed, i.hi.value, i.hi.closed)
 
 
 # ---------------------------------------------------------------------------
@@ -65,30 +76,49 @@ def _classify_factor(i: Interval) -> str:
 
 def _require_factors(f: GradedBarcode, g: GradedBarcode, opname: str, allowed, error) -> None:
     for x in f.bars + g.bars:
-        if _classify_factor(x.interval) not in allowed:
+        if _factor_class(x.interval) not in allowed:
             raise error(f"{opname}: unsupported bar {x.interval}")
 
 
 def _bilinear(f: GradedBarcode, g: GradedBarcode, pair, contravariant: bool = False) -> GradedBarcode:
     """Extend a per-pair rule bilinearly over the bars of f and g.
 
-    pair(i, j) lists the (interval, degree offset) summands of one bar pair.
-    A summand sits in degree deg y + deg x + offset (deg y - deg x + offset
+    pair(i, j) lists the (ends, degree offset) summands of one bar pair.  A
+    summand sits in degree deg y + deg x + offset (deg y - deg x + offset
     when the operation is contravariant in f) with multiplicity
-    mult x * mult y.
+    mult x * mult y.  The rule runs on the `scaled_ends` of both factors,
+    so on integers whenever every finite end is a Fraction.  The summands
+    are sorted and merged by `merge_runs` on the `canonicalize` key, so
+    the result is canonical, and each distinct output value is built once.
     """
-    out: list[GradedBar] = []
-    for x in f.bars:
+    ends, scale = scaled_ends(x.interval for x in f.bars + g.bars)
+    g_ends = ends[len(f.bars) :]
+    keys, mults = [], []
+    for x, i in zip(f.bars, ends):
         dx = -x.degree if contravariant else x.degree
-        for y in g.bars:
+        for y, j in zip(g.bars, g_ends):
             deg, mult = y.degree + dx, x.mult * y.mult
-            for iv, off in pair(x.interval, y.interval):
-                out.append(GradedBar(iv, deg + off, mult))
-    return canonicalize(GradedBarcode(tuple(out)))
+            for (lo, lc, hi, hc), off in pair(i, j):
+                keys.append((deg + off, lo, not lc, hi, hc))
+                mults.append(mult)
+    values: dict = {}
+
+    def value(v):
+        if scale is None or isinstance(v, Infinity):
+            return v
+        if v not in values:
+            values[v] = Fraction(v, scale)
+        return values[v]
+
+    out = []
+    for k, mult in merge_runs(keys, mults):
+        deg, lo, lo_open, hi, hc = keys[k]
+        out.append(GradedBar(_interval((value(lo), not lo_open, value(hi), hc)), deg, mult))
+    return GradedBarcode(tuple(out))
 
 
-def _convolve_pair(i: Interval, j: Interval) -> list[Tuple[Interval, int]]:
-    """k_[a,b) * k_[c,d) as (interval, degree offset) summands.
+def _convolve_pair(i: Ends, j: Ends) -> list[Tuple[Ends, int]]:
+    """k_[a,b) * k_[c,d) as (ends, degree offset) summands.
 
     A singleton {s} acts as the shift by s.  The finite rule is the
     two-branch case split on b+c < a+d.  The same code serves infinite
@@ -96,17 +126,17 @@ def _convolve_pair(i: Interval, j: Interval) -> list[Tuple[Interval, int]]:
     ones dropped, and when b and d are both +oo, +oo < +oo is False and
     selects the second branch.
     """
-    if i.is_singleton:
-        return [(j.shift(i.lo.value), 0)]
-    if j.is_singleton:
-        return [(i.shift(j.lo.value), 0)]
-    a, b = i.lo.value, i.hi.value
-    c, d = j.lo.value, j.hi.value
+    a, _, b, _ = i
+    c, _, d, _ = j
+    if a == b:
+        return [((c + a, j[1], d + a, j[3]), 0)]
+    if c == d:
+        return [((a + c, i[1], b + c, i[3]), 0)]
     if b + c < a + d:
         cand = [(_lcro(a + c, b + c), 0), (_lcro(a + d, b + d), 1)]
     else:
         cand = [(_lcro(a + c, a + d), 0), (_lcro(b + c, b + d), 1)]
-    return [(iv, off) for iv, off in cand if iv is not None]
+    return [(e, off) for e, off in cand if e is not None]
 
 
 def convolve(f: GradedBarcode, g: GradedBarcode) -> GradedBarcode:
@@ -115,26 +145,23 @@ def convolve(f: GradedBarcode, g: GradedBarcode) -> GradedBarcode:
     return _bilinear(f, g, _convolve_pair)
 
 
-def _convolve_np_pair(i: Interval, j: Interval) -> list[Tuple[Interval, int]]:
-    ci, cj = _classify_factor(i), _classify_factor(j)
+def _convolve_np_pair(i: Ends, j: Ends) -> list[Tuple[Ends, int]]:
+    """Summands of a pair that `convolve_np` admits: no two (-oo,y) bars."""
+    ci, cj = _classify_factor(*i), _classify_factor(*j)
     if "singleton" in (ci, cj) or ci == cj == "tamarkin":
         # a shift, or a sum map that is proper on the support
         return _convolve_pair(i, j)
-    if cj == "left-infinite" and ci != "left-infinite":
-        i, j, ci, cj = j, i, cj, ci
-    if ci == "left-infinite" and cj == "tamarkin":
-        y = i.hi.value
-        c, d = j.lo.value, j.hi.value
-        if isinstance(d, Infinity):
-            # (-oo,y) *np [c,oo) = (-oo, y+c)
-            iv = _lcro(NEG_INF, y + c)
-            return [(iv, 0)] if iv is not None else []
-        # (-oo,y) *np [c,d) = k_[y+c, y+d)[-1]
-        iv = _lcro(y + c, y + d)
-        return [(iv, 1)] if iv is not None else []
-    raise ConvolutionTypeError(
-        f"non-proper convolution table has no entry for {i} * {j}"
-    )
+    if cj == "left-infinite":
+        i, j = j, i
+    y = i[2]
+    c, _, d, _ = j
+    if isinstance(d, Infinity):
+        # (-oo,y) *np [c,oo) = (-oo, y+c)
+        e = _lcro(NEG_INF, y + c)
+        return [(e, 0)] if e is not None else []
+    # (-oo,y) *np [c,d) = k_[y+c, y+d)[-1]
+    e = _lcro(y + c, y + d)
+    return [(e, 1)] if e is not None else []
 
 
 def convolve_np(f: GradedBarcode, g: GradedBarcode) -> GradedBarcode:
@@ -142,11 +169,17 @@ def convolve_np(f: GradedBarcode, g: GradedBarcode) -> GradedBarcode:
 
     Agrees with `convolve` whenever both factors have compact support; the
     non-compact entries were fixed against the ordinary-cohomology stalk
-    oracle.  Unsupported type combinations raise ConvolutionTypeError.
+    oracle.  Unsupported type combinations, among them a (-oo,y) bar on
+    both sides, raise ConvolutionTypeError before any pair is formed.
     """
     _require_factors(
         f, g, "convolve_np", ("tamarkin", "singleton", "left-infinite"), ConvolutionTypeError
     )
+    left = [[x.interval for x in h.bars if _factor_class(x.interval) == "left-infinite"] for h in (f, g)]
+    if left[0] and left[1]:
+        raise ConvolutionTypeError(
+            f"non-proper convolution table has no entry for {left[0][0]} * {left[1][0]}"
+        )
     return _bilinear(f, g, _convolve_np_pair)
 
 
@@ -159,7 +192,10 @@ def adjoint(f: GradedBarcode) -> GradedBarcode:
 
     Per bar: adjoint(k_[a,b) at degree d) = k_[-b,-a) at degree -d-1 (the
     reflection composed with the global shift [1]); adjoint(k_[a,oo)) is
-    k_(-oo,-a) one degree up.  An involution on graded barcodes.
+    k_(-oo,-a) one degree up.  An involution on barcodes of bounded bars
+    only: a (-oo,-a) bar is outside the [a,b)/[a,oo) class that adjoint
+    takes, so adjoint(adjoint(f)) raises TamarkinClassError once f has an
+    [a,oo) bar.
     """
     require_tamarkin(f, "adjoint")
     return map_bars(f, lambda x: (x.interval.reflect_swap(), -x.degree - 1))
@@ -186,10 +222,10 @@ def hom_star_pair_formula(i: Interval, j: Interval) -> list[Tuple[Interval, int]
     out = []
     first = _lcro(c - b, mid_lo)
     if first is not None:
-        out.append((first, -1))
+        out.append((_interval(first), -1))
     second = _lcro(mid_hi, d - a)
     if second is not None:
-        out.append((second, 0))
+        out.append((_interval(second), 0))
     return out
 
 
@@ -198,7 +234,7 @@ def hom_star_pair_formula(i: Interval, j: Interval) -> list[Tuple[Interval, int]
 
 
 def _rhom_target_ok(i: Interval) -> bool:
-    return i.is_tamarkin() or _is_left_infinite(i)
+    return _factor_class(i) in ("tamarkin", "left-infinite")
 
 
 def rhom_total(f: GradedBarcode, g: GradedBarcode) -> HomSpace:
@@ -234,18 +270,18 @@ def rhom_total(f: GradedBarcode, g: GradedBarcode) -> HomSpace:
     return HomSpace(acc)
 
 
-def _rhom_sheaf_pair(i: Interval, j: Interval) -> list[Tuple[Interval, int]]:
-    """Sheaf-valued RHom of a bar pair as (interval, degree offset) summands.
+def _rhom_sheaf_pair(i: Ends, j: Ends) -> list[Tuple[Ends, int]]:
+    """Sheaf-valued RHom of a bar pair as (ends, degree offset) summands.
 
     Case table for source [a,b) against [c,oo) and its truncations; the
     [a,oo) source column replaces the (a,b] outputs by (a,oo).  Outputs
     realize all four interval flavors and the singleton.
     """
-    a, b = i.lo.value, i.hi.value
-    c, d = j.lo.value, j.hi.value
+    a, _, b, _ = i
+    c, _, d, _ = j
 
     def of(lo, lo_cl, hi, hi_cl):
-        return Interval(Endpoint(lo, lo_cl and is_finite(lo)), Endpoint(hi, hi_cl and is_finite(hi)))
+        return (lo, lo_cl and is_finite(lo), hi, hi_cl and is_finite(hi))
 
     if d >= b:
         if c >= b:
@@ -261,7 +297,7 @@ def _rhom_sheaf_pair(i: Interval, j: Interval) -> list[Tuple[Interval, int]]:
     if d > a:
         return [(of(a, False, d, False), 0)]
     if d == a:
-        return [(_singleton_interval(a), 1)]
+        return [((a, True, a, True), 1)]
     return []
 
 

@@ -93,9 +93,7 @@ def test_criterion_02_convolution_oracle_and_anchors():
         # per-pair endpoint events must match the oracle's jump set
         for x in f.bars:
             for y in g.bars:
-                pair = sc.barcode(
-                    *[sc.GradedBar(iv, d) for iv, d in ops._convolve_pair(x.interval, y.interval)]
-                )
+                pair = ops.convolve(sc.barcode(sc.GradedBar(x.interval)), sc.barcode(sc.GradedBar(y.interval)))
                 for e in spec(pair):
                     prof = [
                         ops.stalk_oracle("proper", x.interval, y.interval, t)

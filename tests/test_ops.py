@@ -3,12 +3,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sheafcalc as sc
-from sheafcalc import ops
+from sheafcalc import cli, ops
 from sheafcalc.errors import ConvolutionTypeError, TamarkinClassError, ValidationError
-from sheafcalc.exactnum import NEG_INF, POS_INF, Infinity, cmp
-from sheafcalc.intervals import spec, stalk
+from sheafcalc.exactnum import NEG_INF, POS_INF, Infinity, PiRational, cmp, is_finite
+from sheafcalc.intervals import barcode_to_json, spec, stalk
 from sheafcalc.stratmodel import rhom_oracle, rhom_sheaf_stalk_oracle
 
 from conftest import mixed_scalars, rand_tamarkin_barcode, stratum_samples
@@ -63,6 +64,48 @@ def test_convolve_singleton_matches_oracle(rng):
             assert stalk(out, t) == ops.barcode_stalk_via_oracle("proper", f, s, t)
 
 
+# Laws of the calculus as properties, at most 4 bars a factor.  Ends are
+# rationals with denominators up to 4 or q*pi + s values, so both the integer
+# and the exact path of the kernel run.
+LAWS = settings(max_examples=60, deadline=None)
+law_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+law_ends = st.one_of(law_rationals, st.builds(PiRational, st.sampled_from([0, 1, -1]), law_rationals))
+
+
+def laws_barcodes(singletons=True, half_lines=True):
+    lengths = [st.fractions(min_value=F(1, 4), max_value=6, max_denominator=4)]
+    if singletons:
+        lengths.append(st.just(F(0)))
+    if half_lines:
+        lengths.append(st.just(POS_INF))
+
+    def make(lo, length, degree, mult):
+        iv = sc.singleton(lo) if length == 0 else sc.interval(lo, lo + length)
+        return sc.GradedBar(iv, degree, mult)
+
+    bar_ = st.builds(make, law_ends, st.one_of(*lengths), st.integers(-1, 2), st.integers(1, 2))
+    return st.lists(bar_, max_size=4).map(lambda bars: sc.barcode(*bars))
+
+
+@LAWS
+@given(laws_barcodes(), laws_barcodes())
+def test_convolve_is_commutative(f, g):
+    assert ops.convolve(f, g) == ops.convolve(g, f)
+
+
+@LAWS
+@given(laws_barcodes(), laws_barcodes(), laws_barcodes())
+def test_convolve_is_associative(f, g, h):
+    assert ops.convolve(ops.convolve(f, g), h) == ops.convolve(f, ops.convolve(g, h))
+
+
+@LAWS
+@given(laws_barcodes())
+def test_convolve_has_unit_k0(f):
+    assert ops.convolve(f, UNIT) == f
+    assert ops.convolve(UNIT, f) == f
+
+
 def test_convolve_commutative_associative(rng):
     for _ in range(40):
         f = rand_tamarkin_barcode(rng, max_bars=2)
@@ -105,7 +148,7 @@ def test_convolve_np_left_infinite_entries():
     assert ops.convolve_np(li, HALF_LINE) == li
     got = ops.convolve_np(bc(sc.bar("-inf", 0, lo_closed=False)), bc(sc.bar(0, 2)))
     assert got == bc(sc.bar(0, 2, degree=1))
-    with pytest.raises(ConvolutionTypeError):
+    with pytest.raises(ConvolutionTypeError, match=r"no entry for \(-inf,1\) \* \(-inf,1\)"):
         ops.convolve_np(li, li)
 
 
@@ -184,6 +227,20 @@ def test_adjoint_involution_on_finite_barcodes(rng):
     for _ in range(20):
         f = rand_tamarkin_barcode(rng, inf_p=0)
         assert ops.adjoint(ops.adjoint(f)) == f
+
+
+@LAWS
+@given(laws_barcodes(singletons=False, half_lines=False))
+def test_adjoint_is_an_involution_on_bounded_bars(f):
+    assert ops.adjoint(ops.adjoint(f)) == f
+
+
+def test_adjoint_twice_refuses_a_half_line():
+    # adjoint sends [a,oo) to (-oo,-a), which adjoint does not take as input
+    once = ops.adjoint(bc(sc.bar(0, 1), sc.bar(2, "+inf", degree=1)))
+    assert once == bc(sc.bar(-1, 0, degree=-1), sc.bar("-inf", -2, degree=-2, lo_closed=False))
+    with pytest.raises(TamarkinClassError):
+        ops.adjoint(once)
 
 
 def test_hom_star_anchors():
@@ -490,9 +547,259 @@ def test_per_pair_event_sets_match_spec(rng):
         g = rand_tamarkin_barcode(rng, max_bars=2, lo=0, hi=4, max_len=8)
         for x in f.bars:
             for y in g.bars:
-                conv = sc.barcode(
-                    *[sc.GradedBar(iv, d) for iv, d in ops._convolve_pair(x.interval, y.interval)]
-                )
+                conv = ops.convolve(bc(sc.GradedBar(x.interval)), bc(sc.GradedBar(y.interval)))
                 assert set(spec(conv)) == pair_events("proper", x.interval, y.interval)
                 hs = ops.hom_star(bc(sc.GradedBar(x.interval)), bc(sc.GradedBar(y.interval)))
                 assert set(spec(hs)) == pair_events("hom-star", x.interval, y.interval)
+
+
+# --- reference: the Interval-based kernel that the integer endpoint layer replaced
+#
+# Verbatim copies of the kernel before `ops._bilinear` ran its pair rules on
+# `scaled_ends` tuples, with the canonical form it ended in.  The kernel must
+# emit the same bytes, and keep the same value objects, on generated inputs.
+
+
+def ref_lcro(lo, hi):
+    """[lo, hi) with extended endpoints; None when empty."""
+    if lo >= hi:
+        return None
+    return sc.Interval(
+        sc.Endpoint(lo, is_finite(lo)),
+        sc.Endpoint(hi, False),
+    )
+
+
+def ref_is_left_infinite(i):
+    return not i.lo.finite and not i.hi.closed and i.hi.finite
+
+
+def ref_classify_factor(i):
+    if i.is_singleton:
+        return "singleton"
+    if i.is_tamarkin():
+        return "tamarkin"
+    if ref_is_left_infinite(i):
+        return "left-infinite"
+    return "other"
+
+
+def ref_bar_key(x):
+    # at equal values a closed left end sorts first, an open right end first
+    lo, hi = x.interval.lo, x.interval.hi
+    return (x.degree, lo.value, not lo.closed, hi.value, hi.closed)
+
+
+def ref_canonicalize(b):
+    """Sort by (degree, lo, hi) and merge equal bars into multiplicity; a
+    merged bar keeps the interval of the last bar of its (stable) run."""
+    out = []
+    prev = None
+    for bar_ in sorted(b.bars, key=ref_bar_key):
+        key = ref_bar_key(bar_)
+        if key == prev:
+            out[-1] = sc.GradedBar(bar_.interval, bar_.degree, out[-1].mult + bar_.mult)
+        else:
+            out.append(bar_)
+        prev = key
+    return sc.GradedBarcode(tuple(out))
+
+
+def ref_bilinear(f, g, pair, contravariant=False):
+    """Extend a per-pair rule bilinearly over the bars of f and g.
+
+    pair(i, j) lists the (interval, degree offset) summands of one bar pair.
+    A summand sits in degree deg y + deg x + offset (deg y - deg x + offset
+    when the operation is contravariant in f) with multiplicity
+    mult x * mult y.
+    """
+    out = []
+    for x in f.bars:
+        dx = -x.degree if contravariant else x.degree
+        for y in g.bars:
+            deg, mult = y.degree + dx, x.mult * y.mult
+            for iv, off in pair(x.interval, y.interval):
+                out.append(sc.GradedBar(iv, deg + off, mult))
+    return ref_canonicalize(sc.GradedBarcode(tuple(out)))
+
+
+def ref_convolve_pair(i, j):
+    """k_[a,b) * k_[c,d) as (interval, degree offset) summands.
+
+    A singleton {s} acts as the shift by s.  The finite rule is the
+    two-branch case split on b+c < a+d.  The same code serves infinite
+    right ends: both candidate bars are formed with extended sums and empty
+    ones dropped, and when b and d are both +oo, +oo < +oo is False and
+    selects the second branch.
+    """
+    if i.is_singleton:
+        return [(j.shift(i.lo.value), 0)]
+    if j.is_singleton:
+        return [(i.shift(j.lo.value), 0)]
+    a, b = i.lo.value, i.hi.value
+    c, d = j.lo.value, j.hi.value
+    if b + c < a + d:
+        cand = [(ref_lcro(a + c, b + c), 0), (ref_lcro(a + d, b + d), 1)]
+    else:
+        cand = [(ref_lcro(a + c, a + d), 0), (ref_lcro(b + c, b + d), 1)]
+    return [(iv, off) for iv, off in cand if iv is not None]
+
+
+def ref_convolve_np_pair(i, j):
+    ci, cj = ref_classify_factor(i), ref_classify_factor(j)
+    if "singleton" in (ci, cj) or ci == cj == "tamarkin":
+        # a shift, or a sum map that is proper on the support
+        return ref_convolve_pair(i, j)
+    if cj == "left-infinite" and ci != "left-infinite":
+        i, j, ci, cj = j, i, cj, ci
+    if ci == "left-infinite" and cj == "tamarkin":
+        y = i.hi.value
+        c, d = j.lo.value, j.hi.value
+        if isinstance(d, Infinity):
+            # (-oo,y) *np [c,oo) = (-oo, y+c)
+            iv = ref_lcro(NEG_INF, y + c)
+            return [(iv, 0)] if iv is not None else []
+        # (-oo,y) *np [c,d) = k_[y+c, y+d)[-1]
+        iv = ref_lcro(y + c, y + d)
+        return [(iv, 1)] if iv is not None else []
+    raise ConvolutionTypeError(
+        f"non-proper convolution table has no entry for {i} * {j}"
+    )
+
+
+def ref_rhom_sheaf_pair(i, j):
+    """Sheaf-valued RHom of a bar pair as (interval, degree offset) summands.
+
+    Case table for source [a,b) against [c,oo) and its truncations; the
+    [a,oo) source column replaces the (a,b] outputs by (a,oo).  Outputs
+    realize all four interval flavors and the singleton.
+    """
+    a, b = i.lo.value, i.hi.value
+    c, d = j.lo.value, j.hi.value
+
+    def of(lo, lo_cl, hi, hi_cl):
+        return sc.Interval(sc.Endpoint(lo, lo_cl and is_finite(lo)), sc.Endpoint(hi, hi_cl and is_finite(hi)))
+
+    if d >= b:
+        if c >= b:
+            return []
+        if c >= a:
+            # k_[c,b] (or k_[c,oo) for an infinite source)
+            return [(of(c, True, b, True), 0)]
+        # k_(a,b] / k_(a,oo)
+        return [(of(a, False, b, True), 0)]
+    # here d < b, so d is finite
+    if c >= a:
+        return [(of(c, True, d, False), 0)]
+    if d > a:
+        return [(of(a, False, d, False), 0)]
+    if d == a:
+        return [(sc.singleton(a), 1)]
+    return []
+
+
+def ref_adjoint(f):
+    return ref_canonicalize(sc.GradedBarcode(tuple(
+        sc.GradedBar(x.interval.reflect_swap(), -x.degree - 1, x.mult) for x in f.bars
+    )))
+
+
+REF_OPS = {
+    "convolve": (ops.convolve, lambda f, g: ref_bilinear(f, g, ref_convolve_pair)),
+    "convolve_np": (ops.convolve_np, lambda f, g: ref_bilinear(f, g, ref_convolve_np_pair)),
+    "hom_star": (ops.hom_star, lambda f, g: ref_bilinear(ref_adjoint(f), g, ref_convolve_np_pair)),
+    "rhom_sheaf": (ops.rhom_sheaf, lambda f, g: ref_bilinear(f, g, ref_rhom_sheaf_pair, contravariant=True)),
+}
+
+PRIMES = [p for p in range(2, 400) if all(p % q for q in range(2, p))][:60]
+HALVES = [F(k, 2) for k in range(-8, 9)]
+
+
+def ref_pool(rng, mode):
+    """Finite end values for one generated pair.
+
+    small: denominators 1 to 4.  coprime: one prime denominator per value,
+    over the first 60 primes.  pi: halves, each also as PiRational(0, s),
+    beside q*pi + s values, so that equal ends of both types meet in a run.
+    """
+    if mode == "small":
+        return [F(rng.randint(-12 * q, 12 * q), q) for q in (1, 2, 3, 4) for _ in range(4)]
+    if mode == "coprime":
+        return [F(p * rng.randint(-9, 8) + rng.randint(1, p - 1), p) for p in rng.sample(PRIMES, len(PRIMES))]
+    pis = [PiRational(q, s) for q in (-1, 1, F(1, 2)) for s in (F(-3), F(-1, 2), F(1))]
+    return HALVES + [PiRational(0, s) for s in HALVES] + pis
+
+
+def ref_side(rng, pool, n, kinds):
+    """n bars over pool, of the given kinds; any degree in 0..2, mult 1 to 3."""
+    bars = []
+    while len(bars) < n:
+        kind = rng.choice(kinds)
+        a, b = sorted(rng.sample(pool, 2))
+        if kind == "singleton":
+            iv = sc.singleton(a)
+        elif kind == "left-infinite":
+            iv = sc.interval("-inf", b, False)
+        elif kind == "half-line":
+            iv = sc.interval(a, "+inf")
+        elif a == b:
+            continue
+        else:
+            iv = sc.interval(a, b)
+        bars.append(sc.GradedBar(iv, rng.randint(0, 2), rng.choice((1, 1, 1, 2, 3))))
+    return sc.GradedBarcode(tuple(bars))
+
+
+def ref_pair(rng, op, mode, n_max):
+    """A generated factor pair that `op` admits."""
+    pool = ref_pool(rng, mode)
+    tam = ["bar", "bar", "bar", "half-line"]
+    kinds_f = kinds_g = tam
+    if op == "convolve":
+        kinds_f = kinds_g = tam + ["singleton"]
+    elif op == "convolve_np":
+        kinds_f, kinds_g = tam + ["singleton", "left-infinite"], tam + ["singleton"]
+        if rng.random() < 0.5:
+            kinds_f, kinds_g = kinds_g, kinds_f
+    f = ref_side(rng, pool, rng.randint(1, n_max), kinds_f)
+    g = ref_side(rng, pool, rng.randint(1, n_max), kinds_g)
+    return f, g
+
+
+def ref_wide_pair(rng):
+    """15 bounded bars a side that use every value of a coprime pool once."""
+    pool = ref_pool(rng, "coprime")
+
+    def side(values):
+        return sc.GradedBarcode(tuple(
+            sc.GradedBar(sc.interval(*sorted(values[k : k + 2])), rng.randint(0, 2)) for k in range(0, len(values), 2)
+        ))
+
+    return side(pool[:30]), side(pool[30:])
+
+
+def emitted(b):
+    return cli._dump(barcode_to_json(b))
+
+
+@pytest.mark.parametrize("op", sorted(REF_OPS))
+def test_bilinear_matches_interval_reference(op):
+    # 500 generated pairs per op, 2,000 in all, plus a few wide ones whose
+    # scale is the lcm of 50 or more coprime denominators
+    rng = random.Random(f"bilinear-reference:{op}")
+    new, ref = REF_OPS[op]
+    cases = [ref_pair(rng, op, mode, 6) for _ in range(166) for mode in ("small", "coprime", "pi")]
+    cases += [ref_pair(rng, op, mode, 6) for mode in ("small", "pi")]
+    cases += [ref_wide_pair(rng) for _ in range(4)]
+    assert len(cases) >= 500
+    merged = wide = 0
+    for f, g in cases:
+        got, want = new(f, g), ref(f, g)
+        assert emitted(got) == emitted(want)
+        # the same value objects too: a merged bar keeps the last bar's
+        # values, a Fraction or a PiRational(0, s) of equal value
+        assert repr(got) == repr(want)
+        merged += any(x.mult > 1 for x in want.bars)
+        wide += len({e.value.denominator for x in f.bars + g.bars for e in (x.interval.lo, x.interval.hi)
+                     if isinstance(e.value, F)}) >= 50
+    assert merged > 50 and wide >= 4
