@@ -5,9 +5,10 @@ degrees ("degree d" = the degree where the one-dimensional stalk sits, so a
 shift [n] lowers the degree field by n).  Everything here is immutable and
 exact; canonical form is sorted-and-merged, and equality is canonical
 multiset equality.  `scaled_ends` is the one endpoint-scaling helper: when
-every finite end is a Fraction it holds each as an integer over one common
-denominator, which is what the canonical sort, the bilinear ops kernel and
-the bottleneck cost tables compute on.
+every finite end is a Fraction, and their common denominator has at most
+MAX_SCALE_BITS bits, it holds each as an integer over that denominator,
+which is what the canonical sort, the bilinear ops kernel and the
+bottleneck cost tables compute on.
 """
 
 from __future__ import annotations
@@ -250,25 +251,41 @@ def bar(lo, hi, degree: int = 0, mult: int = 1, lo_closed=True, hi_closed=False)
 EMPTY = GradedBarcode(())
 
 
+# the lcm grows with every distinct denominator, so N ends over N distinct
+# b-bit denominators would make a scale, and every scaled end, of about
+# N*b bits; past this size `scaled_ends` keeps the values as they are
+MAX_SCALE_BITS = 1024
+
+
 def scaled_ends(intervals: Iterable[Interval]) -> Tuple[list[tuple], Optional[int]]:
     """Each interval as (lo, lo_closed, hi, hi_closed), on integers when it can.
 
-    When every finite end is a Fraction, scale is the lcm of their
-    denominators and each finite end x is held as the integer x * scale;
-    the infinities stay as they are, so order, equality and sums are those
-    of the values.  When some end is a PiRational, scale is None and the
-    values stay as they are: the same code then runs on exact scalars.
+    When every finite end is a Fraction and the lcm of their denominators
+    has at most MAX_SCALE_BITS bits, scale is that lcm and each finite end
+    x is held as the integer x * scale; the infinities stay as they are, so
+    order, equality and sums are those of the values.  Otherwise (some end
+    is a PiRational, or the lcm is larger) scale is None and the values
+    stay as they are: the same code then runs on exact scalars.
     """
     rows = [(i.lo.value, i.lo.closed, i.hi.value, i.hi.closed) for i in intervals]
-    values = [v for r in rows for v in (r[0], r[2])]
-    if not all(isinstance(v, (Fraction, Infinity)) for v in values):
-        return rows, None
-    ratios = [None if isinstance(v, Infinity) else v.as_integer_ratio() for v in values]
-    dens = {r[1] for r in ratios if r}
-    scale = math.lcm(*dens)
+    dens = set()
+    for lo, _, hi, _ in rows:
+        for v in (lo, hi):
+            if type(v) is Fraction:
+                dens.add(v.denominator)
+            elif not isinstance(v, Infinity):
+                return rows, None
+    scale = 1
+    for d in dens:
+        scale = scale * d // math.gcd(scale, d)
+        if scale.bit_length() > MAX_SCALE_BITS:
+            return rows, None
     factor = {d: scale // d for d in dens}
-    ints = [v if r is None else r[0] * factor[r[1]] for v, r in zip(values, ratios)]
-    return [(lo, lc, hi, hc) for lo, hi, (_, lc, _, hc) in zip(ints[::2], ints[1::2], rows)], scale
+
+    def held(v):
+        return v if type(v) is not Fraction else v.numerator * factor[v.denominator]
+
+    return [(held(lo), lc, held(hi), hc) for lo, lc, hi, hc in rows], scale
 
 
 def canonicalize(b: GradedBarcode) -> GradedBarcode:

@@ -9,7 +9,8 @@ computations for constant sheaves on intervals.
 
 The bilinear ops (convolve, convolve_np, hom_star, rhom_sheaf) share one
 kernel, `_bilinear`, which scales every finite end of both factors to an
-integer over one common denominator whenever all of them are Fractions.
+integer over one common denominator whenever all of them are Fractions and
+that denominator has at most `intervals.MAX_SCALE_BITS` bits.
 
 Degree convention: "degree d" is the cohomological degree carrying the
 stalk, so a shift [n] sends degree d bars to degree d - n.
@@ -66,18 +67,23 @@ def _classify_factor(lo: Extended, lo_closed: bool, hi: Extended, hi_closed: boo
     return "other"
 
 
-def _factor_class(i: Interval) -> str:
-    return _classify_factor(i.lo.value, i.lo.closed, i.hi.value, i.hi.closed)
-
-
 # ---------------------------------------------------------------------------
 # bilinear kernel and convolution
 
 
-def _require_factors(f: GradedBarcode, g: GradedBarcode, opname: str, allowed, error) -> None:
-    for x in f.bars + g.bars:
-        if _factor_class(x.interval) not in allowed:
-            raise error(f"{opname}: unsupported bar {x.interval}")
+def _require_factors(f: GradedBarcode, g: GradedBarcode, opname: str, allowed, error) -> list[list[str]]:
+    """The class of each bar of f and of g; `error` on a class not allowed."""
+    classes = []
+    for h in (f, g):
+        row = []
+        for x in h.bars:
+            i = x.interval
+            c = _classify_factor(i.lo.value, i.lo.closed, i.hi.value, i.hi.closed)
+            if c not in allowed:
+                raise error(f"{opname}: unsupported bar {i}")
+            row.append(c)
+        classes.append(row)
+    return classes
 
 
 def _bilinear(f: GradedBarcode, g: GradedBarcode, pair, contravariant: bool = False) -> GradedBarcode:
@@ -87,7 +93,7 @@ def _bilinear(f: GradedBarcode, g: GradedBarcode, pair, contravariant: bool = Fa
     summand sits in degree deg y + deg x + offset (deg y - deg x + offset
     when the operation is contravariant in f) with multiplicity
     mult x * mult y.  The rule runs on the `scaled_ends` of both factors,
-    so on integers whenever every finite end is a Fraction.  The summands
+    so on integers whenever they can be scaled.  The summands
     are sorted and merged by `merge_runs` on the `canonicalize` key, so
     the result is canonical, and each distinct output value is built once.
     """
@@ -172,13 +178,13 @@ def convolve_np(f: GradedBarcode, g: GradedBarcode) -> GradedBarcode:
     oracle.  Unsupported type combinations, among them a (-oo,y) bar on
     both sides, raise ConvolutionTypeError before any pair is formed.
     """
-    _require_factors(
+    cf, cg = _require_factors(
         f, g, "convolve_np", ("tamarkin", "singleton", "left-infinite"), ConvolutionTypeError
     )
-    left = [[x.interval for x in h.bars if _factor_class(x.interval) == "left-infinite"] for h in (f, g)]
-    if left[0] and left[1]:
+    if "left-infinite" in cf and "left-infinite" in cg:
+        x, y = f.bars[cf.index("left-infinite")], g.bars[cg.index("left-infinite")]
         raise ConvolutionTypeError(
-            f"non-proper convolution table has no entry for {left[0][0]} * {left[1][0]}"
+            f"non-proper convolution table has no entry for {x.interval} * {y.interval}"
         )
     return _bilinear(f, g, _convolve_np_pair)
 
@@ -233,10 +239,6 @@ def hom_star_pair_formula(i: Interval, j: Interval) -> list[Tuple[Interval, int]
 # RHom
 
 
-def _rhom_target_ok(i: Interval) -> bool:
-    return _factor_class(i) in ("tamarkin", "left-infinite")
-
-
 def rhom_total(f: GradedBarcode, g: GradedBarcode) -> HomSpace:
     """Graded dims of RHom, summed over bar pairs.
 
@@ -248,8 +250,9 @@ def rhom_total(f: GradedBarcode, g: GradedBarcode) -> HomSpace:
     """
     require_tamarkin(f, "rhom_total (source)")
     for y in g.bars:
-        if not _rhom_target_ok(y.interval):
-            raise ValidationError(f"rhom_total: unsupported target bar {y.interval}")
+        i = y.interval
+        if _classify_factor(i.lo.value, i.lo.closed, i.hi.value, i.hi.closed) not in ("tamarkin", "left-infinite"):
+            raise ValidationError(f"rhom_total: unsupported target bar {i}")
     ends = finite_ends(x.interval for x in f.bars + g.bars)
     rank = {v: k for k, v in enumerate(ends)}
     rank[NEG_INF], rank[POS_INF] = -1, len(ends)

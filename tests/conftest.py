@@ -33,6 +33,17 @@ def rand_tamarkin_barcode(
     return sc.barcode(*bars)
 
 
+def big_primes(bits: int, count: int) -> list[int]:
+    """The first `count` probable primes at or above 2**bits (Fermat, bases 2
+    and 3): denominators whose lcm grows by about `bits` bits each."""
+    out, n = [], 2**bits + 1
+    while len(out) < count:
+        if pow(2, n - 1, n) == 1 and pow(3, n - 1, n) == 1:
+            out.append(n)
+        n += 2
+    return out
+
+
 def mat_mul(a, b, p):
     """Dense product of row-list matrices over F_p, for the references that
     build composite transition maps."""

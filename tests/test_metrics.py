@@ -9,8 +9,9 @@ import sheafcalc as sc
 from sheafcalc import metrics as mt, ops
 from sheafcalc.errors import OracleSizeError, PlanError
 from sheafcalc.exactnum import POS_INF, Infinity, PiRational, cmp, is_finite
+from sheafcalc.intervals import scaled_ends
 
-from conftest import rand_tamarkin_barcode
+from conftest import big_primes, rand_tamarkin_barcode
 
 
 def bc(*args):
@@ -302,6 +303,33 @@ def test_cost_table_matcher_agrees_with_reference():
                 assert w.erased_left == ref_w.erased_left
                 assert w.erased_right == ref_w.erased_right
     assert min(kinds.values()) >= 10, kinds
+
+
+def _far_denominators(b, primes):
+    """b with each Fraction end moved up by 1/p, for a prime p of its own."""
+
+    def moved(e):
+        v = e.value
+        return sc.Endpoint(v + F(1, next(primes)) if type(v) is F else v, e.closed)
+
+    return sc.GradedBarcode(tuple(
+        sc.GradedBar(sc.Interval(moved(x.interval.lo), moved(x.interval.hi)), x.degree, x.mult) for x in b.bars
+    ))
+
+
+def test_cost_table_past_the_scale_cap_agrees_with_reference():
+    # every finite end over its own 64-bit prime: past 16 of them the lcm
+    # passes MAX_SCALE_BITS and the cost tables run on the Fractions
+    rng = random.Random(1024)
+    primes = iter(big_primes(64, 1400))
+    past = 0
+    for _ in range(120):
+        b1, b2 = (_far_denominators(b, primes) for b in _rand_pair(rng))
+        ivs = [x.interval for x in b1.bars + b2.bars]
+        rational = not any(isinstance(e.value, PiRational) for i in ivs for e in (i.lo, i.hi))
+        past += rational and scaled_ends(ivs)[1] is None
+        assert mt.bottleneck(b1, b2) == _ref_bottleneck(b1, b2, _ref_candidate_deltas(b1, b2))
+    assert past >= 10
 
 
 def test_max_matching_long_augmenting_path():

@@ -1,5 +1,6 @@
 import functools
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -9,10 +10,10 @@ import sheafcalc as sc
 from sheafcalc import cli, ops
 from sheafcalc.errors import ConvolutionTypeError, TamarkinClassError, ValidationError
 from sheafcalc.exactnum import NEG_INF, POS_INF, Infinity, PiRational, cmp, is_finite
-from sheafcalc.intervals import barcode_to_json, spec, stalk
+from sheafcalc.intervals import MAX_SCALE_BITS, barcode_to_json, scaled_ends, spec, stalk
 from sheafcalc.stratmodel import rhom_oracle, rhom_sheaf_stalk_oracle
 
-from conftest import mixed_scalars, rand_tamarkin_barcode, stratum_samples
+from conftest import big_primes, mixed_scalars, rand_tamarkin_barcode, stratum_samples
 
 UNIT = sc.barcode(sc.GradedBar(sc.singleton(0)))
 HALF_LINE = sc.barcode(sc.bar(0, "+inf"))
@@ -803,3 +804,40 @@ def test_bilinear_matches_interval_reference(op):
         wide += len({e.value.denominator for x in f.bars + g.bars for e in (x.interval.lo, x.interval.hi)
                      if isinstance(e.value, F)}) >= 50
     assert merged > 50 and wide >= 4
+
+
+def prime_side(rng, primes):
+    """One bar per two primes, each end over its own prime; a few [a,oo)
+    bars, and every tenth bar repeated so that runs merge."""
+    bars = []
+    for p, q in zip(primes[::2], primes[1::2]):
+        a = F(rng.randint(-20 * p, 20 * p), p)
+        iv = sc.interval(a, "+inf") if rng.random() < 0.05 else sc.interval(a, a + F(rng.randint(1, 10 * q), q))
+        bars.append(sc.GradedBar(iv, rng.randint(0, 2), rng.choice((1, 1, 2))))
+    return sc.GradedBarcode(tuple(bars + bars[::10]))
+
+
+def test_scale_cap_is_derived_from_the_input():
+    # 40-bit prime denominators: 24 of them fit under the cap, 26 do not
+    ps = big_primes(40, 26)
+    under = scaled_ends(sc.singleton(F(1, p)) for p in ps[:24])[1]
+    assert under is not None and under.bit_length() <= MAX_SCALE_BITS
+    assert scaled_ends(sc.singleton(F(1, p)) for p in ps)[1] is None
+
+
+def test_bilinear_past_the_scale_cap_matches_reference():
+    # 2,000 bars whose ends have distinct 40-bit prime denominators: their
+    # lcm would have about 160,000 bits, so the canonical sort and the
+    # kernel run on the Fraction values instead of scaled integers
+    rng = random.Random("scale-cap")
+    ps = big_primes(40, 4002)
+    f, g = prime_side(rng, ps[:4000]), prime_side(rng, ps[4000:])
+    assert scaled_ends(x.interval for x in f.bars + g.bars)[1] is None
+    start = time.perf_counter()
+    canon, got = sc.canonicalize(f), ops.convolve(f, g)
+    assert time.perf_counter() - start < 3
+    assert repr(canon) == repr(ref_canonicalize(f))
+    want = ref_bilinear(f, g, ref_convolve_pair)
+    assert emitted(got) == emitted(want)
+    assert repr(got) == repr(want)
+    assert any(x.mult > 1 for x in want.bars)
