@@ -1,13 +1,12 @@
-"""Dense linear algebra over a prime field F_p.
+"""Dense linear algebra over a prime field F_p, for the oracles.
 
 Matrices are lists of row lists of ints in [0, p).  Plain Gaussian
-elimination serves every size in this package: the one elimination per
-critical value in `stratmodel.decompose`, the Betti oracle
-`morse.betti_numbers` and the commutation constraints of
-`stratmodel.rhom_oracle`.  Exactness matters more than speed.
-`row_echelon` returns the reduced form:
-columns appended last change no pivot, and their coordinates in the pivot
-columns are read off the reduced rows.
+elimination serves the two oracles: the Betti ranks of `morse.betti_numbers`
+and the commutation constraints of `stratmodel.rhom_oracle`.  Exactness
+matters more than speed.  The routes they check reduce sparse columns of
+their own and use only `check_prime` from here.  `row_echelon` returns the
+reduced form: columns appended last change no pivot, and their coordinates
+in the pivot columns are read off the reduced rows.
 """
 
 from __future__ import annotations
@@ -26,17 +25,6 @@ def check_prime(p: int) -> int:
     if not 2 <= p < FIELD_CAP or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
         raise ValidationError(f"field characteristic must be a prime below 2^31, got {_excerpt(p)}")
     return p
-
-
-def zeros(rows: int, cols: int) -> list[list[int]]:
-    return [[0] * cols for _ in range(rows)]
-
-
-def identity(n: int) -> list[list[int]]:
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = 1
-    return m
 
 
 def row_echelon(m: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:

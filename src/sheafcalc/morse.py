@@ -4,14 +4,15 @@ Two independent routes produce the same barcode: the upper-star persistence
 of the vertex function completed in [-,-) type, and the constructible-sheaf
 route, whose stalk at t is the relative cohomology H^*(K, {h <= t}).  That
 route reduces the coboundary matrix of the cochains outside {h <= t} once,
-in the order in which they appear as t falls, reads every stalk and
-inclusion-induced transition off that one reduction, and decomposes the
-resulting StratModel.  Their agreement (after the documented degree reindex
-q = n - i coming from the duality step, which needs a closed manifold of
-dimension <= 2) is the machine-checked heart of this module.
+in the order in which they appear as t falls, with the sparse kernel of
+`stratmodel.decompose`, and decomposes the interval model of the classes it
+lists.  Their agreement (after the documented degree reindex q = n - i from
+the duality step, which needs a closed manifold of dimension <= 2) is the
+machine-checked heart of this module.
 
 The persistence route orders simplices on integer vertex ranks, then reduces
-the boundary matrix with clearing (Chen-Kerber 2011, the "twist").
+the boundary matrix with clearing (Chen-Kerber 2011, the "twist") in code
+the sheaf route does not share.
 
 Front regions model compactly supported rank-one sheaves by their fiber
 cuts [-t_-(x), t_+(x)); their self-hom pushes forward through superlevel
@@ -37,12 +38,13 @@ from .intervals import (
     canonicalize,
     map_bars,
 )
-from .stratmodel import StratModel, decompose, interval_model
+from .stratmodel import StratModel, decompose, interval_model, reduce_column
 
 Simplex = Tuple[int, ...]
 
-# a 91 x 91 grid torus (49,686 simplices) under a tent-plus-noise function
-# takes about 1 s in `morse sublevel` and 2.5 s in `morse sheaf` (2-vCPU VM)
+# the largest grid torus under the cap, 91 x 91 (49,686 simplices), takes about 1 s in
+# `morse sublevel` and, in `morse sheaf`, about 3 s under a tent-plus-noise function and
+# 12 s (133 MB peak RSS) under 8,281 distinct shuffled values (`tools/ladder.py`, 2-vCPU VM)
 MAX_SIMPLICES = 50_000
 
 
@@ -251,14 +253,6 @@ def betti_numbers(K: SimplicialComplex, p: int = 2, subset: Optional[set] = None
     return {q: b for q, b in out.items() if b}
 
 
-def sublevel_complex(K: SimplicialComplex, f: VertexFunction, t: Fraction) -> set:
-    return {s for s in K.simplices if f.simplex_value(s) <= t}
-
-
-def superlevel_complex(K: SimplicialComplex, f: VertexFunction, t: Fraction) -> set:
-    return {s for s in K.simplices if min(f.values[v] for v in s) >= t}
-
-
 # ---------------------------------------------------------------------------
 # the sheaf route
 
@@ -318,25 +312,13 @@ def sheaf_route_model(K: SimplicialComplex, h: VertexFunction, p: int = 2) -> St
     for j, tau in enumerate(order):
         for f, sign in _facet_signs(tau):
             cols[pos[f]][j] = sign % p
-    owner: dict[int, int] = {}  # low row -> the column whose reduced form ends there
-    for j, col in enumerate(cols):
-        while col:
-            low = max(col)
-            if low not in owner:
-                owner[low] = j
-                break
-            other = cols[owner[low]]
-            factor = (col[low] * pow(other[low], -1, p)) % p
-            for row, val in other.items():
-                nv = (col.get(row, 0) - factor * val) % p
-                if nv:
-                    col[row] = nv
-                else:
-                    del col[row]
+    pivot: dict[int, dict[int, int]] = {}
+    for col in cols:
+        reduce_column(col, pivot, p)
+    ends = {max(col): level[s] for col, s in zip(cols, order) if col}  # low row -> level of its column
     # (degree, lowest stratum, highest stratum) of each class; one that ends
     # on the level it starts on spans no stratum
-    spans = [(len(s) - 1, level[order[owner[j]]] + 1 if j in owner else 0, level[s])
-             for j, s in enumerate(order) if not cols[j]]
+    spans = [(len(s) - 1, ends[j] + 1 if j in ends else 0, level[s]) for j, s in enumerate(order) if not cols[j]]
     return interval_model(crit, range(K.dim + 1), spans, p)
 
 

@@ -2,13 +2,14 @@
 
 `StratModel` is the one-directional model available for sheaves whose bars
 are of type [a,b) / [a,oo) / (-oo,b): stalk dimensions on the open strata
-cut out by the critical values, plus one transition matrix per critical
+cut out by the critical values, plus one sparse transition per critical
 value oriented right-to-left (the restriction maps that exist in that
-class).  A point stalk equals the stalk on the stratum to its right, so
-the model stores none.  `interval_model` builds the model of a sum of
-interval modules, from a barcode or from the classes the sheaf route lists,
-and `decompose` recovers the unique barcode by one elder-rule sweep across
-the critical values (Zomorodian-Carlsson 2005): linear algebra independent
+class).  A point stalk equals the stalk on the stratum to its right, so the
+model stores none.  `interval_model` builds the model of a sum of interval
+modules, from a barcode or from the classes the sheaf route lists, and
+`decompose` recovers the unique barcode by one elder-rule sweep across the
+critical values (Zomorodian-Carlsson 2005) with `reduce_column`, the kernel
+of the sheaf route's coboundary reduction too: linear algebra independent
 of the closed-form tables, behind every derived expected value.
 
 `rhom_oracle` works on the full exit-path presentation (point stalks
@@ -49,8 +50,9 @@ class StratModel:
     open_dims[deg][s]: stalk dim on open stratum s, where stratum 0 is
         (-oo, l_1), stratum i is (l_i, l_{i+1}), stratum k is (l_k, +oo).
         The stalk at l_{i+1} is that of stratum i+1.
-    maps[deg][i]: matrix of the transition V_{i+1} -> V_i across l_{i+1},
-        shape (open_dims[s=i], open_dims[s=i+1]).
+    maps[deg][i]: the transition V_{i+1} -> V_i across l_{i+1}, one column
+        per basis vector of V_{i+1}, each a tuple of the (row, value) pairs
+        of its nonzero entries, rows in range(open_dims[deg][i]).
     """
 
     critical: Tuple[Scalar, ...]
@@ -73,11 +75,12 @@ class StratModel:
             if len(ms) != k:
                 raise ValidationError("need one transition matrix per critical value")
             for i, m in enumerate(ms):
-                rows, cols = dims[i], dims[i + 1]
-                if len(m) != rows or any(len(r) != cols for r in m):
-                    raise ValidationError(
-                        f"map across critical #{i} has wrong shape for degree {deg}"
-                    )
+                try:
+                    bad = len(m) != dims[i + 1] or any(not 0 <= r < dims[i] for col in m for r, _ in col)
+                except (TypeError, ValueError):
+                    bad = True
+                if bad:
+                    raise ValidationError(f"map across critical #{i} has wrong shape for degree {deg}")
 
     def degrees(self) -> list[int]:
         return sorted(self.open_dims)
@@ -101,16 +104,18 @@ def interval_model(
     lowest stratum, highest stratum) with a degree in `degrees`.  A class is
     one basis vector on each stratum of its span (none if lowest > highest),
     and a transition is the identity on the classes alive on both of its
-    sides and zero elsewhere."""
+    sides and zero elsewhere: a class's column is ((its row on the left, 1),),
+    one shared tuple per row, or () if it is not alive there."""
     alive = {deg: [[] for _ in range(len(critical) + 1)] for deg in degrees}
     for n, (deg, lo, hi) in enumerate(classes):
         for s in range(lo, hi + 1):
             alive[deg][s].append(n)
     open_dims = {deg: tuple(map(len, a)) for deg, a in alive.items()}
-    maps = {
-        deg: tuple(tuple(tuple(int(x == y) for y in right) for x in left) for left, right in zip(a, a[1:]))
-        for deg, a in alive.items()
-    }
+    unit = [((r, 1),) for r in range(max(map(max, open_dims.values()), default=0))]
+    maps = {}
+    for deg, a in alive.items():
+        rows = ({x: r for r, x in enumerate(left)} for left in a)  # class -> its row, one stratum at a time
+        maps[deg] = tuple(tuple(unit[row[y]] if y in row else () for y in right) for row, right in zip(rows, a[1:]))
     return StratModel(tuple(critical), open_dims, maps, p)
 
 
@@ -132,16 +137,36 @@ def from_barcode(b: GradedBarcode, p: int = 2) -> StratModel:
     return interval_model(crit, sorted({deg for deg, _, _ in classes}), classes, p)
 
 
+def reduce_column(col: dict, pivot: dict, p: int) -> Optional[int]:
+    """Reduce col, a {row: value} vector over F_p, in place against pivot,
+    which maps each low (largest) row to the one reduced column ending there.
+    A nonzero result is filed under its low, which is returned, else None."""
+    while col:
+        low = max(col)
+        other = pivot.get(low)
+        if other is None:
+            pivot[low] = col
+            return low
+        factor = (col[low] * pow(other[low], -1, p)) % p
+        for row, val in other.items():
+            nv = (col.get(row, 0) - factor * val) % p
+            if nv:
+                col[row] = nv
+            else:
+                del col[row]
+    return None
+
+
 def decompose(model: StratModel) -> GradedBarcode:
     """Unique barcode of a StratModel by one sweep from stratum k down to 0.
 
     The live classes, each tagged with the stratum it was born on, are kept
-    eldest first as vectors of the current stratum.  Across each critical
-    value, one elimination of [their images | identity] keeps its pivot
-    columns: a class whose image lies in its elders' span ends on the
-    stratum above (the elder rule), and the kept unit vectors are born on
-    the new stratum.  The live classes stay a basis in which those born on
-    stratum j or above span the image of V_j, so the bars count every
+    eldest first as sparse vectors of the current stratum.  Across each
+    critical value, each image is reduced against its elders' images: a
+    class whose image reduces to zero ends on the stratum above (the elder
+    rule), and the unit vectors of the rows that are no image's low are born
+    on the new stratum.  The live classes stay a basis in which those born
+    on stratum j or above span the image of V_j, so the bars count every
     composite rank.  Stratum 0 opens a bar at -oo, stratum k closes it at
     +oo, otherwise the bar on strata i..j is [l_i, l_{j+1}).
     """
@@ -149,16 +174,20 @@ def decompose(model: StratModel) -> GradedBarcode:
     spans = []  # (degree, lowest stratum, highest stratum)
     for deg in model.degrees():
         dims = model.open_dims[deg]
-        live = [(k, e) for e in modp.identity(dims[k])]  # (birth stratum, vector)
+        live = [(k, {r: 1}) for r in range(dims[k])]  # (birth stratum, vector)
         for i in range(k - 1, -1, -1):
-            rows = [[(c, a) for c, a in enumerate(row) if a] for row in model.maps[deg][i]]
-            images = [[sum(a * v[c] for c, a in row) % p for row in rows] for _, v in live]
-            unit = modp.identity(dims[i])
-            _, pivots = modp.row_echelon([[w[r] for w in images] + unit[r] for r in range(dims[i])], p)
-            kept = set(pivots)
-            spans += [(deg, i + 1, born) for c, (born, _) in enumerate(live) if c not in kept]
-            n = len(live)
-            live = [(live[c][0], images[c]) if c < n else (i, unit[c - n]) for c in pivots]
+            columns, pivot, kept = model.maps[deg][i], {}, []
+            for born, v in live:
+                image: dict[int, int] = {}
+                for c, a in v.items():
+                    for row, b in columns[c]:
+                        image[row] = (image.get(row, 0) + a * b) % p
+                image = {row: x for row, x in image.items() if x}
+                if reduce_column(image, pivot, p) is None:
+                    spans.append((deg, i + 1, born))
+                else:
+                    kept.append((born, image))
+            live = kept + [(i, {r: 1}) for r in range(dims[i]) if r not in pivot]
         spans += [(deg, 0, born) for born, _ in live]
     lows = [Endpoint(NEG_INF, False)] + [Endpoint(c, True) for c in crit]
     highs = [Endpoint(c, False) for c in crit] + [Endpoint(POS_INF, False)]

@@ -64,6 +64,34 @@ def mat_mul(a, b, p):
     return out
 
 
+def identity(n):
+    """The n x n identity as row lists."""
+    return [[int(r == c) for c in range(n)] for r in range(n)]
+
+
+def to_dense(columns, rows, p):
+    """Row-list matrix over F_p of a transition stored as sparse columns."""
+    m = [[0] * len(columns) for _ in range(rows)]
+    for c, col in enumerate(columns):
+        for r, a in col:
+            m[r][c] = (m[r][c] + a) % p
+    return m
+
+
+def to_columns(m, cols):
+    """Sparse columns (the (row, value) pairs of each column's nonzero
+    entries) of a row-list matrix with `cols` columns."""
+    return tuple(tuple((r, row[c]) for r, row in enumerate(m) if row[c]) for c in range(cols))
+
+
+def dense_maps(model):
+    """model.maps with every transition as a row-list matrix."""
+    return {
+        deg: [to_dense(m, model.open_dims[deg][i], model.p) for i, m in enumerate(ms)]
+        for deg, ms in model.maps.items()
+    }
+
+
 def stratum_samples(b: sc.GradedBarcode):
     """Event values plus one interior point per stratum and both tails."""
     s = sc.spec(b)

@@ -10,7 +10,7 @@ from sheafcalc.exactnum import Infinity
 from sheafcalc.intervals import stalk
 from sheafcalc.stratmodel import StratModel, sample_points
 
-from conftest import mat_mul
+from conftest import dense_maps, identity, mat_mul, to_columns
 
 
 def circle(n: int) -> morse.SimplicialComplex:
@@ -27,6 +27,14 @@ def torus7() -> morse.SimplicialComplex:
 
 def vf(*vals) -> morse.VertexFunction:
     return morse.VertexFunction(tuple(F(v) for v in vals))
+
+
+def sublevel_complex(K: morse.SimplicialComplex, f: morse.VertexFunction, t: F) -> set:
+    return {s for s in K.simplices if f.simplex_value(s) <= t}
+
+
+def superlevel_complex(K: morse.SimplicialComplex, f: morse.VertexFunction, t: F) -> set:
+    return {s for s in K.simplices if min(f.values[v] for v in s) >= t}
 
 
 def test_complex_validation():
@@ -64,7 +72,7 @@ def test_sublevel_counts_match_betti_oracle(rng):
         f = morse.VertexFunction(tuple(F(rng.randint(-8, 8)) for _ in range(n)))
         bc_ = morse.sublevel_barcode(K, f)
         for t in sorted(set(f.values)):
-            sub = morse.sublevel_complex(K, f, t)
+            sub = sublevel_complex(K, f, t)
             assert stalk(bc_, t).dims == morse.betti_numbers(K, 2, sub)
 
 
@@ -156,7 +164,7 @@ def test_truncation_count_matches_superlevel_betti(rng):
             and iv.hi.finite
             and iv.hi.value >= 0
         )
-        sup = morse.superlevel_complex(K, h, F(0))
+        sup = superlevel_complex(K, h, F(0))
         betti_total = sum(morse.betti_numbers(K, 2, sup).values())
         assert n0 == betti_total, (h.values, b)
 
@@ -283,7 +291,7 @@ def ref_sheaf_route_model(K, h, p):
     transition column solved in the target's span, one elimination per
     source representative."""
     crit = tuple(sorted(set(h.values)))
-    datas = [ref_relative_cohomology(K, morse.sublevel_complex(K, h, t), p) for t in sample_points(crit)]
+    datas = [ref_relative_cohomology(K, sublevel_complex(K, h, t), p) for t in sample_points(crit)]
     open_dims, maps = {}, {}
     for q in range(K.dim + 1):
         open_dims[q] = tuple(len(d[q][0]) for d in datas)
@@ -292,7 +300,8 @@ def ref_sheaf_route_model(K, h, p):
             tgt_reps, tgt_b = datas[i][q]
             cols = [ref_solve_in_span(tgt_b + tgt_reps, rep, p) for rep in datas[i + 1][q][0]]
             assert None not in cols
-            degmaps.append(tuple(tuple(c[len(tgt_b) + r] for c in cols) for r in range(len(tgt_reps))))
+            dense = [[c[len(tgt_b) + r] for c in cols] for r in range(len(tgt_reps))]
+            degmaps.append(to_columns(dense, len(cols)))
         maps[q] = tuple(degmaps)
     return StratModel(crit, open_dims, maps, p)
 
@@ -335,9 +344,9 @@ def composite_ranks(model):
     this is the complete isomorphism invariant of a type-A quiver
     representation, so equal ranks mean an equal decomposition."""
     out = {}
-    for q, ms in model.maps.items():
+    for q, ms in dense_maps(model).items():
         for j in range(len(ms) + 1):
-            m = modp.identity(model.open_dims[q][j])
+            m = identity(model.open_dims[q][j])
             for i in range(j - 1, -1, -1):
                 m = mat_mul(ms[i], m, model.p)
                 out[q, i, j] = modp.rank(m, model.p)

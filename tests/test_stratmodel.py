@@ -29,14 +29,24 @@ from sheafcalc.stratmodel import (
     sample_points,
 )
 
-from conftest import mat_mul, mixed_scalars, rand_tamarkin_barcode, random_interval, twin
+from conftest import (
+    dense_maps,
+    identity,
+    mat_mul,
+    mixed_scalars,
+    rand_tamarkin_barcode,
+    random_interval,
+    to_columns,
+    to_dense,
+    twin,
+)
 
 
 def test_from_barcode_half_line():
     m = from_barcode(sc.barcode(sc.bar(0, "+inf")))
     assert m.critical == (F(0),)
     assert m.open_dims[0] == (0, 1)
-    assert m.maps[0][0] == ()  # 0 x 1 matrix has no rows
+    assert m.maps[0][0] == ((),)  # one column, for the class on stratum 1, with no rows
 
 
 def test_from_barcode_single_bar_stalks():
@@ -51,18 +61,18 @@ def test_from_barcode_overlap_ranks():
     m = from_barcode(sc.barcode(sc.bar(0, 2), sc.bar(1, 3)))
     assert m.critical == (F(0), F(1), F(2), F(3))
     assert m.open_dims[0] == (0, 1, 2, 1, 0)
-    import sheafcalc.modp as modp
-
-    ranks = [modp.rank([list(r) for r in mm], 2) for mm in m.maps[0]]
+    # [0,2) is row and column 0 wherever it is alive; [1,3) is row 1 on stratum 2
+    assert m.maps[0] == (((),), (((0, 1),), ()), (((1, 1),),), ())
+    ranks = [modp.rank(to_dense(mm, rows, 2), 2) for mm, rows in zip(m.maps[0], m.open_dims[0])]
     assert ranks == [0, 1, 1, 0]
 
 
 def test_decompose_single_stratum():
-    # map across 0 is 0x1 (no rows), map across 1 is 1x0 (one empty row)
+    # map across 0 has one column with no rows, map across 1 has no columns
     m = StratModel(
         (F(0), F(1)),
         {0: (0, 1, 0)},
-        {0: ((), ((),))},
+        {0: (((),), ())},
         2,
     )
     assert decompose(m) == sc.barcode(sc.bar(0, 1))
@@ -72,7 +82,7 @@ def test_decompose_identity_chain_gives_half_line():
     m = StratModel(
         (F(0), F(1)),
         {0: (0, 1, 1)},
-        {0: ((), ((1,),))},
+        {0: (((),), (((0, 1),),))},
         2,
     )
     assert decompose(m) == sc.barcode(sc.bar(0, "+inf"))
@@ -83,7 +93,7 @@ def test_decompose_left_infinite_stratum():
     m = StratModel(
         (F(0),),
         {0: (1, 0)},
-        {0: (((),),)},
+        {0: ((),)},
         2,
     )
     assert decompose(m) == sc.barcode(sc.bar("-inf", 0, lo_closed=False))
@@ -93,10 +103,11 @@ def test_round_trip_random(rng):
     for _ in range(100):
         b = rand_tamarkin_barcode(rng, max_bars=10, degrees=(0, 1, 2), lo=-20, hi=20, max_len=20)
         m = from_barcode(b)
-        assert decompose(m) == ref_decompose(m) == b
+        assert decompose(m) == ref_decompose(m) == dense_decompose(m) == b
 
 
-# --- the composite-rank decomposition, kept as the reference the sweep replaced
+# --- the composite-rank decomposition and the dense sweep, kept as the two
+# references the sparse sweep replaced
 
 
 def ref_decompose(model: StratModel) -> GradedBarcode:
@@ -116,10 +127,10 @@ def ref_decompose(model: StratModel) -> GradedBarcode:
         dims = model.open_dims[deg]
         if not any(dims):
             continue
-        ms = model.maps[deg]
+        ms = dense_maps(model)[deg]
         comp: dict[tuple[int, int], list[list[int]]] = {}
         for j in range(k + 1):
-            comp[(j, j)] = modp.identity(dims[j])
+            comp[(j, j)] = identity(dims[j])
             for i in range(j - 1, -1, -1):
                 comp[(i, j)] = mat_mul(ms[i], comp[(i + 1, j)], p)
         r = {ij: modp.rank(m, p) for ij, m in comp.items()}  # absent (out of range): 0
@@ -136,10 +147,35 @@ def ref_decompose(model: StratModel) -> GradedBarcode:
     return canonicalize(GradedBarcode(tuple(bars)))
 
 
+def dense_decompose(model: StratModel) -> GradedBarcode:
+    """The elder-rule sweep on dense matrices: across each critical value,
+    one elimination of [images of the live classes | identity] keeps its
+    pivot columns; a dropped image ends its class on the stratum above, a
+    kept unit vector is born on the new stratum."""
+    crit, k, p = model.critical, len(model.critical), model.p
+    spans = []  # (degree, lowest stratum, highest stratum)
+    for deg in model.degrees():
+        dims, ms = model.open_dims[deg], dense_maps(model)[deg]
+        live = [(k, e) for e in identity(dims[k])]  # (birth stratum, vector)
+        for i in range(k - 1, -1, -1):
+            images = [[sum(a * x for a, x in zip(row, v)) % p for row in ms[i]] for _, v in live]
+            unit = identity(dims[i])
+            _, pivots = modp.row_echelon([[w[r] for w in images] + unit[r] for r in range(dims[i])], p)
+            kept = set(pivots)
+            spans += [(deg, i + 1, born) for c, (born, _) in enumerate(live) if c not in kept]
+            n = len(live)
+            live = [(live[c][0], images[c]) if c < n else (i, unit[c - n]) for c in pivots]
+        spans += [(deg, 0, born) for born, _ in live]
+    lows = [Endpoint(NEG_INF, False)] + [Endpoint(c, True) for c in crit]
+    highs = [Endpoint(c, False) for c in crit] + [Endpoint(POS_INF, False)]
+    return canonicalize(GradedBarcode(tuple(GradedBar(Interval(lows[lo], highs[hi]), deg) for deg, lo, hi in spans)))
+
+
 def random_model(rng):
     """A StratModel with uniformly random transition matrices over F_2, F_3
     or F_5: 0-6 critical values, stalk dims 0-4 (zero dims common) and up to
-    three degrees, one of them possibly zero everywhere."""
+    three degrees, one of them possibly zero everywhere; each transition is
+    drawn dense and stored as sparse columns."""
     p = rng.choice((2, 3, 5))
     k = rng.randint(0, 6)
     crit = tuple(F(c) for c in sorted(rng.sample(range(-10, 11), k)))
@@ -149,7 +185,8 @@ def random_model(rng):
         dims = tuple(rng.randint(0, top) for _ in range(k + 1))
         open_dims[deg] = dims
         maps[deg] = tuple(
-            tuple(tuple(rng.randrange(p) for _ in range(dims[i + 1])) for _ in range(dims[i])) for i in range(k)
+            to_columns([[rng.randrange(p) for _ in range(dims[i + 1])] for _ in range(dims[i])], dims[i + 1])
+            for i in range(k)
         )
     return StratModel(crit, open_dims, maps, p)
 
@@ -160,7 +197,7 @@ def test_decompose_matches_composite_rank_reference():
     for _ in range(2400):
         m = random_model(rng)
         got = decompose(m)
-        assert got == ref_decompose(m)
+        assert got == ref_decompose(m) == dense_decompose(m)
         # each unit of the barcode is one basis vector of the stalk it covers
         assert sum(map(sum, m.open_dims.values())) == sum(
             x.mult * sum(x.interval.contains(t) for t in sample_points(m.critical)) for x in got.bars
@@ -192,7 +229,7 @@ def ref_from_barcode(b):
         degmaps = []
         for i in range(len(crit)):
             left, right = alive[i], alive[i + 1]
-            m = modp.zeros(sum(left), sum(right))
+            m = [[0] * sum(right) for _ in range(sum(left))]
             li = {}
             r = 0
             for j, a in enumerate(left):
@@ -205,7 +242,7 @@ def ref_from_barcode(b):
                     if j in li:
                         m[li[j]][c] = 1
                     c += 1
-            degmaps.append(tuple(tuple(int(x) for x in row) for row in m))
+            degmaps.append(to_columns(m, sum(right)))
         maps[deg] = tuple(degmaps)
     return crit, open_dims, points, maps
 
@@ -296,14 +333,29 @@ def test_round_trip_property(b):
     assert decompose(from_barcode(b)) == b
 
 
+def one_transition(*columns):
+    """maps[deg] of a model with one critical value: one transition with
+    the given sparse columns."""
+    return (columns,)
+
+
+MALFORMED = [
+    ((F(0),), (1, 1), one_transition(((0, 1, 1),))),  # an entry that is not a (row, value) pair
+    ((F(1), F(0)), (0, 0, 0), ((), ())),  # critical values out of order
+    ((F(0),), (0, 1), None),  # a degree with stalks but no transitions at all
+    ((F(0),), (1, 1), one_transition(((1, 1),))),  # a row outside range(open_dims[deg][i])
+    ((F(0),), (1, 1), one_transition((), ((0, 1),))),  # two columns for a one-dimensional V_1
+]
+
+
 def test_malformed_shapes_rejected():
-    with pytest.raises(ValidationError):
-        StratModel((F(0),), {0: (1, 1)}, {0: (((1, 1),),)}, 2)
-    with pytest.raises(ValidationError):
-        StratModel((F(1), F(0)), {0: (0, 0, 0)}, {0: ((), ())}, 2)
-    # a degree with stalks but no transition matrices at all
-    with pytest.raises(ValidationError):
-        StratModel((F(0),), {0: (0, 1)}, {}, 2)
+    # each one-critical-value case differs from this well-formed model in the
+    # one respect named
+    assert decompose(StratModel((F(0),), {0: (1, 1)}, {0: one_transition(((0, 1),))}, 2)) == sc.barcode(
+        sc.bar("-inf", "+inf", lo_closed=False))
+    for critical, dims, maps in MALFORMED:
+        with pytest.raises(ValidationError):
+            StratModel(critical, {0: dims}, {} if maps is None else {0: maps}, 2)
 
 
 # --- RHom zigzag oracle -----------------------------------------------------

@@ -1,10 +1,10 @@
 """Size ladder: how each heavy subcommand's time grows with its input.
 
-For each kind below, runs one job per step in-process through
-``sheafcalc.cli.main``, doubling the input size from step to step until a
-step takes longer than ``--cap`` seconds.  Inputs come from the benchmark's
-generators in ``perfbench/workloads`` and are seeded by kind and step, so
-every run sees the same inputs:
+For each kind below, runs one job per step through ``sheafcalc.cli.main``,
+each in a fresh Python subprocess, doubling the input size from step to
+step until a step takes longer than ``--cap`` seconds.  Inputs come from
+the benchmark's generators in ``perfbench/workloads`` and are seeded by
+kind and step, so every run sees the same inputs:
 
     sheaf, sublevel  ``morse sheaf`` / ``morse sublevel`` on an n x n grid
                      torus (``grid_torus``, ``torus_values``); the size is
@@ -16,12 +16,14 @@ every run sees the same inputs:
     convolve         ``ops convolve`` of two n-bar barcodes in degrees 0-2
                      (``tamarkin_bars``); size n
 
-It prints one line per step (kind, n, size, seconds, and the log-log slope
-from the step before) and, after each kind's steps, the least-squares
-log-log slope of time against size over all of them.  A slope near 1 is linear time,
-near 2 quadratic.  A morse kind stops before a torus with more simplices
-than ``morse.MAX_SIMPLICES``, which the CLI refuses.  This is a report with
-no bounds; it exits 1 only if a job fails.
+It prints one line per step (kind, n, size, seconds, the step's peak RSS in
+MB, and the log-log slope from the step before) and, after each kind's
+steps, the least-squares log-log slope of time against size over all of
+them.  The seconds time the CLI call alone; the peak RSS is that of the
+whole subprocess, interpreter and imports included.  A slope near 1 is
+linear time, near 2 quadratic.  A morse kind stops before a torus with more
+simplices than ``morse.MAX_SIMPLICES``, which the CLI refuses.  This is a
+report with no bounds; it exits 1 only if a job fails.
 
     python3 tools/ladder.py --cap 2
     python3 tools/ladder.py --cap 2 --root ../other-checkout
@@ -35,15 +37,36 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import json
 import math
 import os
 import random
 import shutil
+import subprocess
 import sys
 import tempfile
-import time
 
+# one step in a fresh interpreter: argv = tools dir, src dir, CLI argv as JSON;
+# prints [exit code, seconds in the CLI call, peak RSS in KB]
+STEP = """
+import json, resource, sys, time
+sys.path[:0] = sys.argv[1:3]
 from job_digests import run_job
+from sheafcalc import cli
+start = time.perf_counter()
+rc, _ = run_job(cli, json.loads(sys.argv[3]))
+sec = time.perf_counter() - start
+print(json.dumps([rc, sec, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))
+"""
+
+
+def run_step(root: str, argv) -> tuple:
+    """(exit code, seconds, peak RSS in MB) of one CLI call in a subprocess."""
+    tools = os.path.dirname(os.path.abspath(__file__))
+    cmd = [sys.executable, "-c", STEP, tools, os.path.join(root, "src"), json.dumps(argv)]
+    out = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout
+    rc, sec, rss_kb = json.loads(out)
+    return rc, sec, rss_kb / 1024
 
 
 def morse_step(route, values):
@@ -107,11 +130,11 @@ def main(argv=None) -> int:
     root = os.path.abspath(args.root)
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
     import workloads
-    from sheafcalc import cli, morse
+    from sheafcalc import morse
 
     max_simplices = getattr(morse, "MAX_SIMPLICES", math.inf)  # a checkout older than the cap has none
     failed = False
-    print("kind n size seconds step_slope", flush=True)
+    print("kind n size seconds peak_rss_mb step_slope", flush=True)
     for kind, make in KINDS.items():
         points = []
         workdir = tempfile.mkdtemp(prefix="ladder-")
@@ -121,12 +144,10 @@ def main(argv=None) -> int:
                 if argv_[0] == "morse" and size > max_simplices:
                     print(f"{kind}: stops before n = {n}, whose {size} simplices pass the cap of {max_simplices}")
                     break
-                start = time.perf_counter()
-                rc, _ = run_job(cli, argv_)
-                sec = time.perf_counter() - start
+                rc, sec, rss = run_step(root, argv_)
                 step = f"{slope(points[-1:] + [(size, sec)]):.2f}" if points else "-"
                 points.append((size, sec))
-                print(kind, n, size, f"{sec:.4f}", step, flush=True)
+                print(kind, n, size, f"{sec:.4f}", f"{rss:.1f}", step, flush=True)
                 if rc != 0:
                     print(f"{kind}: exit {rc} at n = {n}", file=sys.stderr)
                     failed = True
