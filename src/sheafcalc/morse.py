@@ -5,9 +5,9 @@ of the vertex function completed in [-,-) type, and the constructible-sheaf
 route, whose stalk at t is the relative cohomology H^*(K, {h <= t}).  That
 route reduces the coboundary matrix of the cochains outside {h <= t} once,
 in the order in which they appear as t falls, with the sparse kernel of
-`stratmodel.decompose`, and decomposes the interval model of the classes it
-lists.  Their agreement (after the documented degree reindex q = n - i from
-the duality step, which needs a closed manifold of dimension <= 2) is the
+`stratmodel.decompose`, and reads one bar off each class it lists.  Their
+agreement (after the documented degree reindex q = n - i from the duality
+step, which needs a closed manifold of dimension <= 2) is the
 machine-checked heart of this module.
 
 The persistence route orders simplices on integer vertex ranks, then reduces
@@ -38,13 +38,14 @@ from .intervals import (
     canonicalize,
     map_bars,
 )
-from .stratmodel import StratModel, decompose, interval_model, reduce_column
+# decompose is not called here: the benchmark's traced run wraps morse.decompose
+from .stratmodel import StratModel, decompose, interval_barcode, interval_model, reduce_column
 
 Simplex = Tuple[int, ...]
 
 # the largest grid torus under the cap, 91 x 91 (49,686 simplices), takes about 1 s in
-# `morse sublevel` and, in `morse sheaf`, about 3 s under a tent-plus-noise function and
-# 12 s (133 MB peak RSS) under 8,281 distinct shuffled values (`tools/ladder.py`, 2-vCPU VM)
+# `morse sublevel` and, in `morse sheaf`, about 2 s under a tent-plus-noise function and
+# 2.4 s (55 MB peak RSS) under 8,281 distinct shuffled values (`tools/ladder.py`, 2-vCPU VM)
 MAX_SIMPLICES = 50_000
 
 
@@ -290,8 +291,8 @@ def _connected(edges: list[Simplex]) -> bool:
     return len(seen) == len(adj)
 
 
-def sheaf_route_model(K: SimplicialComplex, h: VertexFunction, p: int = 2) -> StratModel:
-    """StratModel of the sheaf whose stalk at t is H^*(K, {h <= t}).
+def sheaf_route_classes(K: SimplicialComplex, h: VertexFunction, p: int = 2) -> Tuple[Tuple[Fraction, ...], list]:
+    """Critical values and (degree, lowest, highest stratum) classes of t -> H^*(K, {h <= t}).
 
     A simplex of level r (the rank of its top vertex value) lies outside
     {h <= t} on strata 0..r; those cochains form a subcomplex that grows as
@@ -316,9 +317,14 @@ def sheaf_route_model(K: SimplicialComplex, h: VertexFunction, p: int = 2) -> St
     for col in cols:
         reduce_column(col, pivot, p)
     ends = {max(col): level[s] for col, s in zip(cols, order) if col}  # low row -> level of its column
-    # (degree, lowest stratum, highest stratum) of each class; one that ends
-    # on the level it starts on spans no stratum
+    # a class that ends on the level it starts on spans no stratum
     spans = [(len(s) - 1, ends[j] + 1 if j in ends else 0, level[s]) for j, s in enumerate(order) if not cols[j]]
+    return crit, spans
+
+
+def sheaf_route_model(K: SimplicialComplex, h: VertexFunction, p: int = 2) -> StratModel:
+    """StratModel of the classes of `sheaf_route_classes`."""
+    crit, spans = sheaf_route_classes(K, h, p)
     return interval_model(crit, range(K.dim + 1), spans, p)
 
 
@@ -335,10 +341,8 @@ def sheaf_route_barcode(K: SimplicialComplex, h: VertexFunction, p: int = 2) -> 
         raise ValidationError(
             "sheaf route needs a closed manifold of dimension <= 2 (duality step)"
         )
-    model = sheaf_route_model(K, h, p)
-    bc = decompose(model)
-    expect = superlevel_barcode(K, h, p)
-    if reindex_sheaf_degrees(bc, K.dim) != expect:
+    bc = interval_barcode(*sheaf_route_classes(K, h, p))
+    if reindex_sheaf_degrees(bc, K.dim) != superlevel_barcode(K, h, p):
         raise ValidationError(
             "two-route barcode identification failed; this indicates a bug"
         )

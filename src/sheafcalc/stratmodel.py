@@ -7,10 +7,11 @@ value oriented right-to-left (the restriction maps that exist in that
 class).  A point stalk equals the stalk on the stratum to its right, so the
 model stores none.  `interval_model` builds the model of a sum of interval
 modules, from a barcode or from the classes the sheaf route lists, and
-`decompose` recovers the unique barcode by one elder-rule sweep across the
-critical values (Zomorodian-Carlsson 2005) with `reduce_column`, the kernel
-of the sheaf route's coboundary reduction too: linear algebra independent
-of the closed-form tables, behind every derived expected value.
+`interval_barcode` reads its bars off those classes.  `decompose`, which
+only the tests call, recovers the barcode of any model by one elder-rule
+sweep (Zomorodian-Carlsson 2005) with `reduce_column`, the kernel of the
+sheaf route's coboundary reduction too: linear algebra independent of the
+closed-form tables.
 
 `rhom_oracle` works on the full exit-path presentation (point stalks
 mapping into the adjacent open-stratum stalks), valid for arbitrary
@@ -27,7 +28,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 from . import modp
 from .errors import ValidationError
-from .exactnum import NEG_INF, POS_INF, Scalar
+from .exactnum import NEG_INF, POS_INF, Scalar, _excerpt
 from .intervals import (
     Endpoint,
     GradedBar,
@@ -107,7 +108,7 @@ def interval_model(
     sides and zero elsewhere: a class's column is ((its row on the left, 1),),
     one shared tuple per row, or () if it is not alive there."""
     alive = {deg: [[] for _ in range(len(critical) + 1)] for deg in degrees}
-    for n, (deg, lo, hi) in enumerate(classes):
+    for n, (deg, lo, hi) in enumerate(_checked(classes, len(critical), alive)):
         for s in range(lo, hi + 1):
             alive[deg][s].append(n)
     open_dims = {deg: tuple(map(len, a)) for deg, a in alive.items()}
@@ -117,6 +118,23 @@ def interval_model(
         rows = ({x: r for r, x in enumerate(left)} for left in a)  # class -> its row, one stratum at a time
         maps[deg] = tuple(tuple(unit[row[y]] if y in row else () for y in right) for row, right in zip(rows, a[1:]))
     return StratModel(tuple(critical), open_dims, maps, p)
+
+
+def _checked(classes, k: int, degrees=None):
+    """Yield the classes, refusing a stratum outside 0..k or a degree not in degrees (if given)."""
+    for c in classes:
+        if not (0 <= c[1] <= k and 0 <= c[2] <= k) or (degrees is not None and c[0] not in degrees):
+            raise ValidationError(f"class {_excerpt(c)} needs strata in 0..{k} and a listed degree")
+        yield c
+
+
+def interval_barcode(critical: Sequence[Scalar], classes: Iterable[Tuple[int, int, int]]) -> GradedBarcode:
+    """One bar per class of `interval_model` that spans a stratum: from -oo
+    on stratum 0, to +oo on stratum k, else [l_i, l_{j+1}) on strata i..j."""
+    lows = [Endpoint(NEG_INF, False)] + [Endpoint(c, True) for c in critical]
+    highs = [Endpoint(c, False) for c in critical] + [Endpoint(POS_INF, False)]
+    bars = (GradedBar(Interval(lows[lo], highs[hi]), d) for d, lo, hi in _checked(classes, len(critical)) if lo <= hi)
+    return canonicalize(GradedBarcode(tuple(bars)))
 
 
 def from_barcode(b: GradedBarcode, p: int = 2) -> StratModel:
@@ -167,8 +185,7 @@ def decompose(model: StratModel) -> GradedBarcode:
     rule), and the unit vectors of the rows that are no image's low are born
     on the new stratum.  The live classes stay a basis in which those born
     on stratum j or above span the image of V_j, so the bars count every
-    composite rank.  Stratum 0 opens a bar at -oo, stratum k closes it at
-    +oo, otherwise the bar on strata i..j is [l_i, l_{j+1}).
+    composite rank.
     """
     crit, k, p = model.critical, len(model.critical), model.p
     spans = []  # (degree, lowest stratum, highest stratum)
@@ -189,9 +206,7 @@ def decompose(model: StratModel) -> GradedBarcode:
                     kept.append((born, image))
             live = kept + [(i, {r: 1}) for r in range(dims[i]) if r not in pivot]
         spans += [(deg, 0, born) for born, _ in live]
-    lows = [Endpoint(NEG_INF, False)] + [Endpoint(c, True) for c in crit]
-    highs = [Endpoint(c, False) for c in crit] + [Endpoint(POS_INF, False)]
-    return canonicalize(GradedBarcode(tuple(GradedBar(Interval(lows[lo], highs[hi]), deg) for deg, lo, hi in spans)))
+    return interval_barcode(crit, spans)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
+import hashlib
+import json
 import time
 from fractions import Fraction as F
 
 import pytest
 
 import sheafcalc as sc
-from sheafcalc import metrics as mt, modp, morse, ops
+from sheafcalc import cli, metrics as mt, modp, morse, ops, stratmodel
 from sheafcalc.errors import ValidationError
 from sheafcalc.exactnum import Infinity
-from sheafcalc.intervals import stalk
-from sheafcalc.stratmodel import StratModel, sample_points
+from sheafcalc.intervals import barcode_to_json, stalk
+from sheafcalc.stratmodel import StratModel, decompose, sample_points
 
 from conftest import dense_maps, identity, mat_mul, to_columns
 
@@ -370,6 +372,42 @@ def test_fast_paths_match_reference(rng, p):
             ref_pairs, ref_essential = ref_reduce_boundary(order, p)
             assert set(pairs) == set(ref_pairs) and set(essential) == set(ref_essential)
             assert_isomorphic(morse.sheaf_route_model(K, f, p), ref_sheaf_route_model(K, f, p))
+
+
+def distinct_values(rng, n):
+    values = list(range(n))
+    rng.shuffle(values)
+    return vf(*values)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_class_barcode_matches_decomposed_model(rng, p):
+    # the route reads its bars off its class list; decomposing the quiver
+    # model of those classes, as the route once did, is the reference
+    closed = [K for K in random_complexes(rng) if morse.is_closed_manifold(K)]
+    cases = [(K, random_values(rng, K.n_vertices)) for K in closed for _ in range(3)]
+    cases += [(grid_torus(n), distinct_values(rng, n * n)) for n in (8, 16)]
+    for K, h in cases:
+        got = morse.sheaf_route_barcode(K, h, p)
+        ref = decompose(morse.sheaf_route_model(K, h, p))
+        assert repr(got) == repr(ref)
+        assert cli._dump(barcode_to_json(got)) == cli._dump(barcode_to_json(ref))
+
+
+def test_sheaf_cli_builds_no_quiver_model(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sheaf route built or decomposed a StratModel")
+
+    monkeypatch.setattr(stratmodel.StratModel, "__post_init__", refuse)
+    monkeypatch.setattr(stratmodel, "decompose", refuse)
+    monkeypatch.setattr(morse, "decompose", refuse)
+    K = grid_torus(4)
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps({"values": [5 * v % 16 for v in range(16)], "simplices": K.of_dim(2)}))
+    assert cli.main(["morse", "sheaf", str(path)]) == 0
+    out = capsys.readouterr().out
+    # the stdout of the same call while the route still decomposed a model
+    assert hashlib.sha256(out.encode()).hexdigest() == "e49eefc402d50bbf7a6776b2670d9d9bb2a69a9a13774dc86f761271c2f876e1"
 
 
 def test_sheaf_route_scales(rng):

@@ -73,17 +73,24 @@ def call_graph():
 GRAPH = call_graph()
 
 
-def reachable(*starts):
+def reachable(*starts, allowed=()):
+    """Nodes reachable from starts, not following the (caller, callee)
+    edges in allowed."""
     seen, todo = set(), list(starts)
     while todo:
         node = todo.pop()
         if node not in seen:
             seen.add(node)
-            todo.extend(GRAPH.get(node, ()))
+            todo.extend(n for n in GRAPH.get(node, ()) if (node, n) not in allowed)
     return seen
 
 
-SHEAF_ROUTE = (("morse", "sheaf_route_model"), ("stratmodel", "decompose"))
+SHEAF_ROUTE = (
+    ("morse", "sheaf_route_classes"),
+    ("stratmodel", "interval_barcode"),
+    ("morse", "sheaf_route_model"),
+    ("stratmodel", "decompose"),
+)
 PERSISTENCE_ROUTE = (("morse", "sublevel_barcode"), ("morse", "superlevel_barcode"))
 
 
@@ -97,12 +104,30 @@ def test_sheaf_route_shares_no_code_with_the_persistence_route():
 def test_persistence_route_shares_no_code_with_the_sheaf_route():
     persistence = reachable(*PERSISTENCE_ROUTE)
     assert {("morse", "_reduce_boundary"), ("morse", "_lower_star_order")} <= persistence
-    assert persistence.isdisjoint({("stratmodel", "reduce_column"), ("stratmodel", "decompose")})
+    assert persistence.isdisjoint(SHEAF_ROUTE + (("stratmodel", "reduce_column"),))
 
 
 def test_sheaf_route_uses_no_dense_linear_algebra():
     for start in SHEAF_ROUTE + (("stratmodel", "interval_model"),):
-        assert {fn for mod, fn in reachable(start) if mod == "modp"} == {"check_prime"}, start
+        # interval_barcode takes no characteristic and reaches no modp at all
+        expect = set() if start == ("stratmodel", "interval_barcode") else {"check_prime"}
+        assert {fn for mod, fn in reachable(start) if mod == "modp"} == expect, start
+
+
+# the one allowed path from the eigen count into the closed forms' code: the
+# band guard finds the spectrum value nearest T with action_bin and refuses a
+# T too close to it; it never sets the count
+EIGEN_ALLOWED = {(("domains", "_check_band"), ("domains", "action_bin"))}
+CLOSED_FORMS = {
+    ("domains", name)
+    for name in ("_stalk_degree", "domain_stalk", "domain_barcode", "sheaf_invariant", "_spec_values")
+}
+
+
+def test_eigen_count_shares_no_code_with_the_domain_closed_forms():
+    eigen = reachable(("domains", "eigen_count"))
+    assert ("domains", "action_bin") in eigen and eigen.isdisjoint(CLOSED_FORMS)
+    assert ("domains", "action_bin") not in reachable(("domains", "eigen_count"), allowed=EIGEN_ALLOWED)
 
 
 def test_graph_resolves_imports_and_classes():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sheafcalc as sc
-from sheafcalc import modp
+from sheafcalc import modp, stratmodel
 from sheafcalc.errors import ValidationError
 from sheafcalc.exactnum import NEG_INF, POS_INF, PiRational, is_finite
 from sheafcalc.intervals import (
@@ -356,6 +356,33 @@ def test_malformed_shapes_rejected():
     for critical, dims, maps in MALFORMED:
         with pytest.raises(ValidationError):
             StratModel(critical, {0: dims}, {} if maps is None else {0: maps}, 2)
+
+
+MALFORMED_CLASSES = [
+    (0, -1, 0),  # a lowest stratum below 0, which once wrapped round to stratum k
+    (0, 0, -1),  # a highest stratum below 0
+    (0, 0, 2),  # a stratum past k = 1
+    (0, 2, 2),  # a lowest stratum past k
+]
+
+
+def test_interval_model_refuses_malformed_classes():
+    crit = (F(0),)
+    # a class with lowest > highest is alive on no stratum
+    assert stratmodel.interval_model(crit, [0], [(0, 1, 0)]).open_dims == {0: (0, 0)}
+    for cls in MALFORMED_CLASSES + [(1, 0, 1)]:  # the last has a degree not listed
+        with pytest.raises(ValidationError):
+            stratmodel.interval_model(crit, [0], [cls])
+
+
+def test_interval_barcode_refuses_malformed_classes():
+    crit = (F(0),)
+    # a class with lowest > highest spans no stratum and gives no bar
+    assert stratmodel.interval_barcode(crit, [(0, 1, 0), (1, 0, 1)]) == sc.barcode(
+        sc.bar("-inf", "+inf", degree=1, lo_closed=False))
+    for cls in MALFORMED_CLASSES:
+        with pytest.raises(ValidationError):
+            stratmodel.interval_barcode(crit, [cls])
 
 
 # --- RHom zigzag oracle -----------------------------------------------------
