@@ -291,9 +291,13 @@ def parse_scalar(text: str) -> Extended:
     return PiRational(q, parse_rational(tail or "0"))
 
 
-def _excerpt(value) -> str:
-    """repr of an input value for a message, cut after 40 characters."""
-    text = repr(value)
+def _excerpt(value, show=repr) -> str:
+    """show(value), repr by default, for a message, cut after 40 characters;
+    named by its type when it holds an integer past the int-to-str limit."""
+    try:
+        text = show(value)
+    except ValueError:
+        return f"<{type(value).__name__} past the {sys.get_int_max_str_digits()}-digit limit for writing integers>"
     return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
 
 

@@ -34,6 +34,8 @@ from .exactnum import (
 LEFT_CLOSED = "left-closed"
 RIGHT_CLOSED = "right-closed"
 MIXED = "mixed"
+# the bar kinds that `flavor` names apart from their family
+SINGLETON, TAMARKIN, LEFT_INFINITE = "singleton", "tamarkin", "left-infinite"
 
 
 @dataclass(frozen=True)
@@ -77,12 +79,11 @@ class Interval:
 
     def __post_init__(self):
         lo, hi = self.lo.value, self.hi.value
-        if lo > hi:
-            raise ValidationError(f"empty interval: lo {self.lo} > hi {self.hi}")
-        if lo == hi and not (self.lo.closed and self.hi.closed):
-            raise ValidationError(
-                "degenerate interval must be the both-closed singleton"
-            )
+        # lo == hi only for the both-closed singleton; a second compare names the fault
+        if not (lo <= hi if self.lo.closed and self.hi.closed else lo < hi):
+            if lo > hi:
+                raise ValidationError(f"empty interval: lo {_excerpt(lo, str)} > hi {_excerpt(hi, str)}")
+            raise ValidationError("degenerate interval must be the both-closed singleton")
 
     # -- queries ----------------------------------------------------------
 
@@ -99,17 +100,8 @@ class Interval:
         return self.hi.value - self.lo.value
 
     def is_tamarkin(self) -> bool:
-        """[a,b) or [a,oo): finite closed left end, open right end."""
-        return self.lo.finite and self.lo.closed and not self.hi.closed
-
-    def is_left_closed_family(self) -> bool:
-        """[a,b)-flavor, degenerately allowing an open -inf left end."""
-        lo_ok = self.lo.closed or not self.lo.finite
-        return lo_ok and not self.hi.closed
-
-    def is_right_closed_family(self) -> bool:
-        hi_ok = self.hi.closed or not self.hi.finite
-        return hi_ok and not self.lo.closed
+        """[a,b) or [a,oo): closed left end (so finite), open right end."""
+        return self.lo.closed and not self.hi.closed
 
     # -- constructions ----------------------------------------------------
 
@@ -153,6 +145,23 @@ class Interval:
         if self.is_singleton:
             return f"{{{self.lo.value}}}"
         return f"{lb}{self.lo.value},{self.hi.value}{rb}"
+
+
+def flavor(i: Interval) -> str:
+    """SINGLETON, TAMARKIN ([a,b), [a,oo)), LEFT_INFINITE ((-oo,b)), or the
+    family of any other bar: LEFT_CLOSED (-oo,oo), RIGHT_CLOSED (a,b], (-oo,b],
+    (a,oo), MIXED [a,b], (a,b).  Read off the closure flags: an infinite end
+    is open, and only a both-closed bar may have lo == hi and needs a compare."""
+    lo, hi = i.lo, i.hi
+    if lo.closed:
+        if not hi.closed:
+            return TAMARKIN
+        return SINGLETON if lo.value == hi.value else MIXED
+    if hi.closed:
+        return RIGHT_CLOSED
+    if lo.finite:
+        return MIXED if hi.finite else RIGHT_CLOSED
+    return LEFT_INFINITE if hi.finite else LEFT_CLOSED
 
 
 def interval(lo, hi, lo_closed: bool = True, hi_closed: bool = False) -> Interval:
@@ -199,29 +208,14 @@ class GradedBarcode:
 
     @property
     def convention(self) -> str:
-        """Interval-flavor family tag, inferred from the bars.
-
-        Singleton bars are flavor-neutral; an empty barcode reports the
-        left-closed default.
-        """
-        tags = set()
-        for bar in self.bars:
-            if bar.interval.is_singleton:
-                continue
-            if bar.interval.is_left_closed_family():
-                tags.add(LEFT_CLOSED)
-            elif bar.interval.is_right_closed_family():
-                tags.add(RIGHT_CLOSED)
-            else:
-                tags.add(MIXED)
+        """The one family of the bars' `flavor`s, MIXED for two: [a,b), [a,oo)
+        and (-oo,b) bars are left-closed and singletons flavor-neutral; an
+        empty barcode reports the left-closed default."""
+        kinds = {flavor(x.interval) for x in self.bars} - {SINGLETON}
+        tags = {LEFT_CLOSED if k in (TAMARKIN, LEFT_INFINITE) else k for k in kinds}
         if not tags:
             return LEFT_CLOSED
-        if len(tags) > 1:
-            return MIXED
-        return tags.pop()
-
-    def is_tamarkin(self) -> bool:
-        return all(b.interval.is_tamarkin() for b in self.bars)
+        return tags.pop() if len(tags) == 1 else MIXED
 
     def total_mult(self) -> int:
         return sum(b.mult for b in self.bars)
@@ -424,7 +418,7 @@ def require_tamarkin(b: GradedBarcode, opname: str) -> None:
     for bar_ in b.bars:
         if not bar_.interval.is_tamarkin():
             raise TamarkinClassError(
-                f"{opname} requires [a,b)/[a,oo) bars, got {bar_.interval}"
+                f"{opname} requires [a,b)/[a,oo) bars, got {_excerpt(bar_.interval, str)}"
             )
 
 

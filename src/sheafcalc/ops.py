@@ -23,8 +23,11 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .errors import ConvolutionTypeError, TamarkinClassError, ValidationError
-from .exactnum import NEG_INF, POS_INF, Extended, Infinity, Scalar, is_finite
+from .exactnum import NEG_INF, POS_INF, Extended, Infinity, Scalar, _excerpt, is_finite
 from .intervals import (
+    LEFT_INFINITE,
+    SINGLETON,
+    TAMARKIN,
     Endpoint,
     GradedBar,
     GradedBarcode,
@@ -32,6 +35,7 @@ from .intervals import (
     Interval,
     canonicalize,  # re-exported: the benchmark's traced run wraps ops.canonicalize
     finite_ends,
+    flavor,
     map_bars,
     merge_runs,
     require_tamarkin,
@@ -57,33 +61,17 @@ def _interval(e: Ends) -> Interval:
     return Interval(Endpoint(e[0], e[1]), Endpoint(e[2], e[3]))
 
 
-def _classify_factor(lo: Extended, lo_closed: bool, hi: Extended, hi_closed: bool) -> str:
-    if lo == hi:
-        return "singleton"
-    if lo_closed and not hi_closed:
-        return "tamarkin"
-    if not is_finite(lo) and not hi_closed and is_finite(hi):
-        return "left-infinite"
-    return "other"
-
-
 # ---------------------------------------------------------------------------
 # bilinear kernel and convolution
 
 
 def _require_factors(f: GradedBarcode, g: GradedBarcode, opname: str, allowed, error) -> list[list[str]]:
-    """The class of each bar of f and of g; `error` on a class not allowed."""
-    classes = []
-    for h in (f, g):
-        row = []
-        for x in h.bars:
-            i = x.interval
-            c = _classify_factor(i.lo.value, i.lo.closed, i.hi.value, i.hi.closed)
-            if c not in allowed:
-                raise error(f"{opname}: unsupported bar {i}")
-            row.append(c)
-        classes.append(row)
-    return classes
+    """The `flavor` of each bar of f and of g; `error` on a kind not allowed."""
+    kinds = [[flavor(x.interval) for x in h.bars] for h in (f, g)]
+    for x, k in zip(f.bars + g.bars, kinds[0] + kinds[1]):
+        if k not in allowed:
+            raise error(f"{opname}: unsupported bar {_excerpt(x.interval, str)}")
+    return kinds
 
 
 def _bilinear(f: GradedBarcode, g: GradedBarcode, pair, contravariant: bool = False) -> GradedBarcode:
@@ -147,17 +135,18 @@ def _convolve_pair(i: Ends, j: Ends) -> list[Tuple[Ends, int]]:
 
 def convolve(f: GradedBarcode, g: GradedBarcode) -> GradedBarcode:
     """Proper convolution; bilinear over bars, singleton bars act as shifts."""
-    _require_factors(f, g, "convolve", ("tamarkin", "singleton"), TamarkinClassError)
+    _require_factors(f, g, "convolve", (TAMARKIN, SINGLETON), TamarkinClassError)
     return _bilinear(f, g, _convolve_pair)
 
 
 def _convolve_np_pair(i: Ends, j: Ends) -> list[Tuple[Ends, int]]:
-    """Summands of a pair that `convolve_np` admits: no two (-oo,y) bars."""
-    ci, cj = _classify_factor(*i), _classify_factor(*j)
-    if "singleton" in (ci, cj) or ci == cj == "tamarkin":
+    """Summands of a pair that `convolve_np` admits: no two (-oo,y) bars.
+    Of those kinds only a singleton has a closed right end and only (-oo,y)
+    an open left end, so the flags decide."""
+    if i[3] or j[3] or (i[1] and j[1]):
         # a shift, or a sum map that is proper on the support
         return _convolve_pair(i, j)
-    if cj == "left-infinite":
+    if not j[1]:
         i, j = j, i
     y = i[2]
     c, _, d, _ = j
@@ -178,13 +167,11 @@ def convolve_np(f: GradedBarcode, g: GradedBarcode) -> GradedBarcode:
     oracle.  Unsupported type combinations, among them a (-oo,y) bar on
     both sides, raise ConvolutionTypeError before any pair is formed.
     """
-    cf, cg = _require_factors(
-        f, g, "convolve_np", ("tamarkin", "singleton", "left-infinite"), ConvolutionTypeError
-    )
-    if "left-infinite" in cf and "left-infinite" in cg:
-        x, y = f.bars[cf.index("left-infinite")], g.bars[cg.index("left-infinite")]
+    cf, cg = _require_factors(f, g, "convolve_np", (TAMARKIN, SINGLETON, LEFT_INFINITE), ConvolutionTypeError)
+    if LEFT_INFINITE in cf and LEFT_INFINITE in cg:
+        x, y = f.bars[cf.index(LEFT_INFINITE)], g.bars[cg.index(LEFT_INFINITE)]
         raise ConvolutionTypeError(
-            f"non-proper convolution table has no entry for {x.interval} * {y.interval}"
+            f"non-proper convolution table has no entry for {_excerpt(x.interval, str)} * {_excerpt(y.interval, str)}"
         )
     return _bilinear(f, g, _convolve_np_pair)
 
@@ -250,9 +237,8 @@ def rhom_total(f: GradedBarcode, g: GradedBarcode) -> HomSpace:
     """
     require_tamarkin(f, "rhom_total (source)")
     for y in g.bars:
-        i = y.interval
-        if _classify_factor(i.lo.value, i.lo.closed, i.hi.value, i.hi.closed) not in ("tamarkin", "left-infinite"):
-            raise ValidationError(f"rhom_total: unsupported target bar {i}")
+        if flavor(y.interval) not in (TAMARKIN, LEFT_INFINITE):
+            raise ValidationError(f"rhom_total: unsupported target bar {_excerpt(y.interval, str)}")
     ends = finite_ends(x.interval for x in f.bars + g.bars)
     rank = {v: k for k, v in enumerate(ends)}
     rank[NEG_INF], rank[POS_INF] = -1, len(ends)

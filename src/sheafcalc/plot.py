@@ -8,12 +8,16 @@ pure function of the canonical barcode (fixed float formatting, no state).
 
 from __future__ import annotations
 
+from .errors import ValidationError
+from .exactnum import exact_str
 from .intervals import GradedBarcode, canonicalize, expanded_bars, spec
 
 _W = 720
 _MARGIN = 56
 _BAR_H = 14
 _LANE_GAP = 26
+# ends are placed as floats; past this magnitude the window would overflow
+MAX_DRAWN = 10**300
 
 
 def _xml_text(s: str) -> str:
@@ -35,7 +39,15 @@ def _fmt(x: float) -> str:
 
 
 def _window(b: GradedBarcode) -> tuple[float, float]:
-    vals = [float(v) for v in spec(b)]
+    ends = spec(b)  # sorted
+    try:  # float() of a q*pi + s end overflows when q or s is past float range
+        if ends and (ends[0] < -MAX_DRAWN or ends[-1] > MAX_DRAWN):
+            raise OverflowError
+        vals = [float(v) for v in ends]
+    except OverflowError:
+        raise ValidationError("cannot draw a barcode with an end past +-1e300") from None
+    for v in ends:
+        exact_str(v)  # each end is a label: refused past the digit limit, as JSON output is
     if not vals:
         return (0.0, 1.0)
     lo, hi = min(vals), max(vals)

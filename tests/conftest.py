@@ -5,7 +5,8 @@ from fractions import Fraction as F
 import pytest
 
 import sheafcalc as sc
-from sheafcalc.exactnum import PiRational, is_finite
+from sheafcalc.errors import ValidationError
+from sheafcalc.exactnum import NEG_INF, POS_INF, PiRational, is_finite
 
 
 @pytest.fixture
@@ -133,3 +134,24 @@ def twin(i: sc.Interval) -> sc.Interval:
         for e in (i.lo, i.hi)
     ]
     return sc.Interval(*ends)
+
+
+def end_kind_pairs():
+    """(lo, hi) endpoint pairs over every end kind on each side: finite
+    closed, finite open or infinite, at equal or unequal finite values (equal
+    also across Fraction and PiRational(0, s)).  Not all are intervals."""
+    values = [F(0), F(1), PiRational(0, 1), PiRational(1, -3)]
+    ends = [sc.Endpoint(v, c) for v in values for c in (True, False)]
+    ends += [sc.Endpoint(NEG_INF, False), sc.Endpoint(POS_INF, False)]
+    return [(lo, hi) for lo in ends for hi in ends]
+
+
+def end_kind_intervals():
+    """The intervals among `end_kind_pairs`."""
+    out = []
+    for lo, hi in end_kind_pairs():
+        try:
+            out.append(sc.Interval(lo, hi))
+        except ValidationError:
+            pass
+    return out

@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import pytest
 
 import sheafcalc as sc
 from sheafcalc.cli import main
-from sheafcalc.errors import ValidationError
+from sheafcalc.errors import ConvolutionTypeError, TamarkinClassError, ValidationError
 from sheafcalc.intervals import barcode_from_json, barcode_to_json
 from sheafcalc.plot import svg_barcode, text_barcode
 
@@ -267,6 +268,18 @@ _BIG_MULT = json.dumps({"bars": [dict(GOOD_BAR, mult=10**30)]})
 _PAST_CAP_CIRCLE = json.dumps({"values": [0] * 25_001, "simplices": [[i, (i + 1) % 25_001] for i in range(25_001)]})
 
 
+def _one_bar(lo, lo_closed, hi, hi_closed, **fields):
+    return json.dumps({"bars": [dict(GOOD_BAR, lo={"v": lo, "closed": lo_closed}, hi={"v": hi, "closed": hi_closed}, **fields)]})
+
+
+# ends past the 4,300-digit limit for writing integers, in bars the
+# messages quote: an empty interval and a (1e5000, 2e5000] bar
+_EMPTY_PAST_DIGITS = _one_bar("1e5000", True, "0", False)
+_RC_PAST_DIGITS = _one_bar("1e5000", False, "2e5000", True)
+# a bar whose left end a float cannot hold
+_PAST_FLOAT = _one_bar("1e400", True, "+inf", False)
+
+
 @pytest.mark.parametrize(
     "argv, text, env",
     [
@@ -330,6 +343,28 @@ _PAST_CAP_CIRCLE = json.dumps({"values": [0] * 25_001, "simplices": [[i, (i + 1)
         (["morse", "sublevel", "@"], "3 3\n0 1 2\n2 0 1\n2 1 2\n2 0 2\n", str(10**400)),
         (["morse", "sublevel", "@"], _PAST_CAP_CIRCLE, None),
         (["morse", "sheaf", "@"], _PAST_CAP_CIRCLE, None),
+        (["barcode", "@"], _EMPTY_PAST_DIGITS, None),
+        (["ops", "convolve", "@", "@"], _RC_PAST_DIGITS, None),
+        (["ops", "adjoint", "@"], _RC_PAST_DIGITS, None),
+        (["ops", "rhom-total", "@", "@"], _RC_PAST_DIGITS, None),
+        (["plot", "@"], _PAST_FLOAT, None),
+        (["plot", "@", "--format", "text"], _PAST_FLOAT, None),
+        (["barcode", "@", "--format", "svg"], _PAST_FLOAT, None),
+        (["ops", "shift-t", "@", "--c", "1", "--format", "text"], _PAST_FLOAT, None),
+        (["barcode", "@"], _one_bar("0", True, "+inf", True), None),
+        (["barcode", "@"], json.dumps({"bars": [dict(GOOD_BAR, mult=0)]}), None),
+        (["morse", "front", "@"], '{"xs": ["0", "1"], "t_minus": ["0"], "t_plus": ["1", "1"]}', None),
+        (["domain", "--n", "1", "--r", "1", "--invariant", "1"], None, None),
+        (["domain", "ellipsoid", "--n", "2", "--r", "1", "--invariant", "1"], None, None),
+        (["domain", "scaled-ball", "--n", "1", "--r", "1", "--invariant", "1"], None, None),
+        (["domain", "ball", "--n", "1", "--invariant", "1"], None, None),
+        (["domain", "ellipsoid", "--n", "2", "--r", "1", "--R", "2", "--eigen", "1"], None, None),
+        (["domain", "ball", "--n", "1", "--r", "1", "--eigen", "-1"], None, None),
+        (["domain", "--spec-json", '{"torus":{"n":1,"r":"1"}}', "--invariant", "1"], None, None),
+        (["dist", "@"], json.dumps({"b1": {"bars": [GOOD_BAR]}}), None),
+        (["ops", "tau-rank", "@", "--c", "-1"], json.dumps({"bars": [GOOD_BAR]}), None),
+        (["barcode", "@"], _one_bar("2", True, "1", False), None),
+        (["barcode", "@"], _one_bar("1", False, "1", False), None),
     ]
     + [(argv, text, None) for argv, text in LONG_LITERAL_CASES],
     ids=[
@@ -347,6 +382,12 @@ _PAST_CAP_CIRCLE = json.dumps({"values": [0] * 25_001, "simplices": [[i, (i + 1)
         "dist-mult-past-int-index", "plot-mult-past-int-index", "svg-mult-cap", "ops-svg-mult-cap",
         "spec-json-with-kind", "spec-json-with-r", "field-huge", "field-past-cap", "field-env-huge",
         "complex-past-simplex-cap", "sheaf-past-simplex-cap",
+        "empty-interval-past-digit-limit", "convolve-bar-past-digit-limit", "adjoint-bar-past-digit-limit",
+        "rhom-total-bar-past-digit-limit", "plot-past-float", "plot-text-past-float", "svg-past-float",
+        "ops-text-past-float", "closed-infinite-end", "mult-zero", "front-unequal-lengths", "domain-no-kind",
+        "ellipsoid-no-R", "scaled-ball-no-c", "ball-no-r", "eigen-on-ellipsoid", "eigen-negative",
+        "spec-json-unknown-kind", "dist-combined-no-b2", "tau-rank-negative-c", "interval-empty",
+        "interval-degenerate",
     ]
     + LONG_LITERAL_IDS,
 )
@@ -395,6 +436,8 @@ HUGE_VALUE_CASES = [
     (["morse", "front", "@"], json.dumps({"xs": [_BIG, "1"], "t_minus": ["0", "0"], "t_plus": ["1", "1"]})),
     (["morse", "sublevel", "@"], json.dumps({"values": [_BIG, 0, 1], "simplices": [[0, 1, 2]]})),
     (["morse", "sublevel", "@"], "3 1\n0 1 2\n" + " ".join(["5"] * 5000) + "\n"),
+    (["barcode", "@"], _one_bar("1e400", True, "0", False)),
+    (["ops", "convolve", "@", "@"], _one_bar("1e400", False, "2e400", True)),
 ]
 
 
@@ -404,7 +447,7 @@ HUGE_VALUE_CASES = [
     ids=[
         "pi-endpoint-list", "symbolic-endpoint-object", "endpoint-value-list", "deg-list", "bar-end-list",
         "convention-list", "spec-json-r-list", "spec-json-n-list", "spec-json-ball-list", "front-value-list",
-        "complex-value-list", "complex-simplex-line",
+        "complex-value-list", "complex-simplex-line", "empty-interval-400-digit-end", "convolve-400-digit-bar",
     ],
 )
 def test_huge_value_message_is_one_short_line(tmp_path, capsys, argv, text):
@@ -416,6 +459,38 @@ def test_huge_value_message_is_one_short_line(tmp_path, capsys, argv, text):
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200, err[:300]
+
+
+def test_messages_quoting_a_bar_survive_the_digit_limit():
+    # each message quotes an interval whose ends have 5,001 digits, past
+    # what str() of an int will write
+    big = sc.interval("1e5000", "2e5000", False, True)
+    tam, left = sc.barcode(sc.bar(0, 1)), sc.barcode(sc.GradedBar(sc.interval("-inf", "1e5000", False)))
+    calls = [
+        (lambda: sc.interval("1e5000", 0), ValidationError),
+        (lambda: sc.convolve(tam, sc.barcode(sc.GradedBar(big))), TamarkinClassError),
+        (lambda: sc.convolve_np(left, left), ConvolutionTypeError),
+        (lambda: sc.rhom_total(tam, sc.barcode(sc.GradedBar(big))), ValidationError),
+        (lambda: sc.adjoint(sc.barcode(sc.GradedBar(big))), TamarkinClassError),
+    ]
+    for call, error in calls:
+        with pytest.raises(error) as info:
+            call()
+        assert len(str(info.value)) < 200 and "4300-digit limit" in str(info.value)
+
+
+def test_output_file_gets_stdout_bytes_and_dash_reads_stdin(tmp_path, capsys, monkeypatch):
+    text = json.dumps({"bars": [GOOD_BAR, dict(GOOD_BAR, deg=1)]})
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    code, expect, _ = run_cli(["barcode", str(path)], capsys)
+    assert code == 0 and expect
+    out = tmp_path / "out.json"
+    code, stdout, err = run_cli(["barcode", str(path), "-o", str(out)], capsys)
+    assert code == 0 and stdout == err == ""
+    assert out.read_bytes() == expect.encode()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert run_cli(["barcode", "-"], capsys) == (0, expect, "")
 
 
 def test_bad_endpoint_message_is_short():
@@ -585,3 +660,13 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "sheafcalc" in proc.stdout
+
+
+@pytest.mark.parametrize("fmt", ["svg", "text"])
+def test_plot_label_past_int_digit_limit_exits_3(tmp_path, capsys, fmt):
+    # 1e-5000 has a 5,001-digit denominator, which no label can print
+    path = tmp_path / "in.json"
+    path.write_text(_one_bar("1e-5000", True, "1", False))
+    code, out, err = run_cli(["plot", str(path), "--format", fmt], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "5001-digit" in err

@@ -10,13 +10,17 @@ from sheafcalc.exactnum import NEG_INF, POS_INF, PiRational
 from sheafcalc.errors import ConventionError, TamarkinClassError, ValidationError
 from sheafcalc.intervals import (
     LEFT_CLOSED,
+    LEFT_INFINITE,
     MIXED,
     RIGHT_CLOSED,
+    SINGLETON,
+    TAMARKIN,
     barcode_from_json,
     barcode_to_json,
+    flavor,
 )
 
-from conftest import mixed_scalars, rand_tamarkin_barcode, random_interval, twin
+from conftest import end_kind_intervals, end_kind_pairs, mixed_scalars, rand_tamarkin_barcode, random_interval, twin
 
 
 def test_empty_and_degenerate_intervals_rejected():
@@ -265,6 +269,89 @@ def test_convention_inference():
     mixed = sc.barcode(sc.bar(0, 1), sc.GradedBar(sc.interval(2, 3, False, True)))
     assert mixed.convention == MIXED
     assert sc.barcode(sc.GradedBar(sc.singleton(0))).convention == LEFT_CLOSED
+
+
+# -- the per-family predicates and `convention` loop that `flavor` replaced,
+# kept as its reference
+
+
+def ref_order_fault(lo, hi):
+    """The start of the message the two-compare order check raised, or None."""
+    if lo.value > hi.value:
+        return "empty interval"
+    if lo.value == hi.value and not (lo.closed and hi.closed):
+        return "degenerate interval"
+    return None
+
+
+def ref_is_tamarkin(i):
+    return i.lo.finite and i.lo.closed and not i.hi.closed
+
+
+def ref_is_left_closed_family(i):
+    """[a,b)-flavor, degenerately allowing an open -inf left end."""
+    lo_ok = i.lo.closed or not i.lo.finite
+    return lo_ok and not i.hi.closed
+
+
+def ref_is_right_closed_family(i):
+    hi_ok = i.hi.closed or not i.hi.finite
+    return hi_ok and not i.lo.closed
+
+
+def ref_convention(b):
+    tags = set()
+    for bar in b.bars:
+        if bar.interval.is_singleton:
+            continue
+        if ref_is_left_closed_family(bar.interval):
+            tags.add(LEFT_CLOSED)
+        elif ref_is_right_closed_family(bar.interval):
+            tags.add(RIGHT_CLOSED)
+        else:
+            tags.add(MIXED)
+    if not tags:
+        return LEFT_CLOSED
+    if len(tags) > 1:
+        return MIXED
+    return tags.pop()
+
+
+def test_interval_order_check_matches_reference():
+    pairs = end_kind_pairs()
+    for lo, hi in pairs:
+        fault = ref_order_fault(lo, hi)
+        if fault is None:
+            sc.Interval(lo, hi)
+        else:
+            with pytest.raises(ValidationError, match=fault):
+                sc.Interval(lo, hi)
+    assert {ref_order_fault(lo, hi) for lo, hi in pairs} == {None, "empty interval", "degenerate interval"}
+
+
+def test_flavor_matches_reference_predicates():
+    ivs = end_kind_intervals()
+    for i in ivs:
+        k = flavor(i)
+        assert (k == SINGLETON) == i.is_singleton
+        assert (k == TAMARKIN) == i.is_tamarkin() == ref_is_tamarkin(i)
+        assert (k == LEFT_INFINITE) == (not i.lo.finite and not i.hi.closed and i.hi.finite)
+        assert sc.GradedBarcode((sc.GradedBar(i),)).convention == ref_convention(sc.GradedBarcode((sc.GradedBar(i),)))
+    assert {flavor(i) for i in ivs} == {SINGLETON, TAMARKIN, LEFT_INFINITE, LEFT_CLOSED, RIGHT_CLOSED, MIXED}
+    for i in ivs:
+        for j in ivs:
+            b = sc.GradedBarcode((sc.GradedBar(i), sc.GradedBar(j, 1)))
+            assert b.convention == ref_convention(b)
+
+
+def test_convention_matches_reference_on_generated_barcodes(rng):
+    pool = mixed_scalars() + [NEG_INF, POS_INF]
+    tags = set()
+    for _ in range(1000):
+        b = sc.GradedBarcode(tuple(sc.GradedBar(random_interval(rng, pool)) for _ in range(rng.randint(0, 5))))
+        assert b.convention == ref_convention(b)
+        tags.add(b.convention)
+    assert tags == {LEFT_CLOSED, RIGHT_CLOSED, MIXED}
 
 
 def test_convert_convention():

@@ -13,7 +13,7 @@ from sheafcalc.exactnum import NEG_INF, POS_INF, Infinity, PiRational, cmp, is_f
 from sheafcalc.intervals import MAX_SCALE_BITS, barcode_to_json, scaled_ends, spec, stalk
 from sheafcalc.stratmodel import rhom_oracle, rhom_sheaf_stalk_oracle
 
-from conftest import big_primes, mixed_scalars, rand_tamarkin_barcode, stratum_samples
+from conftest import big_primes, end_kind_intervals, mixed_scalars, rand_tamarkin_barcode, stratum_samples
 
 UNIT = sc.barcode(sc.GradedBar(sc.singleton(0)))
 HALF_LINE = sc.barcode(sc.bar(0, "+inf"))
@@ -578,7 +578,7 @@ def ref_is_left_infinite(i):
 def ref_classify_factor(i):
     if i.is_singleton:
         return "singleton"
-    if i.is_tamarkin():
+    if i.lo.finite and i.lo.closed and not i.hi.closed:
         return "tamarkin"
     if ref_is_left_infinite(i):
         return "left-infinite"
@@ -804,6 +804,41 @@ def test_bilinear_matches_interval_reference(op):
         wide += len({e.value.denominator for x in f.bars + g.bars for e in (x.interval.lo, x.interval.hi)
                      if isinstance(e.value, F)}) >= 50
     assert merged > 50 and wide >= 4
+
+
+def test_op_kinds_match_reference_classes():
+    # every end kind on each side: the old factor classes decide which bars
+    # each op admits, and the np pair rule's flag test picks the old branch
+    ivs = end_kind_intervals()
+    admitted = {
+        (ops.convolve, TamarkinClassError): ("tamarkin", "singleton"),
+        (ops.convolve_np, ConvolutionTypeError): ("tamarkin", "singleton", "left-infinite"),
+    }
+    for i in ivs:
+        b = bc(sc.GradedBar(i))
+        for (op, error), ok in admitted.items():
+            if ref_classify_factor(i) in ok:
+                op(b, UNIT)
+            else:
+                with pytest.raises(error, match="unsupported bar"):
+                    op(b, UNIT)
+        if ref_classify_factor(i) in ("tamarkin", "left-infinite"):
+            ops.rhom_total(HALF_LINE, b)
+        else:
+            with pytest.raises(ValidationError, match="unsupported target bar"):
+                ops.rhom_total(HALF_LINE, b)
+    np_ivs = [i for i in ivs if ref_classify_factor(i) != "other"]
+    pairs = 0
+    for i in np_ivs:
+        for j in np_ivs:
+            f, g = bc(sc.GradedBar(i)), bc(sc.GradedBar(j, 1))
+            if ref_classify_factor(i) == ref_classify_factor(j) == "left-infinite":
+                with pytest.raises(ConvolutionTypeError, match="no entry"):
+                    ops.convolve_np(f, g)
+            else:
+                assert emitted(ops.convolve_np(f, g)) == emitted(ref_bilinear(f, g, ref_convolve_np_pair))
+                pairs += 1
+    assert pairs > 200
 
 
 def prime_side(rng, primes):

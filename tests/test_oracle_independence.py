@@ -137,3 +137,19 @@ def test_graph_resolves_imports_and_classes():
     assert ("stratmodel", "StratModel.__post_init__") in reachable(("stratmodel", "from_barcode"))
     # a name imported from another module resolves to its definition there
     assert ("intervals", "canonicalize") in GRAPH["morse", "sublevel_barcode"]
+
+
+# the fiberwise stalk oracle and the bilinear ops it checks: they may share
+# the interval types of other modules (the graph follows class references
+# into them), so the rule is stated on `ops` nodes
+STALK_ORACLE = (("ops", "barcode_stalk_via_oracle"),)
+BILINEAR_OPS = tuple(("ops", name) for name in ("convolve", "convolve_np", "hom_star", "rhom_sheaf"))
+
+
+def test_stalk_oracle_shares_no_ops_code_with_the_bilinear_ops():
+    oracle = {node for node in reachable(*STALK_ORACLE) if node[0] == "ops"}
+    assert oracle == set(STALK_ORACLE) | {
+        ("ops", "stalk_oracle"), ("ops", "_sum_cut"), ("ops", "FiberCut.shape"), ("ops", "FiberCut.cohomology"),
+    }
+    checked = {node for node in reachable(*BILINEAR_OPS) if node[0] == "ops"}
+    assert ("ops", "_bilinear") in checked and checked.isdisjoint(oracle)
