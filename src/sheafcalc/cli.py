@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 
 from . import metrics, morse, ops
@@ -43,6 +44,10 @@ from .intervals import (
 from .plot import svg_barcode, text_barcode
 
 FIELD_ENV = "SHEAFCALC_FIELD"
+
+# a negative scalar (-1/2, -1e-3, -pi, -inf) after a subcommand's option is its
+# value, not a flag; argparse's own pattern takes only the -1 and -1.5 forms
+_NEGATIVE_SCALAR = re.compile(r"-(\d|\.\d|pi|inf)")
 
 
 def _dump(obj) -> str:
@@ -179,8 +184,7 @@ def _parse_complex(text: str):
         obj = _loads(text, "complex file")
         try:
             values = [_json_rational(v, "values") for v in obj["values"]]
-            # unsorted: from_maximal checks the vertices are ints before sorting
-            simplices = [tuple(s) for s in obj["simplices"]]
+            simplices = list(obj["simplices"])  # the SimplicialComplex constructor checks each one
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValidationError("complex JSON needs 'values' and 'simplices'") from exc
         K = morse.SimplicialComplex.from_maximal(len(values), simplices)
@@ -302,6 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--format", choices=("json", "svg", "text"), default="json")
         sp.add_argument("--output", "-o", default=None)
+        sp._negative_number_matcher = _NEGATIVE_SCALAR  # not on the top level, whose -p is a flag
 
     sp = sub.add_parser("barcode", help="canonicalize / query a barcode")
     sp.add_argument("input")

@@ -21,7 +21,6 @@ persistence of t_- + t_+ and yields the capacity anchors.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -51,51 +50,42 @@ MAX_SIMPLICES = 50_000
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Simplices of dimension <= 2 on the vertices range(n_vertices).
+    """The complex the given simplices generate on the vertices range(n_vertices):
+    each of them and all of its faces, stored sorted by (size, vertices).
 
-    The constructor holds the simplex rules, checked in one pass: a simplex
-    is a tuple of 1 to 3 strictly increasing int vertices (not bools) in
-    range(n_vertices), none is listed twice, and its facets are all listed.
-    More than MAX_SIMPLICES simplices are refused before any of that.
+    The constructor is the one place that checks the simplex rules, once per
+    given simplex: 1 to 3 distinct int vertices (not bools) in
+    range(n_vertices), in any order.  More than MAX_SIMPLICES given simplices
+    are refused before any face is generated, and so is a larger closure.
     """
 
     n_vertices: int
     simplices: Tuple[Simplex, ...]
 
     def __post_init__(self):
+        n = self.n_vertices
         if len(self.simplices) > MAX_SIMPLICES:
             raise ValidationError(f"complex has {len(self.simplices)} simplices, more than the cap of {MAX_SIMPLICES}")
-        n = self.n_vertices
-        try:
-            present = set(self.simplices)
-        except TypeError as exc:
-            raise ValidationError("a simplex must be a tuple of vertex ints") from exc
-        if len(present) < len(self.simplices):
-            dup = next(s for s, c in Counter(self.simplices).items() if c > 1)
-            raise ValidationError(f"duplicate simplex {_excerpt(dup)}")
+        closure: set[Simplex] = set()
         for s in self.simplices:
-            if not (isinstance(s, tuple) and 0 < len(s) <= 3 and all(type(v) is int for v in s)
-                    and 0 <= s[0] and s[-1] < n and all(a < b for a, b in zip(s, s[1:]))):
-                raise ValidationError(f"simplex {_excerpt(s)} needs 1 to 3 increasing int vertices in 0..{n - 1}")
-            for f, _ in _facet_signs(s):
-                if f not in present:
-                    raise ValidationError(f"face {f} of {s} is missing")
+            try:
+                s = tuple(s)
+            except TypeError as exc:
+                raise ValidationError(f"simplex {_excerpt(s)} is not a sequence of vertices") from exc
+            if not (0 < len(s) <= 3 and all(type(v) is int and 0 <= v < n for v in s) and len(set(s)) == len(s)):
+                raise ValidationError(
+                    f"simplex {_excerpt(s)} needs int vertices: 1 to 3 (dimensions 0 to 2), distinct, in 0..{n - 1}")
+            s = sorted(s)
+            for k in range(1, len(s) + 1):
+                closure.update(combinations(s, k))
+        if len(closure) > MAX_SIMPLICES:
+            raise ValidationError(f"complex has {len(closure)} simplices, more than the cap of {MAX_SIMPLICES}")
+        object.__setattr__(self, "simplices", tuple(sorted(closure, key=lambda s: (len(s), s))))
 
     @classmethod
     def from_maximal(cls, n_vertices: int, maximal: Iterable[Sequence[int]]) -> "SimplicialComplex":
-        """Every vertex in range(n_vertices) and every face of the given
-        simplices.  Only what face generation needs is checked first: at most
-        3 vertices (a huge simplex has 2^n faces), all ints (for sorted)."""
-        acc: set[Simplex] = {(v,) for v in range(n_vertices)}
-        for m in map(tuple, maximal):
-            if len(m) > 3:
-                raise ValidationError("only dimensions <= 2 are supported")
-            if not all(type(v) is int for v in m):
-                raise ValidationError(f"simplex {_excerpt(m)} needs int vertices")
-            m = sorted(m)
-            for k in range(1, len(m) + 1):
-                acc.update(combinations(m, k))
-        return cls(n_vertices, tuple(sorted(acc, key=lambda s: (len(s), s))))
+        """Every vertex in range(n_vertices) and every face of the given simplices."""
+        return cls(n_vertices, [(v,) for v in range(n_vertices)] + list(maximal))
 
     def of_dim(self, q: int) -> list[Simplex]:
         return [s for s in self.simplices if len(s) == q + 1]

@@ -66,6 +66,29 @@ def test_barcode_queries(tmp_path, capsys):
     assert code == 0 and json.loads(out) == {"dims": {"0": 1}}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ops", "shift-t", "@", "--c", "-1/2"],
+        ["ops", "shift-t", "@", "--c", "-pi"],
+        ["ops", "shift-t", "@", "--c", "-1e-3"],
+        ["barcode", "@", "--stalk", "-1/2"],
+        ["barcode", "@", "--sections", "-inf"],
+        ["-p", "3", "barcode", "@", "--stalk", "-.5"],
+    ],
+    ids=["shift-t-fraction", "shift-t-pi", "shift-t-exponent", "stalk-fraction", "sections-inf", "field-and-stalk"],
+)
+def test_negative_scalar_after_its_option(tmp_path, capsys, argv):
+    # argparse's own pattern reads these values as flags (exit 2 with its
+    # usage block); each must act as its --option=value form does
+    a = write_barcode(tmp_path, "a.json", sc.barcode(sc.bar(-1, 2), sc.bar(-2, "+inf", degree=1)))
+    argv = [a if x == "@" else x for x in argv]
+    code, out, err = run_cli(argv, capsys)
+    code2, joined, _ = run_cli(argv[:-2] + [f"{argv[-2]}={argv[-1]}"], capsys)
+    assert code == code2 == 0 and err == ""
+    assert out == joined
+
+
 def test_dist_output(tmp_path, capsys):
     a = write_barcode(tmp_path, "a.json", sc.barcode(sc.bar(0, 4)))
     b = write_barcode(tmp_path, "b.json", sc.barcode(sc.bar(F(1, 2), F(21, 5))))
@@ -312,6 +335,7 @@ _PAST_FLOAT = _one_bar("1e400", True, "+inf", False)
         (["morse", "sublevel", "@"], '{"values": [0, 1, 2], "simplices": [[0, 0, 1]]}', None),
         (["morse", "sublevel", "@"], '{"values": [0, 1, 2], "simplices": [[0, 1, 5]]}', None),
         (["morse", "sublevel", "@"], '{"values": [0, 1, 2], "simplices": [[0, -1]]}', None),
+        (["morse", "sublevel", "@"], '{"values": [0, 1, 2], "simplices": [5]}', None),
         (["domain", "ball", "--n", "1", "--r", "1", "--stalk", "+inf"], None, None),
         (["domain", "ball", "--n", "1", "--r", "1", "--invariant=+inf"], None, None),
         (["domain", "ball", "--n", "1", "--r", "1", "--invariant=-inf"], None, None),
@@ -373,7 +397,7 @@ _PAST_FLOAT = _one_bar("1e400", True, "+inf", False)
         "field-env", "complex-float-value", "complex-bool-value", "front-float", "front-bool",
         "bad-pi-literal", "json-int-past-digit-limit", "json-nested-too-deep", "not-utf8",
         "complex-str-vertex", "complex-mixed-vertex", "complex-list-vertex", "complex-float-vertex", "complex-bool-vertex",
-        "complex-repeated-vertex", "complex-unknown-vertex", "complex-negative-vertex",
+        "complex-repeated-vertex", "complex-unknown-vertex", "complex-negative-vertex", "complex-int-simplex",
         "stalk-inf", "invariant-inf", "invariant-neg-inf", "tmax-inf", "transfer-inf",
         "eigen-past-digit-limit", "cone-past-digit-limit",
         "exponent-cli-rational", "exponent-scalar", "exponent-pi-scalar", "exponent-barcode-json",

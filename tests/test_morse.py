@@ -40,12 +40,13 @@ def superlevel_complex(K: morse.SimplicialComplex, f: morse.VertexFunction, t: F
 
 
 def test_complex_validation():
-    with pytest.raises(ValidationError):
-        morse.SimplicialComplex(2, ((0, 1),))  # missing vertices
+    # the constructor adds the missing faces of what it is given
+    assert morse.SimplicialComplex(2, ((0, 1),)).simplices == ((0,), (1,), (0, 1))
     K = morse.SimplicialComplex.from_maximal(3, [(0, 1, 2)])
     assert len(K.simplices) == 7
+    assert morse.SimplicialComplex(3, ((0,), (1,), (2,), (0, 1, 2))) == K
     with pytest.raises(ValidationError):
-        morse.SimplicialComplex(3, ((0,), (1,), (2,), (0, 1, 2)))
+        morse.SimplicialComplex(3, ((0, 1, 3),))
 
 
 def test_sublevel_circle_example():

@@ -1,11 +1,11 @@
 """Simplex rules and the closed-manifold test against reference copies.
 
-The reference functions below are separately kept copies of the earlier
-code: a validator that checks each rule on its own, a `from_maximal` that
-checks vertex range and distinctness before generating faces, and a
-manifold test that scans every triangle once per vertex and walks each link
-as a cycle.  The library must accept and reject the same generated
-complexes and give the same manifold verdicts.
+The reference functions below are separately kept code: a closure that
+checks each rule of each given simplex on its own and finds the faces by
+dropping one vertex at a time, and a manifold test that scans every
+triangle once per vertex and walks each link as a cycle.  The library must
+accept and reject the same generated lists, build the same complexes from
+them and give the same manifold verdicts.
 """
 
 import random
@@ -25,38 +25,35 @@ def _ref_facets(s):
     return [s[:i] + s[i + 1:] for i in range(len(s))] if len(s) > 1 else []
 
 
-def ref_validate(n_vertices, simplices):
-    seen = set()
+def ref_closure(n_vertices, simplices):
+    """The complex a list of simplices generates: each simplex, in any order,
+    and all of its faces."""
+    if len(simplices) > morse.MAX_SIMPLICES:
+        raise ValidationError("too many simplices")
+    out = set()
     for s in simplices:
-        if tuple(sorted(s)) != s:
-            raise ValidationError("unsorted")
+        s = tuple(s)
+        if not 1 <= len(s) <= 3:
+            raise ValidationError("dimension")
+        if any(type(v) is not int for v in s):
+            raise ValidationError("vertex type")
         if len(set(s)) != len(s):
             raise ValidationError("repeated vertex")
-        if len(s) > 3:
-            raise ValidationError("dimension")
-        if s in seen:
-            raise ValidationError("duplicate")
-        seen.add(s)
         if any(v < 0 or v >= n_vertices for v in s):
             raise ValidationError("unknown vertex")
-    for s in simplices:
-        for f in _ref_facets(s):
-            if f not in seen:
-                raise ValidationError("missing face")
+        todo = [tuple(sorted(s))]
+        while todo:
+            f = todo.pop()
+            if f not in out:
+                out.add(f)
+                todo.extend(_ref_facets(f))
+    if len(out) > morse.MAX_SIMPLICES:
+        raise ValidationError("too many simplices")
+    return tuple(sorted(out, key=lambda s: (len(s), s)))
 
 
 def ref_from_maximal(n_vertices, maximal):
-    acc = {(v,) for v in range(n_vertices)}
-    for m in map(tuple, maximal):
-        if len(m) > 3:
-            raise ValidationError("dimension")
-        if not all(type(v) is int and 0 <= v < n_vertices for v in m) or len(set(m)) < len(m):
-            raise ValidationError("vertices")
-        for k in range(1, len(m) + 1):
-            acc.update(combinations(sorted(m), k))
-    simplices = tuple(sorted(acc, key=lambda s: (len(s), s)))
-    ref_validate(n_vertices, simplices)
-    return simplices
+    return ref_closure(n_vertices, [(v,) for v in range(n_vertices)] + list(maximal))
 
 
 def ref_is_closed_manifold(K):
@@ -211,12 +208,15 @@ def generated_cases(seed=11):
         K = morse.SimplicialComplex.from_maximal(k, cycle_edges(list(range(k))))
         direct("circle leaving out a vertex", k + 1, K.simplices)
         direct("circle without the face (0,)", k, K.simplices[1:])
-    # broken lists the validator must refuse (and some it must accept)
-    for _ in range(40):
+    # edited lists: the constructor closes the first five, refuses the rest
+    for _ in range(70):
         m, n = rng.choice(sizes[:6])
         simplices = list(morse.SimplicialComplex.from_maximal(m * n, torus_tris(m, n)).simplices)
         i = rng.randrange(len(simplices))
-        how = rng.choice(["drop", "duplicate", "reverse", "out of range", "negative"])
+        how = rng.choice([
+            "drop", "duplicate", "reverse", "as a list", "maximal only",
+            "out of range", "negative", "repeated vertex", "bool vertex", "four vertices", "empty",
+        ])
         s = simplices[i]
         if how == "drop":
             del simplices[i]
@@ -224,11 +224,26 @@ def generated_cases(seed=11):
             simplices.append(s)
         elif how == "reverse":
             simplices[i] = s[::-1]
+        elif how == "as a list":
+            simplices[i] = list(s)
+        elif how == "maximal only":
+            simplices = [t for t in simplices if len(t) == 3]
         elif how == "out of range":
             simplices[i] = s[:-1] + (m * n,)
-        else:
+        elif how == "negative":
             simplices[i] = (-1,) + s[1:]
+        elif how == "repeated vertex":
+            simplices[i] = s + s[:1] if len(s) < 3 else s[:2] + s[:1]
+        elif how == "bool vertex":
+            simplices[i] = (True,) + s[1:]
+        elif how == "four vertices":
+            simplices[i] = s + tuple(v for v in range(4) if v not in s)[: 4 - len(s)]
+        else:
+            simplices[i] = ()
         direct(f"torus list, {how}", m * n, simplices)
+    # lists past the cap: given, and generated by the faces
+    direct("past the cap, given", morse.MAX_SIMPLICES + 1, [(v,) for v in range(morse.MAX_SIMPLICES + 1)])
+    direct("past the cap, closed", 15_002, [(i, i + 1, i + 2) for i in range(15_000)])
     # maximal lists from_maximal must refuse
     for bad in [[(0, 0, 1)], [(0, 1, 5)], [(-1, 0)], [(0, 1, 2, 3)], [(0, 1), (1, 1)]]:
         maxi("bad maximal", 4, bad)
@@ -238,8 +253,7 @@ def generated_cases(seed=11):
 def _ref_build(n, maximal, simplices):
     if maximal is not None:
         return ref_from_maximal(n, maximal)
-    ref_validate(n, simplices)
-    return simplices
+    return ref_closure(n, simplices)
 
 
 def _build(n, maximal, simplices):
@@ -276,26 +290,57 @@ def test_generated_complexes_agree_with_reference():
 @pytest.mark.parametrize(
     "n, simplices, message",
     [
-        (2, ((0,), (1,), (1, 0)), "increasing"),
-        (2, ((0,), (0, 0)), "increasing"),
+        (2, ((0,), (0, 0)), "distinct"),
         (4, ((0,), (1,), (2,), (3,), (0, 1, 2, 3)), "1 to 3"),
-        (2, ((0,), (1,), (0,)), "duplicate"),
         (2, ((0,), (2,)), "0..1"),
         (2, ((-1,), (0,)), "0..1"),
-        (2, ((0,), (True,), (0, True)), "int"),
-        (2, ((0,), (0, 1)), "missing"),
+        (2, ((0,), (True,), (0, True)), "needs int vertices"),
         (2, ((),), "1 to 3"),
-        (2, ([0, 1],), "tuple"),
-        (2, ((0.0,),), "int"),
+        (2, ((0.0,),), "needs int vertices"),
+        (2, (5,), "not a sequence"),
     ],
     ids=[
-        "unsorted", "repeated-vertex", "four-vertices", "duplicate", "out-of-range", "negative",
-        "bool-vertex", "missing-face", "empty", "list", "float-vertex",
+        "repeated-vertex", "four-vertices", "out-of-range", "negative", "bool-vertex", "empty", "float-vertex",
+        "not-a-sequence",
     ],
 )
 def test_constructor_rejects(n, simplices, message):
     with pytest.raises(ValidationError, match=message):
         morse.SimplicialComplex(n, simplices)
+
+
+@pytest.mark.parametrize(
+    "n, simplices",
+    [
+        (2, ((0,), (1,), (1, 0))),
+        (2, ((0,), (1,), (0, 1), (0, 1))),
+        (2, ((0,), (0, 1))),
+        (2, ([1, 0],)),
+    ],
+    ids=["unsorted", "duplicate", "missing-face", "list"],
+)
+def test_constructor_closes(n, simplices):
+    # each list generates the edge (0, 1) and its two vertices
+    assert morse.SimplicialComplex(n, simplices).simplices == ((0,), (1,), (0, 1))
+
+
+def test_constructor_checks_the_cap_before_any_face(monkeypatch):
+    def no_faces(*args):
+        raise AssertionError("a face was generated")
+
+    monkeypatch.setattr(morse, "combinations", no_faces)
+    given = [(v,) for v in range(morse.MAX_SIMPLICES + 1)]
+    with pytest.raises(ValidationError, match="more than the cap"):
+        morse.SimplicialComplex(len(given), given)
+    # within the cap, the faces are generated
+    with pytest.raises(AssertionError):
+        morse.SimplicialComplex(1, [(0,)])
+
+
+def test_constructor_refuses_a_closure_past_the_cap():
+    strip = [(i, i + 1, i + 2) for i in range(15_000)]  # 15,000 triangles, 60,003 simplices with faces
+    with pytest.raises(ValidationError, match="60003 simplices, more than the cap"):
+        morse.SimplicialComplex(15_002, strip)
 
 
 def test_constructor_accepts_unlisted_vertex_and_any_order():

@@ -153,3 +153,19 @@ def test_stalk_oracle_shares_no_ops_code_with_the_bilinear_ops():
     }
     checked = {node for node in reachable(*BILINEAR_OPS) if node[0] == "ops"}
     assert ("ops", "_bilinear") in checked and checked.isdisjoint(oracle)
+
+
+# the brute-force interleaving oracle and the distances it checks: both
+# group the expanded bars by degree with `_by_degree`, and share no other
+# `metrics` node
+DISTANCES = (("metrics", "bottleneck"), ("metrics", "delta_matched"))
+INTERLEAVE_ORACLE = (("metrics", "brute_interleave"),)
+SHARED_GROUPING = {("metrics", "_by_degree")}
+
+
+def test_brute_interleave_shares_only_the_degree_grouping_with_the_distances():
+    oracle = {node for node in reachable(*INTERLEAVE_ORACLE) if node[0] == "metrics"}
+    checked = {node for node in reachable(*DISTANCES) if node[0] == "metrics"}
+    assert ("metrics", "_interleave_block") in oracle
+    assert {("metrics", "_max_matching"), ("metrics", "_CostTable.match")} <= checked
+    assert oracle & checked == SHARED_GROUPING

@@ -15,6 +15,7 @@ kind and step, so every run sees the same inputs:
                      ``perturb``-ed copy (``tamarkin_bars``); size n
     convolve         ``ops convolve`` of two n-bar barcodes in degrees 0-2
                      (``tamarkin_bars``); size n
+    rhom-total       ``ops rhom-total`` of two such barcodes; size n
 
 It prints one line per step (kind, n, size, seconds, the step's peak RSS in
 MB, and the log-log slope from the step before) and, after each kind's
@@ -23,9 +24,11 @@ them.  The seconds time the CLI call alone; the peak RSS is that of the
 whole subprocess, interpreter and imports included.  A slope near 1 is
 linear time, near 2 quadratic.  A morse kind stops before a torus with more
 simplices than ``morse.MAX_SIMPLICES``, which the CLI refuses.  This is a
-report with no bounds; it exits 1 only if a job fails.
+report with no bounds; it exits 1 only if a job fails.  ``--kind`` (repeatable)
+runs only the named kinds, so that one kind can run up to a large cap.
 
     python3 tools/ladder.py --cap 2
+    python3 tools/ladder.py --cap 12 --kind sheaf-distinct --kind rhom-total
     python3 tools/ladder.py --cap 2 --root ../other-checkout
 
 ``--root`` names the checkout whose ``src/`` and ``perfbench/`` are used
@@ -98,10 +101,13 @@ def dist_step(workloads, rng, k, workdir):
     return n, n, ["dist", workloads.write_barcode(workdir, "a.json", a), workloads.write_barcode(workdir, "b.json", b)]
 
 
-def convolve_step(workloads, rng, k, workdir):
-    n = 25 * 2**k
-    paths = [workloads.write_barcode(workdir, f"{x}.json", workloads.tamarkin_bars(rng, n, 3)) for x in "ab"]
-    return n, n, ["ops", "convolve", *paths]
+def ops_step(op):
+    def step(workloads, rng, k, workdir):
+        n = 25 * 2**k
+        paths = [workloads.write_barcode(workdir, f"{x}.json", workloads.tamarkin_bars(rng, n, 3)) for x in "ab"]
+        return n, n, ["ops", op, *paths]
+
+    return step
 
 
 KINDS = {
@@ -109,7 +115,8 @@ KINDS = {
     "sheaf-distinct": morse_step("sheaf", distinct_values),
     "sublevel": morse_step("sublevel", tent_values),
     "dist": dist_step,
-    "convolve": convolve_step,
+    "convolve": ops_step("convolve"),
+    "rhom-total": ops_step("rhom-total"),
 }
 
 
@@ -126,6 +133,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--root", default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     ap.add_argument("--cap", type=float, default=2.0, help="stop a kind after its first step past this many seconds")
+    ap.add_argument("--kind", action="append", choices=KINDS, help="run only this kind (repeatable; default: all)")
     args = ap.parse_args(argv)
     root = os.path.abspath(args.root)
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
@@ -135,7 +143,8 @@ def main(argv=None) -> int:
     max_simplices = getattr(morse, "MAX_SIMPLICES", math.inf)  # a checkout older than the cap has none
     failed = False
     print("kind n size seconds peak_rss_mb step_slope", flush=True)
-    for kind, make in KINDS.items():
+    for kind in args.kind or KINDS:
+        make = KINDS[kind]
         points = []
         workdir = tempfile.mkdtemp(prefix="ladder-")
         try:
