@@ -294,9 +294,16 @@ def _cmd_plot(args):
     return _read_barcode(args.input), args.title
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a malformed command line in one line, not argparse's usage block."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 @functools.cache  # one parser shared per process: building it costs about as much as a small job
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="sheafcalc",
         description="Exact barcode calculus for constructible sheaves on the line",
     )
@@ -383,8 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         result = args.func(args)
         result, title = result if isinstance(result, tuple) else (result, "")
         _emit(args, _render(args, result, title))

@@ -4,7 +4,8 @@ A barcode is a finite multiset of intervals with integer cohomological
 degrees ("degree d" = the degree where the one-dimensional stalk sits, so a
 shift [n] lowers the degree field by n).  Everything here is immutable and
 exact; canonical form is sorted-and-merged, and equality is canonical
-multiset equality.  `scaled_ends` is the one endpoint-scaling helper: when
+multiset equality; a canonical barcode is marked so (`canonical_barcode`)
+and never sorted again.  `scaled_ends` is the one endpoint-scaling helper: when
 every finite end is a Fraction, and their common denominator has at most
 MAX_SCALE_BITS bits, it holds each as an integer over that denominator,
 which is what the canonical sort, the bilinear ops kernel and the
@@ -84,6 +85,14 @@ class Interval:
             if lo > hi:
                 raise ValidationError(f"empty interval: lo {_excerpt(lo, str)} > hi {_excerpt(hi, str)}")
             raise ValidationError("degenerate interval must be the both-closed singleton")
+
+    @classmethod
+    def _ordered(cls, lo: Endpoint, hi: Endpoint) -> "Interval":
+        """The interval of ends its maker has already ordered: no check."""
+        out = object.__new__(cls)
+        fields = out.__dict__
+        fields["lo"], fields["hi"] = lo, hi
+        return out
 
     # -- queries ----------------------------------------------------------
 
@@ -186,6 +195,8 @@ class GradedBar:
 @dataclass(frozen=True)
 class GradedBarcode:
     bars: Tuple[GradedBar, ...] = field(default_factory=tuple)
+    # set only by `canonical_barcode`; not a field, so never a constructor argument
+    _canonical = False
 
     def __post_init__(self):
         object.__setattr__(self, "bars", tuple(self.bars))
@@ -282,20 +293,30 @@ def scaled_ends(intervals: Iterable[Interval]) -> Tuple[list[tuple], Optional[in
     return [(held(lo), lc, held(hi), hc) for lo, lc, hi, hc in rows], scale
 
 
+def canonical_barcode(bars: Iterable[GradedBar]) -> GradedBarcode:
+    """The barcode of bars already sorted and merged, marked canonical."""
+    out = GradedBarcode(tuple(bars))
+    object.__setattr__(out, "_canonical", True)
+    return out
+
+
 def canonicalize(b: GradedBarcode) -> GradedBarcode:
     """Sort by (degree, lo, hi) and merge equal bars into multiplicity; a
     merged bar keeps the interval of the last bar of its (stable) run.
 
     At equal values a closed left end sorts first, an open right end first.
     The sort runs on the `scaled_ends` values, integers when every finite
-    end is a Fraction."""
+    end is a Fraction.  The result is marked canonical, and a marked
+    barcode is returned as it is."""
+    if b._canonical:
+        return b
     ends, _ = scaled_ends(x.interval for x in b.bars)
     keys = [(x.degree, lo, not lc, hi, hc) for x, (lo, lc, hi, hc) in zip(b.bars, ends)]
     out = []
     for k, mult in merge_runs(keys, [x.mult for x in b.bars]):
         x = b.bars[k]
         out.append(x if mult == x.mult else GradedBar(x.interval, x.degree, mult))
-    return GradedBarcode(tuple(out))
+    return canonical_barcode(out)
 
 
 def merge_runs(keys: list, mults: list[int]) -> list[Tuple[int, int]]:

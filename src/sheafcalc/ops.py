@@ -33,6 +33,7 @@ from .intervals import (
     GradedBarcode,
     HomSpace,
     Interval,
+    canonical_barcode,
     canonicalize,  # re-exported: the benchmark's traced run wraps ops.canonicalize
     finite_ends,
     flavor,
@@ -81,9 +82,12 @@ def _bilinear(f: GradedBarcode, g: GradedBarcode, pair, contravariant: bool = Fa
     summand sits in degree deg y + deg x + offset (deg y - deg x + offset
     when the operation is contravariant in f) with multiplicity
     mult x * mult y.  The rule runs on the `scaled_ends` of both factors,
-    so on integers whenever they can be scaled.  The summands
-    are sorted and merged by `merge_runs` on the `canonicalize` key, so
-    the result is canonical, and each distinct output value is built once.
+    so on integers whenever they can be scaled.  The summands are sorted
+    and merged by `merge_runs` on the `canonicalize` key, so the result is
+    marked canonical.  The pair rules order the ends, so no output interval
+    is checked again.  On integers each distinct (end, closed) pair is one
+    Endpoint; unscaled ends get one per bar, since PiRational(0, s) equals
+    Fraction(s) and a merged bar keeps its own value objects.
     """
     ends, scale = scaled_ends(x.interval for x in f.bars + g.bars)
     g_ends = ends[len(f.bars) :]
@@ -95,20 +99,22 @@ def _bilinear(f: GradedBarcode, g: GradedBarcode, pair, contravariant: bool = Fa
             for (lo, lc, hi, hc), off in pair(i, j):
                 keys.append((deg + off, lo, not lc, hi, hc))
                 mults.append(mult)
-    values: dict = {}
+    end = Endpoint
+    if scale is not None:
+        values, memo = {}, {}
 
-    def value(v):
-        if scale is None or isinstance(v, Infinity):
-            return v
-        if v not in values:
-            values[v] = Fraction(v, scale)
-        return values[v]
+        def end(v, closed):
+            if (v, closed) not in memo:
+                if v not in values:
+                    values[v] = v if isinstance(v, Infinity) else Fraction(v, scale)
+                memo[v, closed] = Endpoint(values[v], closed)
+            return memo[v, closed]
 
     out = []
     for k, mult in merge_runs(keys, mults):
         deg, lo, lo_open, hi, hc = keys[k]
-        out.append(GradedBar(_interval((value(lo), not lo_open, value(hi), hc)), deg, mult))
-    return GradedBarcode(tuple(out))
+        out.append(GradedBar(Interval._ordered(end(lo, not lo_open), end(hi, hc)), deg, mult))
+    return canonical_barcode(out)
 
 
 def _convolve_pair(i: Ends, j: Ends) -> list[Tuple[Ends, int]]:

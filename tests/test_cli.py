@@ -79,8 +79,8 @@ def test_barcode_queries(tmp_path, capsys):
     ids=["shift-t-fraction", "shift-t-pi", "shift-t-exponent", "stalk-fraction", "sections-inf", "field-and-stalk"],
 )
 def test_negative_scalar_after_its_option(tmp_path, capsys, argv):
-    # argparse's own pattern reads these values as flags (exit 2 with its
-    # usage block); each must act as its --option=value form does
+    # argparse's own pattern reads these values as flags (an exit-2
+    # refusal); each must act as its --option=value form does
     a = write_barcode(tmp_path, "a.json", sc.barcode(sc.bar(-1, 2), sc.bar(-2, "+inf", degree=1)))
     argv = [a if x == "@" else x for x in argv]
     code, out, err = run_cli(argv, capsys)
@@ -389,6 +389,9 @@ _PAST_FLOAT = _one_bar("1e400", True, "+inf", False)
         (["ops", "tau-rank", "@", "--c", "-1"], json.dumps({"bars": [GOOD_BAR]}), None),
         (["barcode", "@"], _one_bar("2", True, "1", False), None),
         (["barcode", "@"], _one_bar("1", False, "1", False), None),
+        (["barcode", "@", "--sections", "-oo"], json.dumps({"bars": [GOOD_BAR]}), None),
+        (["ops", "convolve", "@", "@", "--bogus"], json.dumps({"bars": [GOOD_BAR]}), None),
+        (["barcode"], None, None),
     ]
     + [(argv, text, None) for argv, text in LONG_LITERAL_CASES],
     ids=[
@@ -411,7 +414,7 @@ _PAST_FLOAT = _one_bar("1e400", True, "+inf", False)
         "ops-text-past-float", "closed-infinite-end", "mult-zero", "front-unequal-lengths", "domain-no-kind",
         "ellipsoid-no-R", "scaled-ball-no-c", "ball-no-r", "eigen-on-ellipsoid", "eigen-negative",
         "spec-json-unknown-kind", "dist-combined-no-b2", "tau-rank-negative-c", "interval-empty",
-        "interval-degenerate",
+        "interval-degenerate", "argparse-flag-as-value", "argparse-unknown-option", "argparse-no-input",
     ]
     + LONG_LITERAL_IDS,
 )

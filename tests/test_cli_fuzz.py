@@ -1,4 +1,5 @@
-"""Seeded CLI fuzz: every argv list ends in exit 0, 2 or 3, never a traceback.
+"""Seeded CLI fuzz: every argv list ends in exit 0, or in exit 2 or 3 with a
+one-line message, never a traceback.
 
 `cli.main` catches only ValidationError, OSError and DomainError, so any
 other exception type escaping a subcommand shows up here first.  Inputs are
@@ -168,7 +169,7 @@ def test_cli_fuzz_exits_cleanly(tmp_path, monkeypatch):
             try:
                 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                     rc = main(argv)
-            except SystemExit as exc:  # argparse usage errors and --help
+            except SystemExit as exc:  # --help; a parse error is an exit-2 refusal
                 rc = exc.code
             except Hang:
                 pytest.fail(f"no answer within {SECONDS_PER_CASE} s: {argv}")
@@ -176,6 +177,8 @@ def test_cli_fuzz_exits_cleanly(tmp_path, monkeypatch):
                 signal.alarm(0)
             assert rc in (0, 2, 3), (argv, err.getvalue())
             assert "Traceback" not in err.getvalue(), argv
+            if rc:
+                assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
             codes.append(rc)
     finally:
         signal.signal(signal.SIGALRM, previous)

@@ -4,9 +4,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sheafcalc as sc
-from sheafcalc.exactnum import NEG_INF, POS_INF, PiRational
+from sheafcalc.exactnum import NEG_INF, POS_INF, PiRational, is_finite
 from sheafcalc.errors import ConventionError, TamarkinClassError, ValidationError
 from sheafcalc.intervals import (
     LEFT_CLOSED,
@@ -127,6 +128,36 @@ def test_intersect_matches_cmp_reference():
         # reference took j's when open, i's when closed; intersect keeps
         # i's), so the values are compared, which print the same either way
         assert i.intersect(j) == _intersect_reference(i, j)
+
+
+def _canon_shape(x, y, lo_closed, hi_closed):
+    """An interval on x and y in either order; a singleton when they tie."""
+    lo, hi = sorted((x, y), key=functools.cmp_to_key(sc.cmp))
+    if sc.cmp(lo, hi) == 0:
+        return sc.singleton(lo if is_finite(lo) else F(0))
+    return sc.interval(lo, hi, lo_closed, hi_closed)
+
+
+@st.composite
+def canon_barcodes(draw):
+    """Few shapes over Fraction, q*pi + s and infinite ends, each also as its
+    PiRational(0, s) twin, repeated with any degree and multiplicity."""
+    pool = st.sampled_from(mixed_scalars() + [NEG_INF, POS_INF])
+    shapes = draw(st.lists(st.builds(_canon_shape, pool, pool, st.booleans(), st.booleans()), min_size=1, max_size=4))
+    shapes += [twin(i) for i in shapes]
+    bar_ = st.builds(sc.GradedBar, st.sampled_from(shapes), st.integers(0, 2), st.integers(1, 3))
+    return sc.GradedBarcode(tuple(draw(st.lists(bar_, max_size=12))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(canon_barcodes())
+def test_canonical_mark_never_lies(b):
+    c = sc.canonicalize(b)
+    assert c._canonical and not b._canonical
+    assert sc.canonicalize(c) is c
+    # an unmarked copy of the canonical bars sorts back to the same objects
+    assert repr(sc.canonicalize(sc.GradedBarcode(c.bars))) == repr(c)
+    assert c.bars == _canonicalize_reference(b).bars
 
 
 def test_canonicalize_idempotent(rng):

@@ -1,4 +1,5 @@
 import functools
+import json
 import random
 import time
 from fractions import Fraction as F
@@ -7,10 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sheafcalc as sc
-from sheafcalc import cli, ops
+from sheafcalc import cli, intervals, ops
 from sheafcalc.errors import ConvolutionTypeError, TamarkinClassError, ValidationError
 from sheafcalc.exactnum import NEG_INF, POS_INF, Infinity, PiRational, cmp, is_finite
-from sheafcalc.intervals import MAX_SCALE_BITS, barcode_to_json, scaled_ends, spec, stalk
+from sheafcalc.intervals import MAX_SCALE_BITS, barcode_from_json, barcode_to_json, scaled_ends, spec, stalk
 from sheafcalc.stratmodel import rhom_oracle, rhom_sheaf_stalk_oracle
 
 from conftest import big_primes, end_kind_intervals, mixed_scalars, rand_tamarkin_barcode, stratum_samples
@@ -783,15 +784,20 @@ def emitted(b):
     return cli._dump(barcode_to_json(b))
 
 
-@pytest.mark.parametrize("op", sorted(REF_OPS))
-def test_bilinear_matches_interval_reference(op):
-    # 500 generated pairs per op, 2,000 in all, plus a few wide ones whose
-    # scale is the lcm of 50 or more coprime denominators
+def reference_cases(op):
+    """500 generated pairs for op, plus a few wide ones whose scale is the
+    lcm of 50 or more coprime denominators."""
     rng = random.Random(f"bilinear-reference:{op}")
-    new, ref = REF_OPS[op]
     cases = [ref_pair(rng, op, mode, 6) for _ in range(166) for mode in ("small", "coprime", "pi")]
     cases += [ref_pair(rng, op, mode, 6) for mode in ("small", "pi")]
-    cases += [ref_wide_pair(rng) for _ in range(4)]
+    return cases + [ref_wide_pair(rng) for _ in range(4)]
+
+
+@pytest.mark.parametrize("op", sorted(REF_OPS))
+def test_bilinear_matches_interval_reference(op):
+    # 500 generated pairs per op, 2,000 in all
+    new, ref = REF_OPS[op]
+    cases = reference_cases(op)
     assert len(cases) >= 500
     merged = wide = 0
     for f, g in cases:
@@ -804,6 +810,59 @@ def test_bilinear_matches_interval_reference(op):
         wide += len({e.value.denominator for x in f.bars + g.bars for e in (x.interval.lo, x.interval.hi)
                      if isinstance(e.value, F)}) >= 50
     assert merged > 50 and wide >= 4
+
+
+@pytest.mark.parametrize("op", sorted(REF_OPS))
+def test_bilinear_output_is_canonical_and_passes_the_checks(op):
+    # the kernel marks its output canonical and builds its intervals
+    # unchecked: an unmarked copy sorts back to the same bars, and every
+    # interval passes the checked constructor
+    new, _ = REF_OPS[op]
+    for f, g in reference_cases(op):
+        got = new(f, g)
+        assert got._canonical
+        assert repr(sc.canonicalize(sc.GradedBarcode(got.bars))) == repr(got)
+        for x in got.bars:
+            assert sc.Interval(x.interval.lo, x.interval.hi) == x.interval
+
+
+def scaled_pair():
+    """Two barcodes read from JSON, with rational ends: the kernel's integer path."""
+    rng = random.Random("scaled-pair")
+    pool = ref_pool(rng, "small")
+    f, g = (ref_side(rng, pool, 12, ["bar", "bar", "half-line", "singleton"]) for _ in range(2))
+    assert scaled_ends(x.interval for x in f.bars + g.bars)[1] is not None
+    return [barcode_from_json(json.loads(emitted(h))) for h in (f, g)]
+
+
+def test_convolve_output_is_emitted_without_a_sort(monkeypatch):
+    f, g = scaled_pair()
+    out = ops.convolve(f, g)
+    calls = []
+    sort = intervals.merge_runs
+    monkeypatch.setattr(intervals, "merge_runs", lambda *a: calls.append(a) or sort(*a))
+    barcode_to_json(out)
+    assert calls == []
+
+
+def test_convolve_builds_no_interval_through_the_check(monkeypatch):
+    # both factors are read before the check is patched; the kernel and the
+    # emit then build every output interval unchecked, and each distinct
+    # (value, closed) end through one checked Endpoint
+    f, g = scaled_pair()
+    want = emitted(ops.convolve(f, g))
+
+    def refuse(self):
+        raise AssertionError("an output interval went through Interval.__post_init__")
+
+    ends = []
+    check = sc.Endpoint.__post_init__
+    monkeypatch.setattr(sc.Interval, "__post_init__", refuse)
+    monkeypatch.setattr(sc.Endpoint, "__post_init__", lambda self: ends.append((self.value, self.closed)) or check(self))
+    got = ops.convolve(f, g)
+    assert emitted(got) == want
+    assert len(ends) == len(set(ends)) == len({(e.value, e.closed) for x in got.bars for e in (x.interval.lo, x.interval.hi)})
+    assert len(ends) < 2 * len(got.bars)  # the bars share ends
 
 
 def test_op_kinds_match_reference_classes():

@@ -169,3 +169,21 @@ def test_brute_interleave_shares_only_the_degree_grouping_with_the_distances():
     assert ("metrics", "_interleave_block") in oracle
     assert {("metrics", "_max_matching"), ("metrics", "_CostTable.match")} <= checked
     assert oracle & checked == SHARED_GROUPING
+
+
+# the quiver RHom oracles and the RHom tables they check: both read the
+# sorted distinct ends with `intervals.finite_ends`, so the rule is stated
+# on `ops`, `stratmodel` and `domains` nodes, where they share none
+RHOM_TABLES = (("ops", "rhom_total"), ("ops", "rhom_sheaf"), ("domains", "rhom_total"))
+RHOM_ORACLES = (("stratmodel", "rhom_oracle"), ("stratmodel", "rhom_sheaf_stalk_oracle"))
+RHOM_MODULES = {"ops", "stratmodel", "domains"}
+
+
+def test_rhom_oracles_share_no_code_with_the_rhom_tables():
+    tables = {node for node in reachable(*RHOM_TABLES) if node[0] in RHOM_MODULES}
+    oracles = {node for node in reachable(*RHOM_ORACLES) if node[0] in RHOM_MODULES}
+    assert {("ops", "_bilinear"), ("ops", "_rhom_sheaf_pair")} <= tables
+    assert ("stratmodel", "germ_at") in oracles
+    assert ("intervals", "finite_ends") in reachable(*RHOM_TABLES) & reachable(*RHOM_ORACLES)
+    assert tables.isdisjoint(RHOM_ORACLES) and oracles.isdisjoint(RHOM_TABLES)
+    assert tables.isdisjoint(oracles)

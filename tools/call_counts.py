@@ -13,54 +13,97 @@ under cProfile and prints one line per job kind, summed over its jobs:
 compare of two ``q*pi + s`` values makes; ``fraction_constructions``
 counts calls of ``Fraction.__new__``, which every exact rational result
 makes.  All four repeat exactly from run to run, so two checkouts compare
-without timing noise (a few dozen calls per job can still differ between
-checkouts in different directories, from the interpreter's own ``abc``
-caches):
+without timing noise:
 
     python3 tools/call_counts.py --seeds 1 > after.txt
     python3 tools/call_counts.py --seeds 1 --root ../other-checkout > before.txt
 
 ``--root`` names the checkout whose ``src/`` and ``perfbench/`` are used
-(default: the one holding this script).  Nothing under ``perfbench/`` is
-written to.
+(default: the one holding this script).  ``--kind K`` (repeatable) counts
+only the jobs of kind K.  Nothing under ``perfbench/`` is written to.
+
+``--against ROOT`` counts both checkouts, each in a fresh interpreter, and
+prints one line per job kind with, for each of the four counters, the count
+at ROOT, the count at ``--root`` and the difference:
+
+    python3 tools/call_counts.py --seeds 1 --against ../parent
+
+    workload seed kind ROOT/root/delta ROOT/root/delta ROOT/root/delta ROOT/root/delta
+
+The trees may sit anywhere: the counts are summed over the profiler's own
+entries, and do not depend on a checkout's path.  Summed through
+``pstats``, they did.  ``pstats`` merges the entries that share a (file,
+line, name) label, as every dataclass's generated ``__init__`` does, and
+which count survives depends on the memory layout, so a copy one level
+deeper read +116 primitive calls on ``ball-invariant`` with no change to
+the code.  Unpack the tree to compare with anywhere, e.g.
+``mkdir ../parent && git archive HEAD~1 | tar -x -C ../parent``.
 """
 
 from __future__ import annotations
 
 import cProfile
 import os
-import pstats
+import subprocess
 import sys
 
-from job_digests import each_job, parse_args, run_job
+from job_digests import each_job, parser, run_job
 
 COMPARES = {"__eq__", "__lt__", "__le__", "__gt__", "__ge__"}
 
 
 def counts(profile: cProfile.Profile) -> tuple:
     """(primitive calls, Fraction comparison calls, PiRational.sign calls,
-    Fraction.__new__ calls) recorded by a profile."""
-    stats = pstats.Stats(profile)
+    Fraction.__new__ calls) recorded by a profile, summed over its own
+    entries, not through ``pstats`` (see above)."""
+    acc = [0, 0, 0, 0]
+    for entry in profile.getstats():
+        n = entry.callcount - entry.reccallcount
+        acc[0] += n
+        code = entry.code  # a string for a built-in
+        if isinstance(code, str):
+            continue
+        where, name = os.path.basename(code.co_filename), code.co_name
+        if where == "fractions.py" and name in COMPARES:
+            acc[1] += n
+        elif where == "exactnum.py" and name == "sign":
+            acc[2] += n
+        elif where == "fractions.py" and name == "__new__":
+            acc[3] += n
+    return tuple(acc)
 
-    def calls(names, filename):
-        return sum(
-            prim
-            for (path, _line, name), (prim, *_rest) in stats.stats.items()
-            if name in names and os.path.basename(path) == filename
-        )
 
-    return (
-        stats.prim_calls,
-        calls(COMPARES, "fractions.py"),
-        calls({"sign"}, "exactnum.py"),
-        calls({"__new__"}, "fractions.py"),
-    )
+def count_tree(root: str, args) -> list[str]:
+    """This script's output lines for the checkout at root, from a fresh interpreter."""
+    argv = [sys.executable, os.path.abspath(__file__), "--root", root, "--seeds", *map(str, args.seeds)]
+    for kind in args.kind or ():
+        argv += ["--kind", kind]
+    return subprocess.run(argv, check=True, capture_output=True, text=True).stdout.splitlines()
+
+
+def compare(before: list[str], after: list[str]) -> list[str]:
+    """One line per job kind: before/after/delta of each counter."""
+    rows = [{tuple(f[:3]): list(map(int, f[3:])) for f in map(str.split, lines)} for lines in (before, after)]
+    out = []
+    for key in sorted(rows[0].keys() | rows[1].keys(), key=lambda k: (k[0], int(k[1]), k[2])):
+        old, new = (r.get(key, [0] * 4) for r in rows)
+        out.append(" ".join([*key, *(f"{a}/{b}/{b - a:+d}" for a, b in zip(old, new))]))
+    return out
 
 
 def main(argv=None) -> int:
-    args = parse_args(argv, __doc__)
+    ap = parser(__doc__)
+    ap.add_argument("--kind", action="append", help="count only the jobs of this kind (repeatable)")
+    ap.add_argument("--against", help="a second checkout to compare with")
+    args = ap.parse_args(argv)
+    if args.against:
+        for line in compare(count_tree(args.against, args), count_tree(args.root, args)):
+            print(line)
+        return 0
     totals: dict[tuple, list] = {}
     for cli, workload, seed, job in each_job(args.root, args.seeds):
+        if args.kind and job.kind not in args.kind:
+            continue
         profile = cProfile.Profile()
         profile.enable()
         run_job(cli, job.argv)

@@ -31,11 +31,11 @@ import sys
 import tempfile
 
 
-def parse_args(argv, doc=__doc__):
+def parser(doc=__doc__) -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(description=doc.split("\n\n")[0])
     ap.add_argument("--root", default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     ap.add_argument("--seeds", type=int, nargs="+", default=list(range(1, 11)))
-    return ap.parse_args(argv)
+    return ap
 
 
 def each_job(root: str, seeds):
@@ -72,7 +72,7 @@ def run_job(cli, argv) -> tuple:
 
 
 def main(argv=None) -> int:
-    args = parse_args(argv)
+    args = parser().parse_args(argv)
     for cli, workload, seed, job in each_job(args.root, args.seeds):
         rc, out = run_job(cli, job.argv)
         digest = hashlib.sha256(out.encode()).hexdigest()
