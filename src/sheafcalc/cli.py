@@ -209,6 +209,10 @@ def _parse_complex(text: str):
 
 
 def _cmd_morse(args):
+    if args.capacity and args.route != "front":
+        raise ValidationError("--capacity needs the front route")
+    if args.two_critical_bound and args.route == "front":
+        raise ValidationError("--two-critical-bound needs a sublevel, superlevel or sheaf route")
     p = _field(args)
     if args.route == "front":
         obj = _loads(_read_text(args.input), args.input)
@@ -317,10 +321,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("barcode", help="canonicalize / query a barcode")
     sp.add_argument("input")
-    sp.add_argument("--stalk", default=None, metavar="T")
-    sp.add_argument("--sections", default=None, metavar="C")
-    sp.add_argument("--spec", dest="spectrum", action="store_true")
-    sp.add_argument("--convention", choices=("left-closed", "right-closed"), default=None)
+    query = sp.add_mutually_exclusive_group()  # one query per call: a second would be ignored
+    query.add_argument("--stalk", default=None, metavar="T")
+    query.add_argument("--sections", default=None, metavar="C")
+    query.add_argument("--spec", dest="spectrum", action="store_true")
+    query.add_argument("--convention", choices=("left-closed", "right-closed"), default=None)
     common(sp)
     sp.set_defaults(func=_cmd_barcode)
 
@@ -361,13 +366,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--r", default=None)
     sp.add_argument("--R", default=None)
-    sp.add_argument("--c", default=None)
-    sp.add_argument("--tmax", default=None, help="barcode cutoff, e.g. 3pi")
-    sp.add_argument("--stalk", default=None, metavar="T")
-    sp.add_argument("--invariant", default=None, metavar="T")
-    sp.add_argument("--transfer", nargs=2, default=None, metavar=("T1", "T2"))
-    sp.add_argument("--eigen", default=None, metavar="T")
-    sp.add_argument("--cone", default=None, metavar="T", help="rescaling mapping-cone rank (with --c)")
+    sp.add_argument("--c", default=None)  # the scaled ball's and --cone's, so in no query group
+    query = sp.add_mutually_exclusive_group()
+    query.add_argument("--tmax", default=None, help="barcode cutoff, e.g. 3pi")
+    query.add_argument("--stalk", default=None, metavar="T")
+    query.add_argument("--invariant", default=None, metavar="T")
+    query.add_argument("--transfer", nargs=2, default=None, metavar=("T1", "T2"))
+    query.add_argument("--eigen", default=None, metavar="T")
+    query.add_argument("--cone", default=None, metavar="T", help="rescaling mapping-cone rank (with --c)")
     sp.add_argument("--M", type=int, default=16)
     common(sp)
     sp.set_defaults(func=_cmd_domain)

@@ -6,9 +6,10 @@ action bins [m pi r^2, (m+1) pi r^2) (the ceiling form of the published
 formulas is ambiguous exactly at the bin boundaries, and the half-open
 convention is the one that reproduces the quoted barcodes).
 
-`action_bin` is the one place a level meets the spectrum: it finds the bin
-of T in O(1), so stalks, S_T and transfer maps cost O(1) in T, and only
-the barcode and spectrum list grow with their cutoff.
+`action_bin` is the one place a level meets the spectrum.  A query turns
+its level into one vector of action bins, one `action_bin` per radius, and
+reads its stratum off it, so stalks, S_T and transfer maps cost O(1) in T.
+The barcode walks its strata from 0 with rational arithmetic.
 
 `eigen_count` is the independent brute-force oracle: it counts positive
 eigenvalues of the discrete-loop generating-function quadratic form with
@@ -161,15 +162,15 @@ def _cos_angles(M: int) -> tuple:
 
 
 def _check_band(T: Fraction, rsq: Fraction) -> None:
-    band = _EXCLUSION * rsq  # times pi, folded into the comparison
-    m = action_bin(T, rsq)
+    t, band = as_pi_scalar(T), pi_times(_EXCLUSION * rsq)
+    m = action_bin(t, rsq)
     # only the bin's two ends can lie within the band, a tiny part of a bin
     for mm in (m, m + 1):
-        # |T - mm pi rsq| >= band * pi
-        diff = as_pi_scalar(T) - pi_times(mm * rsq)
+        # |T - mm pi rsq| >= band
+        diff = t - pi_times(mm * rsq)
         if diff.sign() < 0:
             diff = -diff
-        if diff < pi_times(band):
+        if diff < band:
             raise SpectralProximityError(
                 f"T is within the exclusion band of {mm}*pi*r^2"
             )
@@ -217,37 +218,49 @@ def _eigen_count_rsq(T: Fraction, rsq: Fraction, M: int) -> int:
 # barcodes, invariants, transfer, mapping cones
 
 
-def _rsqs(d: DomainSpec) -> list[Fraction]:
-    """The squared radii whose action bins make up the domain's spectrum."""
-    return [d.r * d.r, d.R * d.R] if isinstance(d, Ellipsoid) else [d.rsq]
+def _bins(d: DomainSpec, t: PiRational) -> tuple:
+    """The action bin of level t for each squared radius, as (bin, rsq) pairs."""
+    rsqs = (d.r * d.r, d.R * d.R) if isinstance(d, Ellipsoid) else (d.rsq,)
+    return tuple((action_bin(t, rsq), rsq) for rsq in rsqs)
 
 
-def _spec_values(d: DomainSpec, limit: PiRational) -> list[PiRational]:
-    """Action-spectrum values of the domain sheaf that are <= limit."""
-    qs = {m * rsq for rsq in _rsqs(d) for m in range(action_bin(limit, rsq) + 1)}
-    return [pi_times(q) for q in sorted(qs)]
+def _stratum(d: DomainSpec, bins: tuple) -> Tuple[Fraction, Fraction, int]:
+    """(lo, hi, degree) of the stratum [lo pi, hi pi) of the levels with
+    these bins.  Ball: degree n(2m+1).  Ellipsoid: 2(n-1)(m_R+1) + 2(m_r+1) - n."""
+    lo = max(m * rsq for m, rsq in bins)
+    hi = min((m + 1) * rsq for m, rsq in bins)
+    if isinstance(d, Ellipsoid):
+        (m_r, _), (m_R, _) = bins
+        return lo, hi, 2 * (d.n - 1) * (m_R + 1) + 2 * (m_r + 1) - d.n
+    return lo, hi, d.n * (2 * bins[0][0] + 1)
+
+
+def _strata(d: DomainSpec, top: tuple, end: Fraction):
+    """(lo pi, hi pi, degree) of each stratum with lo < end, over the radii of
+    `top`, from 0 up; leaving one raises each bin whose next value ends it."""
+    bins = tuple((0, rsq) for _, rsq in top)
+    lo, hi, degree = _stratum(d, bins)
+    start = pi_times(lo)
+    while lo < end:
+        stop = pi_times(hi)
+        yield start, stop, degree
+        bins = tuple((m + 1 if (m + 1) * rsq == hi else m, rsq) for m, rsq in bins)
+        lo, hi, degree = _stratum(d, bins)
+        start = stop
 
 
 def domain_spec(d: DomainSpec, limit: ExactT) -> list[PiRational]:
-    return _spec_values(d, as_pi_scalar(limit))
-
-
-def _stalk_degree(d: DomainSpec, T: PiRational) -> int:
-    """Ball: n(2m+1) for T in the m-th action bin.  Ellipsoid: 2(n-1)m_R +
-    2m_r - n with the bin counts m = floor(T/(pi rho^2)) + 1 for each
-    radius rho."""
-    if isinstance(d, Ellipsoid):
-        m_r, m_R = (action_bin(T, rsq) + 1 for rsq in _rsqs(d))
-        return 2 * (d.n - 1) * m_R + 2 * m_r - d.n
-    return d.n * (2 * action_bin(T, d.rsq) + 1)
+    """Action-spectrum values of the domain sheaf that are <= limit."""
+    top = _bins(d, as_pi_scalar(limit))
+    return [lo for lo, _, _ in _strata(d, top, _stratum(d, top)[1])]
 
 
 def domain_stalk(d: DomainSpec, T: ExactT) -> HomSpace:
     """Stalk of the domain sheaf at T, dispatching on the domain kind."""
-    return HomSpace({_stalk_degree(d, as_pi_scalar(T)): 1})
+    return HomSpace({_stratum(d, _bins(d, as_pi_scalar(T)))[2]: 1})
 
 
-# the barcode grows linearly with its cutoff; 20,000 strata take seconds
+# the barcode grows linearly with its cutoff; README gives the cap step's time
 MAX_STRATA = 20_000
 
 
@@ -260,20 +273,13 @@ def domain_barcode(d: DomainSpec, Tmax: ExactT) -> GradedBarcode:
     MAX_STRATA strata, counted in O(1) before anything is built.
     """
     tmax = as_pi_scalar(Tmax)
-    if sum(action_bin(tmax, rsq) + 1 for rsq in _rsqs(d)) > MAX_STRATA:
+    top = _bins(d, tmax)
+    if sum(m + 1 for m, _ in top) > MAX_STRATA:
         raise ValidationError(f"the barcode up to this cutoff has more than {MAX_STRATA} strata")
-    specs = _spec_values(d, tmax)
-    his = specs[1:] + [_next_spec_after(d, specs[-1])]
-    bars = tuple(
-        GradedBar(Interval(Endpoint(lo, True), Endpoint(hi, False)), _stalk_degree(d, lo))
-        for lo, hi in zip(specs, his)
-        if lo < tmax
-    )
+    last, after, _ = _stratum(d, top)
+    strata = _strata(d, top, last if pi_times(last) == tmax else after)  # each that starts below tmax
+    bars = tuple(GradedBar(Interval(Endpoint(lo, True), Endpoint(hi, False)), degree) for lo, hi, degree in strata)
     return canonicalize(GradedBarcode(bars))
-
-
-def _next_spec_after(d: DomainSpec, lo: PiRational) -> PiRational:
-    return min(pi_times((action_bin(lo, rsq) + 1) * rsq) for rsq in _rsqs(d))
 
 
 def sheaf_invariant(d: DomainSpec, T: ExactT) -> HomSpace:
@@ -281,15 +287,11 @@ def sheaf_invariant(d: DomainSpec, T: ExactT) -> HomSpace:
     degrees up, reported so the ball lands in degree exactly 2mn.
 
     Only the stratum [lo, hi) holding T pairs with the probe, so that one
-    bar stands for the sheaf: lo is the largest spectrum value <= T, found
-    by `action_bin` for each radius, which makes the cost O(1) in T.
+    bar, read off the action bins of T, stands for the sheaf: O(1) in T.
     """
     t = as_pi_scalar(T)
-    lo = max(pi_times(action_bin(t, rsq) * rsq) for rsq in _rsqs(d))
-    stratum = GradedBar(
-        Interval(Endpoint(lo, True), Endpoint(_next_spec_after(d, lo), False)),
-        _stalk_degree(d, t),
-    )
+    lo, hi, degree = _stratum(d, _bins(d, t))
+    stratum = GradedBar(Interval(Endpoint(pi_times(lo), True), Endpoint(pi_times(hi), False)), degree)
     probe = GradedBar(Interval(Endpoint(t, True), Endpoint(POS_INF, False)), d.n)
     total = rhom_total(GradedBarcode((stratum,)), GradedBarcode((probe,)))
     return HomSpace({-deg: dim for deg, dim in total.dims.items()})
@@ -297,16 +299,13 @@ def sheaf_invariant(d: DomainSpec, T: ExactT) -> HomSpace:
 
 def transfer_is_iso(d: DomainSpec, T1: ExactT, T2: ExactT) -> bool:
     """Whether the canonical map S_T1 -> S_T2 is an isomorphism: true iff
-    [T1, T2] avoids the action spectrum, that is iff for every radius T1
-    and T2 share an action bin and T1 is not the bin's left end.  O(1) in
-    T1 and T2."""
+    [T1, T2] avoids the action spectrum, that is iff T1 and T2 have the
+    same action bins and T1 is not its stratum's left end."""
     t1, t2 = as_pi_scalar(T1), as_pi_scalar(T2)
-    bins = [(rsq, action_bin(t1, rsq)) for rsq in _rsqs(d)]
+    bins = _bins(d, t1)
     if t1 > t2:
         raise ValidationError("need T1 <= T2")
-    return all(
-        t1 != pi_times(m * rsq) and action_bin(t2, rsq) == m for rsq, m in bins
-    )
+    return t1 != pi_times(_stratum(d, bins)[0]) and _bins(d, t2) == bins
 
 
 def inclusion_cone_rank(r, c, T, n: int, M: int) -> HomSpace:

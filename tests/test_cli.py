@@ -392,6 +392,11 @@ _PAST_FLOAT = _one_bar("1e400", True, "+inf", False)
         (["barcode", "@", "--sections", "-oo"], json.dumps({"bars": [GOOD_BAR]}), None),
         (["ops", "convolve", "@", "@", "--bogus"], json.dumps({"bars": [GOOD_BAR]}), None),
         (["barcode"], None, None),
+        # a second query flag would be ignored, so it is refused
+        (["barcode", "@", "--stalk", "1", "--sections", "1"], json.dumps({"bars": [GOOD_BAR]}), None),
+        (["domain", "ball", "--n", "2", "--r", "1", "--stalk", "1", "--tmax", "3pi", "--eigen", "1"], None, None),
+        (["morse", "front", "@", "--two-critical-bound"], '{"xs": ["0", "1"], "t_minus": ["0", "0"], "t_plus": ["1", "1"]}', None),
+        (["morse", "sublevel", "@", "--capacity"], "3 1\n0 1 2\n3 0 1 2\n", None),
     ]
     + [(argv, text, None) for argv, text in LONG_LITERAL_CASES],
     ids=[
@@ -415,6 +420,7 @@ _PAST_FLOAT = _one_bar("1e400", True, "+inf", False)
         "ellipsoid-no-R", "scaled-ball-no-c", "ball-no-r", "eigen-on-ellipsoid", "eigen-negative",
         "spec-json-unknown-kind", "dist-combined-no-b2", "tau-rank-negative-c", "interval-empty",
         "interval-degenerate", "argparse-flag-as-value", "argparse-unknown-option", "argparse-no-input",
+        "barcode-two-queries", "domain-three-queries", "front-two-critical-bound", "sublevel-capacity",
     ]
     + LONG_LITERAL_IDS,
 )

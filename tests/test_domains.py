@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -191,13 +192,173 @@ def test_domain_json_round_trip():
         assert dm.domain_from_json(dm.domain_to_json(d)) == d
 
 
+# --- the per-level lookups that the action-bin vector replaced ----------------
+# Each query used to look its level's action bins up again per fact, and the
+# barcode looked every stratum up anew; these are that code, kept as the
+# reference for the bin-vector queries and the stratum walk.
+
+
+def ref_rsqs(d):
+    """The squared radii whose action bins make up the domain's spectrum."""
+    return [d.r * d.r, d.R * d.R] if isinstance(d, dm.Ellipsoid) else [d.rsq]
+
+
+def old_spec_values(d, limit):
+    """Action-spectrum values of the domain sheaf that are <= limit."""
+    qs = {m * rsq for rsq in ref_rsqs(d) for m in range(dm.action_bin(limit, rsq) + 1)}
+    return [dm.pi_times(q) for q in sorted(qs)]
+
+
+def old_stalk_degree(d, T):
+    """Ball: n(2m+1) for T in the m-th action bin.  Ellipsoid: 2(n-1)m_R +
+    2m_r - n with the bin counts m = floor(T/(pi rho^2)) + 1 for each
+    radius rho."""
+    if isinstance(d, dm.Ellipsoid):
+        m_r, m_R = (dm.action_bin(T, rsq) + 1 for rsq in ref_rsqs(d))
+        return 2 * (d.n - 1) * m_R + 2 * m_r - d.n
+    return d.n * (2 * dm.action_bin(T, d.rsq) + 1)
+
+
+def old_next_spec_after(d, lo):
+    return min(dm.pi_times((dm.action_bin(lo, rsq) + 1) * rsq) for rsq in ref_rsqs(d))
+
+
+def old_domain_barcode(d, Tmax):
+    """One spectrum lookup and one stalk lookup per stratum."""
+    tmax = dm.as_pi_scalar(Tmax)
+    if sum(dm.action_bin(tmax, rsq) + 1 for rsq in ref_rsqs(d)) > dm.MAX_STRATA:
+        raise ValidationError(f"the barcode up to this cutoff has more than {dm.MAX_STRATA} strata")
+    specs = old_spec_values(d, tmax)
+    his = specs[1:] + [old_next_spec_after(d, specs[-1])]
+    bars = tuple(
+        sc.GradedBar(sc.Interval(sc.Endpoint(lo, True), sc.Endpoint(hi, False)), old_stalk_degree(d, lo))
+        for lo, hi in zip(specs, his)
+        if lo < tmax
+    )
+    return canonicalize(sc.GradedBarcode(bars))
+
+
+def old_domain_stalk(d, T):
+    return sc.HomSpace({old_stalk_degree(d, dm.as_pi_scalar(T)): 1})
+
+
+def old_sheaf_invariant(d, T):
+    t = dm.as_pi_scalar(T)
+    lo = max(dm.pi_times(dm.action_bin(t, rsq) * rsq) for rsq in ref_rsqs(d))
+    stratum = sc.GradedBar(
+        sc.Interval(sc.Endpoint(lo, True), sc.Endpoint(old_next_spec_after(d, lo), False)),
+        old_stalk_degree(d, t),
+    )
+    probe = sc.GradedBar(sc.Interval(sc.Endpoint(t, True), sc.Endpoint(dm.POS_INF, False)), d.n)
+    total = ops.rhom_total(sc.GradedBarcode((stratum,)), sc.GradedBarcode((probe,)))
+    return sc.HomSpace({-deg: dim for deg, dim in total.dims.items()})
+
+
+def old_transfer_is_iso(d, T1, T2):
+    t1, t2 = dm.as_pi_scalar(T1), dm.as_pi_scalar(T2)
+    bins = [(rsq, dm.action_bin(t1, rsq)) for rsq in ref_rsqs(d)]
+    if t1 > t2:
+        raise ValidationError("need T1 <= T2")
+    return all(t1 != dm.pi_times(m * rsq) and dm.action_bin(t2, rsq) == m for rsq, m in bins)
+
+
+def reference_domains(rng):
+    """Balls, scaled balls, and ellipsoids with r = R, with R^2 an integer
+    multiple of r^2 (every R-value is an r-value too) and with R/r = 3/2."""
+
+    def radius():
+        return F(rng.randint(1, 8), rng.randint(1, 3))
+
+    for n in (1, 2, 3):
+        yield dm.Ball(n, radius())
+        yield dm.ScaledBall(F(rng.randint(1, 4), 4), dm.Ball(n, radius()))
+    for n in (2, 3):
+        r = radius()
+        for k in (1, 2, 3, F(3, 2)):
+            yield dm.Ellipsoid(n, r, k * r)
+
+
+def assert_same(new, old, *args):
+    """new(*args) and old(*args) agree by repr, or raise the same error."""
+    try:
+        want = repr(old(*args))
+    except ValidationError as exc:
+        with pytest.raises(ValidationError, match=re.escape(str(exc))):
+            new(*args)
+        return
+    assert repr(new(*args)) == want, args
+
+
+def test_barcode_walk_matches_per_stratum_lookup(rng):
+    for d in reference_domains(rng):
+        rsqs = ref_rsqs(d)
+        cutoffs = [0, dm.PiRational(3, F(1, 7)), dm.PiRational(0, F(22, 7))]
+        cutoffs += [dm.pi_times(m * rsq) for rsq in rsqs for m in (1, 2, 5)]  # on the spectrum
+        cutoffs += [dm.pi_times(rsqs[-1] * F(rng.randint(1, 60), rng.randint(1, 7))) for _ in range(4)]
+        for tmax in cutoffs:
+            assert_same(dm.domain_barcode, old_domain_barcode, d, tmax)
+    with pytest.raises(ValidationError):
+        dm.domain_barcode(dm.Ball(1, 1), -1)
+
+
+def test_barcode_walk_matches_at_the_strata_cap():
+    # the cap counts one stratum per action bin of each radius: a ball of
+    # r = 1 up to 19,999.5 pi, and the ellipsoid r = 1, R = 2 up to
+    # 15,999.5 pi (16,000 + 4,000 bins, 16,000 bars), sit exactly at it
+    for d, at_cap, bars in ((dm.Ball(2, 1), F(39999, 2), 20_000), (dm.Ellipsoid(3, 1, 2), F(31999, 2), 16_000)):
+        tmax = dm.pi_times(at_cap)
+        assert sum(dm.action_bin(tmax, rsq) + 1 for rsq in ref_rsqs(d)) == dm.MAX_STRATA
+        new = dm.domain_barcode(d, tmax)
+        assert len(new.bars) == bars and repr(new) == repr(old_domain_barcode(d, tmax))
+        for build in (dm.domain_barcode, old_domain_barcode):
+            with pytest.raises(ValidationError, match="more than 20000 strata"):
+                build(d, dm.pi_times(at_cap + 1))
+
+
+def test_queries_match_per_level_lookup(rng):
+    seen = set()
+    for d in reference_domains(rng):
+        ts = levels(rng, d)
+        for i, t1 in enumerate(ts):
+            assert_same(dm.domain_stalk, old_domain_stalk, d, t1)
+            assert_same(dm.sheaf_invariant, old_sheaf_invariant, d, t1)
+            assert_same(dm.domain_spec, old_spec_values, d, t1)
+            for t2 in ts[max(0, i - 1) : i + 3] + rng.sample(ts, min(3, len(ts))):
+                assert_same(dm.transfer_is_iso, old_transfer_is_iso, d, t1, t2)
+                seen.add(t1 <= t2 and dm.transfer_is_iso(d, t1, t2))
+    assert seen == {True, False}
+
+
+def test_each_query_looks_up_each_radius_once(monkeypatch):
+    calls = []
+    action_bin = dm.action_bin
+
+    def counted(T, rsq):
+        calls.append(rsq)
+        return action_bin(T, rsq)
+
+    monkeypatch.setattr(dm, "action_bin", counted)
+    for d in (dm.Ball(2, 1), dm.ScaledBall(F(1, 2), dm.Ball(1, 1)), dm.Ellipsoid(3, 1, 2), dm.Ellipsoid(2, 1, 1)):
+        radii = 2 if isinstance(d, dm.Ellipsoid) else 1
+        for query, level in ((dm.domain_barcode, dm.pi_times(40)), (dm.sheaf_invariant, dm.PiRational(7, F(1, 3)))):
+            calls.clear()
+            query(d, level)
+            assert len(calls) == radii, (query.__name__, d)
+        calls.clear()
+        dm.domain_stalk(d, dm.pi_times(9))
+        assert len(calls) == radii
+        calls.clear()
+        dm.transfer_is_iso(d, dm.pi_times(F(37, 4)), dm.pi_times(F(39, 4)))  # T1 off the spectrum: both read
+        assert len(calls) == 2 * radii
+
+
 # --- fast paths against the spectrum walks they replace ----------------------
 
 
 def ref_spec_values(d, limit):
     """Every m pi rsq <= limit, found by counting m up from 0."""
     qs = set()
-    for rsq in dm._rsqs(d):
+    for rsq in ref_rsqs(d):
         m = 0
         while dm.pi_times(m * rsq) <= limit:
             qs.add(m * rsq)
@@ -212,10 +373,10 @@ def ref_transfer_is_iso(d, t1, t2):
 
 def ref_sheaf_invariant(d, t):
     """RHom of the whole barcode up to T + pi max rsq against the probe."""
-    top = dm.pi_times(max(dm._rsqs(d)))
+    top = dm.pi_times(max(ref_rsqs(d)))
     specs = ref_spec_values(d, t + top + top)
     bars = [
-        sc.GradedBar(sc.interval(lo, hi), dm._stalk_degree(d, (lo + hi) * F(1, 2)))
+        sc.GradedBar(sc.interval(lo, hi), old_stalk_degree(d, (lo + hi) * F(1, 2)))
         for lo, hi in zip(specs, specs[1:])
         if lo < t + top
     ]
@@ -252,7 +413,7 @@ def levels(rng, d):
     """0, the first spectrum values of each radius, levels just off them
     on both sides, and q*pi + s levels with s != 0."""
     out = [dm.pi_times(0)]
-    for rsq in dm._rsqs(d):
+    for rsq in ref_rsqs(d):
         for m in range(3):
             on = m * rsq
             out += [dm.pi_times(on), dm.PiRational(on, F(1, 1000)), dm.pi_times(on + F(1, 10**9))]
@@ -300,7 +461,7 @@ def test_band_check_matches_four_neighbours(rng):
 
     seen = set()
     for d in seeded_domains(rng):
-        for rsq in dm._rsqs(d):
+        for rsq in ref_rsqs(d):
             for m in range(4):
                 for k in (2, 4, 6, 8):
                     near = F(round(m * math.pi * float(rsq) * 10**k), 10**k)

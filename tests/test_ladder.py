@@ -11,7 +11,7 @@ def test_one_kind_runs_one_step(monkeypatch, capsys):
     spec = importlib.util.spec_from_file_location("ladder", LADDER)
     ladder = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ladder)
-    assert "rhom-total" in ladder.KINDS
+    assert {"rhom-total", "ball-tmax", "ellipsoid-tmax"} <= set(ladder.KINDS)
     monkeypatch.setattr(sys, "path", list(sys.path))  # main puts the checkout's src/ and perfbench/ first
     # a cap of 0 s stops the kind after its first step
     assert ladder.main(["--kind", "sublevel", "--cap", "0"]) == 0

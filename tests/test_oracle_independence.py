@@ -120,7 +120,7 @@ def test_sheaf_route_uses_no_dense_linear_algebra():
 EIGEN_ALLOWED = {(("domains", "_check_band"), ("domains", "action_bin"))}
 CLOSED_FORMS = {
     ("domains", name)
-    for name in ("_stalk_degree", "domain_stalk", "domain_barcode", "sheaf_invariant", "_spec_values")
+    for name in ("_bins", "_stratum", "_strata", "domain_stalk", "domain_barcode", "sheaf_invariant", "domain_spec")
 }
 
 
@@ -173,8 +173,10 @@ def test_brute_interleave_shares_only_the_degree_grouping_with_the_distances():
 
 # the quiver RHom oracles and the RHom tables they check: both read the
 # sorted distinct ends with `intervals.finite_ends`, so the rule is stated
-# on `ops`, `stratmodel` and `domains` nodes, where they share none
-RHOM_TABLES = (("ops", "rhom_total"), ("ops", "rhom_sheaf"), ("domains", "rhom_total"))
+# on `ops`, `stratmodel` and `domains` nodes, where they share none;
+# `domains.rhom_total` is the `ops` table imported, so the `domains` entry is
+# its caller, `sheaf_invariant`
+RHOM_TABLES = (("ops", "rhom_total"), ("ops", "rhom_sheaf"), ("domains", "sheaf_invariant"))
 RHOM_ORACLES = (("stratmodel", "rhom_oracle"), ("stratmodel", "rhom_sheaf_stalk_oracle"))
 RHOM_MODULES = {"ops", "stratmodel", "domains"}
 
@@ -187,3 +189,13 @@ def test_rhom_oracles_share_no_code_with_the_rhom_tables():
     assert ("intervals", "finite_ends") in reachable(*RHOM_TABLES) & reachable(*RHOM_ORACLES)
     assert tables.isdisjoint(RHOM_ORACLES) and oracles.isdisjoint(RHOM_TABLES)
     assert tables.isdisjoint(oracles)
+
+
+def test_every_named_node_is_in_the_graph():
+    # a renamed or re-exported function would leave its name here checking nothing
+    named = set(
+        SHEAF_ROUTE + PERSISTENCE_ROUTE + STALK_ORACLE + BILINEAR_OPS + DISTANCES + INTERLEAVE_ORACLE
+        + RHOM_TABLES + RHOM_ORACLES
+    )
+    named |= CLOSED_FORMS | SHARED_GROUPING | {node for edge in EIGEN_ALLOWED for node in edge}
+    assert not named - set(GRAPH), named - set(GRAPH)

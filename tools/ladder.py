@@ -16,6 +16,12 @@ kind and step, so every run sees the same inputs:
     convolve         ``ops convolve`` of two n-bar barcodes in degrees 0-2
                      (``tamarkin_bars``); size n
     rhom-total       ``ops rhom-total`` of two such barcodes; size n
+    ball-tmax        ``domain ball --n 2 --r 1 --tmax (m + 1/2)pi``; the size
+                     is the strata count that ``domains.MAX_STRATA`` caps,
+                     25 * 2^k, n the barcode's bars
+    ellipsoid-tmax   the same for ``domain ellipsoid --n 3 --r 1 --R 2``,
+                     whose cap count, (m + 1) + (m // 4 + 1), counts each
+                     multiple of 4 pi twice: 20,000 at 16,000 bars
 
 It prints one line per step (kind, n, size, seconds, the step's peak RSS in
 MB, and the log-log slope from the step before) and, after each kind's
@@ -23,7 +29,8 @@ steps, the least-squares log-log slope of time against size over all of
 them.  The seconds time the CLI call alone; the peak RSS is that of the
 whole subprocess, interpreter and imports included.  A slope near 1 is
 linear time, near 2 quadratic.  A morse kind stops before a torus with more
-simplices than ``morse.MAX_SIMPLICES``, which the CLI refuses.  This is a
+simplices than ``morse.MAX_SIMPLICES``, which the CLI refuses; a domain kind
+ends with a step at exactly ``domains.MAX_STRATA`` strata.  This is a
 report with no bounds; it exits 1 only if a job fails.  ``--kind`` (repeatable)
 runs only the named kinds, so that one kind can run up to a large cap.
 
@@ -110,6 +117,23 @@ def ops_step(op):
     return step
 
 
+def domain_step(shape, rsqs):
+    """`domain <shape>` up to (m + 1/2)pi, the least cutoff of this form
+    whose strata count, one per action bin of each squared radius, reaches
+    25 * 2^k or the cap."""
+
+    def step(workloads, rng, k, workdir):
+        from sheafcalc.domains import MAX_STRATA
+
+        target = min(25 * 2**k, MAX_STRATA)
+        count = lambda m: sum(m // rsq + 1 for rsq in rsqs)  # noqa: E731
+        m = next(m for m in itertools.count() if count(m) >= target)
+        bars = len({j * rsq for rsq in rsqs for j in range(m // rsq + 1)})
+        return bars, count(m), ["domain", *shape, "--tmax", f"{2 * m + 1}/2pi"]
+
+    return step
+
+
 KINDS = {
     "sheaf": morse_step("sheaf", tent_values),
     "sheaf-distinct": morse_step("sheaf", distinct_values),
@@ -117,6 +141,8 @@ KINDS = {
     "dist": dist_step,
     "convolve": ops_step("convolve"),
     "rhom-total": ops_step("rhom-total"),
+    "ball-tmax": domain_step(["ball", "--n", "2", "--r", "1"], (1,)),
+    "ellipsoid-tmax": domain_step(["ellipsoid", "--n", "3", "--r", "1", "--R", "2"], (1, 4)),
 }
 
 
@@ -138,7 +164,7 @@ def main(argv=None) -> int:
     root = os.path.abspath(args.root)
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
     import workloads
-    from sheafcalc import morse
+    from sheafcalc import domains, morse
 
     max_simplices = getattr(morse, "MAX_SIMPLICES", math.inf)  # a checkout older than the cap has none
     failed = False
@@ -161,7 +187,7 @@ def main(argv=None) -> int:
                     print(f"{kind}: exit {rc} at n = {n}", file=sys.stderr)
                     failed = True
                     break
-                if sec > args.cap:
+                if sec > args.cap or (argv_[0] == "domain" and size >= domains.MAX_STRATA):
                     break
         finally:
             shutil.rmtree(workdir, ignore_errors=True)
