@@ -51,7 +51,7 @@ _NEGATIVE_SCALAR = re.compile(r"-(\d|\.\d|pi|inf)")
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _read_text(path: str) -> str:
@@ -77,25 +77,27 @@ def _read_barcode(path: str) -> GradedBarcode:
     return barcode_from_json(_loads(_read_text(path), path))
 
 
-def _emit(args, payload: str) -> None:
+def _emit(args, chunks: tuple[str, str]) -> None:
+    # one write per chunk: joining the text and its line end would copy the text
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(payload)
+        sys.stdout.writelines(chunks)
 
 
-def _render(args, result, title: str) -> str:
-    """A barcode in its --format, any other result as canonical JSON."""
+def _render(args, result, title: str) -> tuple[str, str]:
+    """(text, line end) of a barcode in its --format, or of any other result
+    as canonical JSON; the SVG and text forms end in their own newline."""
     if isinstance(result, GradedBarcode):
         if args.format == "svg":
-            return svg_barcode(result, title)
+            return svg_barcode(result, title), ""
         if args.format == "text":
-            return text_barcode(result)
+            return text_barcode(result), ""
         result = barcode_to_json(result)
     elif isinstance(result, HomSpace):
         result = result.to_json()
-    return _dump(result)
+    return _dump(result), "\n"
 
 
 def _field(args) -> int:
@@ -196,8 +198,10 @@ def _parse_complex(text: str):
         values = [parse_rational(x) for x in lines[1].split()]
         if len(values) != nv:
             raise ValidationError(f"expected {nv} vertex values")
+        if len(lines) - 2 != ns:
+            raise ValidationError(f"header declares {_excerpt(ns)} simplices, the file gives {len(lines) - 2}")
         maximal = []
-        for ln in lines[2 : 2 + ns]:
+        for ln in lines[2:]:
             parts = [int(x) for x in ln.split()]
             if parts[0] != len(parts) - 1:
                 raise ValidationError(f"bad simplex line {_excerpt(ln)}")

@@ -9,7 +9,9 @@ convention is the one that reproduces the quoted barcodes).
 `action_bin` is the one place a level meets the spectrum.  A query turns
 its level into one vector of action bins, one `action_bin` per radius, and
 reads its stratum off it, so stalks, S_T and transfer maps cost O(1) in T.
-The barcode walks its strata from 0 with rational arithmetic.
+The barcode walks its strata from 0 with rational arithmetic; its bar ends
+are the action spectrum up to the cutoff, which nothing else lists.  A
+domain comes in as JSON (`domain_from_json`) and is never written back.
 
 `eigen_count` is the independent brute-force oracle: it counts positive
 eigenvalues of the discrete-loop generating-function quadratic form with
@@ -44,11 +46,11 @@ def as_pi_scalar(x: ExactT) -> PiRational:
         return x
     if isinstance(x, Infinity):
         raise ValidationError(f"filtration value must be finite, got {x}")
-    return PiRational(Fraction(0), Fraction(x))
+    return PiRational(0, x)
 
 
 def pi_times(q) -> PiRational:
-    return PiRational(Fraction(q), Fraction(0))
+    return PiRational(q, 0)
 
 
 @dataclass(frozen=True)
@@ -129,11 +131,6 @@ def action_bin(T: ExactT, rsq: Fraction) -> int:
 def ball_stalk(n: int, r, T: ExactT) -> HomSpace:
     """Stalk of the ball sheaf B(r) in dimension n at filtration T."""
     return domain_stalk(Ball(n, r), T)
-
-
-def ellipsoid_stalk(n: int, r, R, T: ExactT) -> HomSpace:
-    """Stalk of the ellipsoid sheaf E(r, R, ..., R) at filtration T."""
-    return domain_stalk(Ellipsoid(n, r, R), T)
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +244,6 @@ def _strata(d: DomainSpec, top: tuple, end: Fraction):
         bins = tuple((m + 1 if (m + 1) * rsq == hi else m, rsq) for m, rsq in bins)
         lo, hi, degree = _stratum(d, bins)
         start = stop
-
-
-def domain_spec(d: DomainSpec, limit: ExactT) -> list[PiRational]:
-    """Action-spectrum values of the domain sheaf that are <= limit."""
-    top = _bins(d, as_pi_scalar(limit))
-    return [lo for lo, _, _ in _strata(d, top, _stratum(d, top)[1])]
 
 
 def domain_stalk(d: DomainSpec, T: ExactT) -> HomSpace:
@@ -381,20 +372,13 @@ def nonsqueeze_check(n: int, r1, r2, R) -> NonsqueezeVerdict:
 
 
 # ---------------------------------------------------------------------------
-# JSON forms
-
-
-def domain_to_json(d: DomainSpec) -> dict:
-    if isinstance(d, Ball):
-        return {"ball": {"n": d.n, "r": str(d.r)}}
-    if isinstance(d, Ellipsoid):
-        return {"ellipsoid": {"n": d.n, "r": str(d.r), "R": str(d.R)}}
-    return {"scaled_ball": {"c": str(d.c), "ball": domain_to_json(d.inner)["ball"]}}
+# JSON form
 
 
 def domain_from_json(obj) -> DomainSpec:
-    """Inverse of domain_to_json; n must be a JSON integer, r, R and c exact
-    rationals (JSON integers or strings), as in barcode JSON."""
+    """The domain of {"ball": {"n", "r"}}, {"ellipsoid": {"n", "r", "R"}} or
+    {"scaled_ball": {"c", "ball"}}; n must be a JSON integer, r, R and c
+    exact rationals (JSON integers or strings), as in barcode JSON."""
 
     def n_of(rec) -> int:
         if isinstance(rec["n"], int) and not isinstance(rec["n"], bool):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Callable, Iterable, Mapping, Optional, Tuple
 
 from .errors import ConventionError, TamarkinClassError, ValidationError
 from .exactnum import (
@@ -107,10 +107,6 @@ class Interval:
     @property
     def length(self) -> Extended:
         return self.hi.value - self.lo.value
-
-    def is_tamarkin(self) -> bool:
-        """[a,b) or [a,oo): closed left end (so finite), open right end."""
-        return self.lo.closed and not self.hi.closed
 
     # -- constructions ----------------------------------------------------
 
@@ -210,12 +206,6 @@ class GradedBarcode:
 
     def __hash__(self):
         return hash(canonicalize(self).bars)
-
-    def __iter__(self) -> Iterator[GradedBar]:
-        return iter(self.bars)
-
-    def __len__(self):
-        return len(self.bars)
 
     @property
     def convention(self) -> str:
@@ -368,12 +358,6 @@ class HomSpace:
     def dims(self) -> dict[int, int]:
         return dict(self._dims)
 
-    def dim(self, degree: int) -> int:
-        return self._dims.get(degree, 0)
-
-    def total(self) -> int:
-        return sum(self._dims.values())
-
     def shifted(self, k: int) -> "HomSpace":
         return HomSpace({d + k: n for d, n in self._dims.items()})
 
@@ -437,7 +421,7 @@ def ray_sections(b: GradedBarcode, c: Scalar) -> HomSpace:
 
 def require_tamarkin(b: GradedBarcode, opname: str) -> None:
     for bar_ in b.bars:
-        if not bar_.interval.is_tamarkin():
+        if flavor(bar_.interval) != TAMARKIN:
             raise TamarkinClassError(
                 f"{opname} requires [a,b)/[a,oo) bars, got {_excerpt(bar_.interval, str)}"
             )

@@ -17,7 +17,8 @@ table costs integer differences and integer half lengths.
 `delta_matched` builds the same tables and maps its delta to a rank, so
 the search and the certificate see the same graph.  `brute_interleave` exhaustively searches interleaving morphism
 pairs over F_2 and exists purely as an acceptance oracle for the
-isometry theorem.
+isometry theorem.  `cone_of_morphism` and `torsion_bound_check` take a
+`MorphismPlan` from their caller; nothing here chooses one.
 """
 
 from __future__ import annotations
@@ -465,19 +466,3 @@ def torsion_bound_check(
     bound = torsion(cone_of_morphism(v, w, plan))
     dist = interleaving_distance(v, w)
     return bound, dist <= bound
-
-
-def natural_plan(v: GradedBarcode, w: GradedBarcode) -> MorphismPlan:
-    """Greedy 'identity on overlaps' plan used by examples and tests."""
-    ev, ew = expanded_bars(v), expanded_bars(w)
-    used_t: set[int] = set()
-    pairs = []
-    for s, (si, sd) in enumerate(ev):
-        for t, (ti, td) in enumerate(ew):
-            if t in used_t or sd != td:
-                continue
-            if _hom_exists(si, ti):
-                pairs.append((s, t))
-                used_t.add(t)
-                break
-    return MorphismPlan(tuple(pairs))

@@ -111,9 +111,6 @@ class VertexFunction:
     def __neg__(self) -> "VertexFunction":
         return VertexFunction(tuple(-v for v in self.values))
 
-    def simplex_value(self, s: Simplex) -> Fraction:
-        return max(self.values[v] for v in s)
-
 
 def _check_function(K: SimplicialComplex, f: VertexFunction) -> None:
     if len(f.values) != K.n_vertices:
@@ -127,18 +124,17 @@ def _check_function(K: SimplicialComplex, f: VertexFunction) -> None:
 def _lower_star_order(K: SimplicialComplex, f: VertexFunction):
     """Simplices in lower-star filtration order, with their values.
 
-    Vertices are ranked once by (value, index); a simplex sorts on its
-    vertex ranks in descending order, dimension breaking ties after the top
-    rank.  Its value is that of its top-ranked vertex.
+    Vertices are ranked once by (value, index).  The simplices, stored in
+    (size, vertices) order, are stably sorted on (top vertex rank, size), so
+    a face comes before its cofaces; its value is that of its top vertex.
+    Ties are left in stored order: any order a filtration allows gives the
+    same value barcode (Zomorodian-Carlsson 2005).
     """
     by_rank = sorted(range(K.n_vertices), key=lambda v: (f.values[v], v))
     rank = {v: r for r, v in enumerate(by_rank)}
-    keyed = []
-    for s in K.simplices:
-        rk = sorted([rank[v] for v in s], reverse=True)
-        keyed.append((rk[0], len(s), rk, s))
-    keyed.sort()
-    return [k[3] for k in keyed], [f.values[by_rank[k[0]]] for k in keyed]
+    keys = [(max(map(rank.__getitem__, s)), len(s)) for s in K.simplices]
+    keyed = sorted(range(len(keys)), key=keys.__getitem__)
+    return [K.simplices[i] for i in keyed], [f.values[by_rank[keys[i][0]]] for i in keyed]
 
 
 def _reduce_boundary(order: list[Simplex], p: int):

@@ -213,7 +213,8 @@ def hom_star_pair_formula(i: Interval, j: Interval) -> list[Tuple[Interval, int]
     Hom*(k_[a,b), k_[c,d)) = k_[c-b, min(d-b, c-a))[1]  +  k_[max(d-b, c-a), d-a)
     with empty summands dropped (a tie produces a drop, never a singleton).
     """
-    if not (i.is_tamarkin() and i.hi.finite and j.is_tamarkin() and j.hi.finite):
+    # read off the closure flags, not `flavor`, so the check shares no classifier
+    if not all(x.lo.closed and not x.hi.closed and x.hi.finite for x in (i, j)):
         raise ValidationError("finite-pair formula needs two bounded [a,b) bars")
     a, b = i.lo.value, i.hi.value
     c, d = j.lo.value, j.hi.value

@@ -34,6 +34,22 @@ def rand_tamarkin_barcode(
     return sc.barcode(*bars)
 
 
+def greedy_plan(v: sc.GradedBarcode, w: sc.GradedBarcode) -> sc.MorphismPlan:
+    """'Identity on overlaps': each expanded source bar, in order, takes the
+    first unused target bar of its degree that admits a morphism from it
+    (target [c,d), source [a,b): c <= a < d <= b)."""
+    ev, ew = sc.expanded_bars(v), sc.expanded_bars(w)
+    used: set[int] = set()
+    pairs = []
+    for s, (si, sd) in enumerate(ev):
+        for t, (ti, td) in enumerate(ew):
+            if t not in used and sd == td and ti.lo.value <= si.lo.value < ti.hi.value <= si.hi.value:
+                pairs.append((s, t))
+                used.add(t)
+                break
+    return sc.MorphismPlan(tuple(pairs))
+
+
 def big_primes(bits: int, count: int) -> list[int]:
     """The first `count` probable primes at or above 2**bits (Fermat, bases 2
     and 3): denominators whose lcm grows by about `bits` bits each."""

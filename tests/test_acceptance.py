@@ -18,6 +18,8 @@ from sheafcalc.exactnum import Infinity
 from sheafcalc.intervals import spec, stalk
 from sheafcalc.stratmodel import rhom_oracle
 
+from conftest import greedy_plan
+
 SEED = 0x5EAFCA1C
 
 
@@ -244,7 +246,7 @@ def test_criterion_10_stability_and_torsion_criterion():
                     sc.GradedBar(sc.interval(a0, iv.hi.value + rng.randint(0, 3)), deg)
                 )
         v = sc.barcode(*bars_v) if bars_v else sc.GradedBarcode(())
-        plan = mt.natural_plan(v, w)
+        plan = greedy_plan(v, w)
         bound, holds = mt.torsion_bound_check(v, w, plan)
         assert holds
     _report(10, True, "stability bound on 100 pairs; torsion-criterion bound on 100 morphisms")

@@ -290,6 +290,10 @@ _BIG_MULT = json.dumps({"bars": [dict(GOOD_BAR, mult=10**30)]})
 # a circle on 25,001 vertices has 50,002 simplices, past the 50,000-simplex cap
 _PAST_CAP_CIRCLE = json.dumps({"values": [0] * 25_001, "simplices": [[i, (i + 1) % 25_001] for i in range(25_001)]})
 
+# OFF-like headers whose simplex count is not the number of simplex lines
+_MISCOUNTED_OFF = ["3 5\n0 1 2\n3 0 1 2\n", "3 -1\n0 1 2\n3 0 1 2\n", "3 1\n0 1 2\n2 0 1\n2 1 2\n"]
+_MISCOUNTED_OFF_IDS = ["complex-off-too-few-simplices", "complex-off-negative-count", "complex-off-too-many-simplices"]
+
 
 def _one_bar(lo, lo_closed, hi, hi_closed, **fields):
     return json.dumps({"bars": [dict(GOOD_BAR, lo={"v": lo, "closed": lo_closed}, hi={"v": hi, "closed": hi_closed}, **fields)]})
@@ -398,6 +402,7 @@ _PAST_FLOAT = _one_bar("1e400", True, "+inf", False)
         (["morse", "front", "@", "--two-critical-bound"], '{"xs": ["0", "1"], "t_minus": ["0", "0"], "t_plus": ["1", "1"]}', None),
         (["morse", "sublevel", "@", "--capacity"], "3 1\n0 1 2\n3 0 1 2\n", None),
     ]
+    + [(["morse", "sublevel", "@"], text, None) for text in _MISCOUNTED_OFF]
     + [(argv, text, None) for argv, text in LONG_LITERAL_CASES],
     ids=[
         "float-n", "bool-n", "float-r", "float-R", "float-c", "spec-json-syntax", "cli-r",
@@ -422,6 +427,7 @@ _PAST_FLOAT = _one_bar("1e400", True, "+inf", False)
         "interval-degenerate", "argparse-flag-as-value", "argparse-unknown-option", "argparse-no-input",
         "barcode-two-queries", "domain-three-queries", "front-two-critical-bound", "sublevel-capacity",
     ]
+    + _MISCOUNTED_OFF_IDS
     + LONG_LITERAL_IDS,
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, argv, text, env):
@@ -439,6 +445,17 @@ def test_bad_input_exits_2_with_one_line(tmp_path, capsys, monkeypatch, argv, te
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text, declared, given", list(zip(_MISCOUNTED_OFF, (5, -1, 1), (1, 1, 2))), ids=_MISCOUNTED_OFF_IDS
+)
+def test_off_simplex_count_message_names_both_counts(tmp_path, capsys, text, declared, given):
+    path = tmp_path / "in"
+    path.write_text(text)
+    code, out, err = run_cli(["morse", "sublevel", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: header declares {declared} simplices, the file gives {given}\n"
 
 
 @pytest.mark.parametrize("argv, text", LONG_LITERAL_CASES, ids=LONG_LITERAL_IDS)

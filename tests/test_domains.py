@@ -33,8 +33,8 @@ def test_ball_stalk_bin_boundaries_half_open():
 
 
 def test_ellipsoid_stalk_published_values():
-    assert dm.ellipsoid_stalk(2, 1, 3, 4) == sc.HomSpace({4: 1})
-    assert dm.ellipsoid_stalk(2, 1, 3, F(1, 10)) == sc.HomSpace({2: 1})
+    assert dm.domain_stalk(dm.Ellipsoid(2, 1, 3), 4) == sc.HomSpace({4: 1})
+    assert dm.domain_stalk(dm.Ellipsoid(2, 1, 3), F(1, 10)) == sc.HomSpace({2: 1})
 
 
 def test_ellipsoid_reduces_to_ball(rng):
@@ -42,7 +42,7 @@ def test_ellipsoid_reduces_to_ball(rng):
         n = rng.randint(2, 3)
         r = F(rng.randint(1, 4), rng.randint(1, 3))
         T = rand_T_in_bin(rng, r * r, rng.randint(0, 3))
-        assert dm.ellipsoid_stalk(n, r, r, T) == dm.ball_stalk(n, r, T)
+        assert dm.domain_stalk(dm.Ellipsoid(n, r, r), T) == dm.ball_stalk(n, r, T)
 
 
 def test_eigen_count_published_values():
@@ -90,6 +90,13 @@ def test_domain_barcode_ball():
     assert b2.bars[0].degree == 2
 
 
+def strata_spec(d, limit):
+    """Action-spectrum values <= limit: the left ends of the strata walk,
+    run up to the end of the stratum holding limit."""
+    top = dm._bins(d, dm.as_pi_scalar(limit))
+    return [lo for lo, _, _ in dm._strata(d, top, dm._stratum(d, top)[1])]
+
+
 def test_domain_barcode_ellipsoid_spec():
     e = dm.Ellipsoid(2, 1, 10)
     b = dm.domain_barcode(e, dm.pi_times(50))
@@ -97,7 +104,7 @@ def test_domain_barcode_ellipsoid_spec():
     values = spec(b)
     assert all(v.q == int(v.q) for v in values)
     assert [v.q for v in values[:4]] == [0, 1, 2, 3]
-    assert dm.domain_spec(e, dm.pi_times(3)) == [dm.pi_times(k) for k in range(4)]
+    assert strata_spec(e, dm.pi_times(3)) == [dm.pi_times(k) for k in range(4)]
 
 
 def test_domain_barcode_scaled_ball():
@@ -159,7 +166,7 @@ def test_transfer_characterizes_invariant_bins():
 
 
 def test_monotone_spec_is_exact():
-    got = dm.domain_spec(dm.Ball(2, F(3, 2)), dm.pi_times(20))
+    got = strata_spec(dm.Ball(2, F(3, 2)), dm.pi_times(20))
     expect = [dm.pi_times(m * F(9, 4)) for m in range(9) if m * F(9, 4) <= 20]
     assert got == expect
 
@@ -188,8 +195,12 @@ def test_nonsqueeze_negative_cases():
 
 
 def test_domain_json_round_trip():
-    for d in (dm.Ball(2, F(3, 2)), dm.Ellipsoid(2, 1, 10), dm.ScaledBall(F(1, 2), dm.Ball(1, 1))):
-        assert dm.domain_from_json(dm.domain_to_json(d)) == d
+    for d, obj in (
+        (dm.Ball(2, F(3, 2)), {"ball": {"n": 2, "r": "3/2"}}),
+        (dm.Ellipsoid(2, 1, 10), {"ellipsoid": {"n": 2, "r": "1", "R": "10"}}),
+        (dm.ScaledBall(F(1, 2), dm.Ball(1, 1)), {"scaled_ball": {"c": "1/2", "ball": {"n": 1, "r": "1"}}}),
+    ):
+        assert dm.domain_from_json(obj) == d
 
 
 # --- the per-level lookups that the action-bin vector replaced ----------------
@@ -322,7 +333,6 @@ def test_queries_match_per_level_lookup(rng):
         for i, t1 in enumerate(ts):
             assert_same(dm.domain_stalk, old_domain_stalk, d, t1)
             assert_same(dm.sheaf_invariant, old_sheaf_invariant, d, t1)
-            assert_same(dm.domain_spec, old_spec_values, d, t1)
             for t2 in ts[max(0, i - 1) : i + 3] + rng.sample(ts, min(3, len(ts))):
                 assert_same(dm.transfer_is_iso, old_transfer_is_iso, d, t1, t2)
                 seen.add(t1 <= t2 and dm.transfer_is_iso(d, t1, t2))
@@ -429,7 +439,7 @@ def levels(rng, d):
 def test_spectrum_matches_walk(rng):
     for d in seeded_domains(rng):
         for t in levels(rng, d):
-            assert dm.domain_spec(d, t) == ref_spec_values(d, t)
+            assert strata_spec(d, t) == ref_spec_values(d, t)
 
 
 def test_sheaf_invariant_matches_whole_barcode(rng):

@@ -365,7 +365,7 @@ def test_flavor_matches_reference_predicates():
     for i in ivs:
         k = flavor(i)
         assert (k == SINGLETON) == i.is_singleton
-        assert (k == TAMARKIN) == i.is_tamarkin() == ref_is_tamarkin(i)
+        assert (k == TAMARKIN) == ref_is_tamarkin(i)
         assert (k == LEFT_INFINITE) == (not i.lo.finite and not i.hi.closed and i.hi.finite)
         assert sc.GradedBarcode((sc.GradedBar(i),)).convention == ref_convention(sc.GradedBarcode((sc.GradedBar(i),)))
     assert {flavor(i) for i in ivs} == {SINGLETON, TAMARKIN, LEFT_INFINITE, LEFT_CLOSED, RIGHT_CLOSED, MIXED}

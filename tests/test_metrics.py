@@ -11,7 +11,7 @@ from sheafcalc.errors import OracleSizeError, PlanError
 from sheafcalc.exactnum import POS_INF, Infinity, PiRational, cmp, is_finite
 from sheafcalc.intervals import scaled_ends
 
-from conftest import big_primes, rand_tamarkin_barcode
+from conftest import big_primes, greedy_plan, rand_tamarkin_barcode
 
 
 def bc(*args):
@@ -381,7 +381,7 @@ def test_brute_interleave_size_limit():
 def test_cone_published_example():
     v = bc(sc.bar(5, "+inf"), sc.bar(2, 8))
     w = bc(sc.bar(3, "+inf"), sc.bar(0, 6))
-    plan = mt.natural_plan(v, w)
+    plan = greedy_plan(v, w)
     cone = mt.cone_of_morphism(v, w, plan)
     assert cone == bc(sc.bar(6, 8), sc.bar(0, 2, degree=1), sc.bar(3, 5, degree=1))
     bound, holds = mt.torsion_bound_check(v, w, plan)
@@ -391,8 +391,8 @@ def test_cone_published_example():
 
 def test_cone_identity_and_zero_plans():
     v = bc(sc.bar(0, 3), sc.bar(1, 2, degree=1))
-    assert mt.cone_of_morphism(v, v, mt.natural_plan(v, v)) == EMPTY
-    bound, holds = mt.torsion_bound_check(v, v, mt.natural_plan(v, v))
+    assert mt.cone_of_morphism(v, v, greedy_plan(v, v)) == EMPTY
+    bound, holds = mt.torsion_bound_check(v, v, greedy_plan(v, v))
     assert bound == 0 and holds
     zero = mt.MorphismPlan(())
     cone = mt.cone_of_morphism(v, v, zero)
@@ -434,7 +434,7 @@ def test_torsion_bound_sweep(rng):
                     continue
                 bars_v.append(sc.GradedBar(sc.interval(a0, d0 + rng.randint(0, 3)), deg))
         v = sc.barcode(*bars_v) if bars_v else EMPTY
-        plan = mt.natural_plan(v, w)
+        plan = greedy_plan(v, w)
         bound, holds = mt.torsion_bound_check(v, w, plan)
         assert holds
 

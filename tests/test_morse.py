@@ -31,8 +31,13 @@ def vf(*vals) -> morse.VertexFunction:
     return morse.VertexFunction(tuple(F(v) for v in vals))
 
 
+def simplex_value(f: morse.VertexFunction, s) -> F:
+    """The lower-star value of a simplex: its largest vertex value."""
+    return max(f.values[v] for v in s)
+
+
 def sublevel_complex(K: morse.SimplicialComplex, f: morse.VertexFunction, t: F) -> set:
-    return {s for s in K.simplices if f.simplex_value(s) <= t}
+    return {s for s in K.simplices if simplex_value(f, s) <= t}
 
 
 def superlevel_complex(K: morse.SimplicialComplex, f: morse.VertexFunction, t: F) -> set:
@@ -203,7 +208,13 @@ def test_stability_bound(rng):
 
 
 def ref_simplex_key(f: morse.VertexFunction, s):
-    """Lower-star key on (Fraction value, vertex) pairs, sorted per simplex."""
+    """Lower-star key on the top (Fraction value, vertex) pair, then size;
+    a stable sort of K.simplices leaves ties in (size, vertices) order."""
+    return (max((f.values[v], v) for v in s), len(s))
+
+
+def old_simplex_key(f: morse.VertexFunction, s):
+    """The order this replaced: ties broken on every vertex, sorted per simplex."""
     keys = sorted(((f.values[v], v) for v in s), reverse=True)
     return (keys[0], len(s), keys)
 
@@ -368,11 +379,30 @@ def test_fast_paths_match_reference(rng, p):
             f = random_values(rng, K.n_vertices)
             order, values = morse._lower_star_order(K, f)
             assert order == sorted(K.simplices, key=lambda s: ref_simplex_key(f, s))
-            assert values == [f.simplex_value(s) for s in order]
+            assert values == [simplex_value(f, s) for s in order]
             pairs, essential = morse._reduce_boundary(order, p)
             ref_pairs, ref_essential = ref_reduce_boundary(order, p)
             assert set(pairs) == set(ref_pairs) and set(essential) == set(ref_essential)
             assert_isomorphic(morse.sheaf_route_model(K, f, p), ref_sheaf_route_model(K, f, p))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_tie_order_leaves_the_barcode_unchanged(rng, p, monkeypatch):
+    # any order a filtration allows gives the same value barcode: the one
+    # that also sorted each simplex's other vertices is the reference
+    cases = [(K, random_values(rng, K.n_vertices)) for K in random_complexes(rng) for _ in range(3)]
+    got = [repr(morse.sublevel_barcode(K, f, p)) for K, f in cases]
+
+    def old_order(K, f):
+        order = sorted(K.simplices, key=lambda s: old_simplex_key(f, s))
+        return order, [simplex_value(f, s) for s in order]
+
+    monkeypatch.setattr(morse, "_lower_star_order", old_order)
+    moved = 0
+    for (K, f), want in zip(cases, got):
+        assert repr(morse.sublevel_barcode(K, f, p)) == want
+        moved += old_order(K, f)[0] != sorted(K.simplices, key=lambda s: ref_simplex_key(f, s))
+    assert moved  # the two orders differ on some inputs
 
 
 def distinct_values(rng, n):

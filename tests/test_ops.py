@@ -108,6 +108,13 @@ def test_convolve_has_unit_k0(f):
     assert ops.convolve(UNIT, f) == f
 
 
+@LAWS
+@given(*[laws_barcodes(singletons=False)] * 3)
+def test_convolve_is_left_adjoint_to_hom_star(f, g, h):
+    # Tamarkin bars, bounded and [a,oo): RHom(f * g, h) = RHom(f, Hom*(g, h))
+    assert ops.rhom_total(ops.convolve(f, g), h) == ops.rhom_total(f, ops.hom_star(g, h))
+
+
 def test_convolve_commutative_associative(rng):
     for _ in range(40):
         f = rand_tamarkin_barcode(rng, max_bars=2)
@@ -434,7 +441,7 @@ def test_self_hom_identity_and_truncation_count(rng):
     for _ in range(40):
         f = rand_tamarkin_barcode(rng, max_bars=3)
         total = ops.rhom_total(f, f)
-        assert total.dim(0) >= len(f.bars)
+        assert total.dims.get(0, 0) >= len(f.bars)
         h = ops.hom_star(f, f)
         n0 = 0
         for x in h.bars:
@@ -443,7 +450,7 @@ def test_self_hom_identity_and_truncation_count(rng):
                 continue
             if (isinstance(lo, Infinity) or lo < 0) and hi >= 0:
                 n0 += x.mult
-        assert total.total() == n0
+        assert sum(total.dims.values()) == n0
 
 
 # --- torsion and capacities ---------------------------------------------------

@@ -1,4 +1,5 @@
-"""Oracle independence, checked on the static call graph of src/sheafcalc.
+"""Oracle independence and dead code, checked on the static call graph of
+src/sheafcalc.
 
 Each node is a module-level function or a class method, named
 (module, qualified name).  Every reference in a body counts as an edge, a
@@ -9,11 +10,15 @@ reference to a class reaches all of its methods.  Imports are the
 at any depth; attribute references on other values are not resolved.
 """
 
+import argparse
 import ast
 import pathlib
 from collections import defaultdict
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "sheafcalc"
+from sheafcalc import cli
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "sheafcalc"
 
 
 def call_graph():
@@ -67,10 +72,10 @@ def call_graph():
                 elif base == "self" and cls is not None:
                     out |= {(mod, f"{cls}.{sub.attr}")} & set(bodies)
         graph[node] = out
-    return graph
+    return graph, resolve
 
 
-GRAPH = call_graph()
+GRAPH, RESOLVE = call_graph()
 
 
 def reachable(*starts, allowed=()):
@@ -120,7 +125,7 @@ def test_sheaf_route_uses_no_dense_linear_algebra():
 EIGEN_ALLOWED = {(("domains", "_check_band"), ("domains", "action_bin"))}
 CLOSED_FORMS = {
     ("domains", name)
-    for name in ("_bins", "_stratum", "_strata", "domain_stalk", "domain_barcode", "sheaf_invariant", "domain_spec")
+    for name in ("_bins", "_stratum", "_strata", "domain_stalk", "domain_barcode", "sheaf_invariant")
 }
 
 
@@ -199,3 +204,62 @@ def test_every_named_node_is_in_the_graph():
     )
     named |= CLOSED_FORMS | SHARED_GROUPING | {node for edge in EIGEN_ALLOWED for node in edge}
     assert not named - set(GRAPH), named - set(GRAPH)
+
+
+# --- dead code: every module-level function is reached from a root -----------
+# The roots are the CLI, the `sheafcalc` namespace, what perfbench/ and
+# tools/ reference, and the oracles below, which only the tests call.
+ORACLES = {
+    ("ops", "hom_star_pair_formula"): "the closed finite-pair Hom* formula that hom_star is checked against",
+    ("ops", "barcode_stalk_via_oracle"): "the fiber-cut stalk of a whole barcode that the bilinear ops are checked against",
+}
+
+
+def cli_ops():
+    """The `ops` functions `_cmd_ops` looks up by the name of its subcommand."""
+    commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    op = next(a for a in commands.choices["ops"]._actions if a.dest == "op")
+    return set().union(*(RESOLVE("ops", name.replace("-", "_")) for name in op.choices))
+
+
+def namespace_exports():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    names = {alias.asname or alias.name for imp in ast.walk(tree) if isinstance(imp, ast.ImportFrom) for alias in imp.names}
+    return set().union(*(RESOLVE("__init__", name) for name in names))
+
+
+def outside_references(*dirs):
+    """Nodes that Python files under dirs name: `from sheafcalc[.mod] import
+    x`, `mod.x` on an imported module, and a module followed by the string
+    "x" in a tuple or call, as perfbench's span table and `getattr` do."""
+    found = set()
+    for path in (p for d in dirs for p in sorted((ROOT / d).glob("*.py"))):
+        tree = ast.parse(path.read_text())
+        modules = {}  # local name -> sheafcalc module
+        for imp in ast.walk(tree):
+            if isinstance(imp, ast.ImportFrom) and (imp.module or "").startswith("sheafcalc"):
+                sub = imp.module.partition(".")[2]
+                for alias in imp.names:
+                    if not sub and (SRC / f"{alias.name}.py").exists():
+                        modules[alias.asname or alias.name] = alias.name
+                    else:
+                        found |= RESOLVE(sub or "__init__", alias.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+                found |= RESOLVE(modules[node.value.id], node.attr)
+            elif isinstance(node, (ast.Tuple, ast.Call)):
+                items = node.elts if isinstance(node, ast.Tuple) else node.args
+                for mod, name in zip(items, items[1:]):
+                    if isinstance(mod, ast.Name) and mod.id in modules and isinstance(name, ast.Constant):
+                        found |= RESOLVE(modules[mod.id], name.value)
+    return found
+
+
+def test_every_function_is_reached_from_a_root():
+    assert {("ops", "convolve"), ("ops", "capacity_prime")} <= cli_ops()
+    assert ("stratmodel", "decompose") in outside_references("perfbench")  # named in the span table
+    roots = {("cli", "main")} | cli_ops() | namespace_exports() | outside_references("perfbench", "tools")
+    assert set(ORACLES) <= set(GRAPH) and all(ORACLES.values())
+    reached = reachable(*roots, *ORACLES)
+    functions = {node for node in GRAPH if "." not in node[1]}
+    assert not functions - reached, sorted(functions - reached)
