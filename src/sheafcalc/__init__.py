@@ -27,6 +27,7 @@ from .metrics import (
     Matching,
     MorphismPlan,
     bottleneck,
+    bottleneck_matching,
     brute_interleave,
     cone_of_morphism,
     delta_matched,

@@ -30,7 +30,7 @@ from .domains import (
     transfer_is_iso,
 )
 from .errors import DomainError, ValidationError
-from .exactnum import Infinity, _excerpt, _json_rational, parse_rational, parse_scalar, scalar_to_json
+from .exactnum import _excerpt, _json_rational, parse_rational, parse_scalar, scalar_to_json
 from .intervals import (
     GradedBarcode,
     HomSpace,
@@ -167,9 +167,8 @@ def _cmd_dist(args):
         ok, witness = metrics.delta_matched(b1, b2, parse_scalar(args.delta))
         payload = {"delta_matched": ok}
     else:
-        d = metrics.bottleneck(b1, b2)
+        d, witness = metrics.bottleneck_matching(b1, b2)
         payload = {"bottleneck": scalar_to_json(d)}
-        witness = None if isinstance(d, Infinity) else metrics.delta_matched(b1, b2, d)[1]
     if witness is not None:
         payload["witness"] = {
             "delta": scalar_to_json(witness.delta),

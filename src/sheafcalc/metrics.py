@@ -7,26 +7,39 @@ infimum is attained; the strict-inequality definition has the same infimum.
 
 Each degree gets one cost table, built once per call: every bar pair's
 cost is the larger of its two end gaps (+inf when only one side of an end
-is infinite), and every bar's erase cost is half its length.  The sorted
-distinct finite costs plus 0 are the only thresholds where feasibility can
-change, so `bottleneck` binary-searches their ranks, rebuilding the
-matching graph at each step from integer rank compares, and returns an
-exact scalar from that finite set.  Ends that are all Fractions are
-scaled to integers by `intervals.scaled_ends` and doubled first, so the
-table costs integer differences and integer half lengths.
-`delta_matched` builds the same tables and maps its delta to a rank, so
-the search and the certificate see the same graph.  `brute_interleave` exhaustively searches interleaving morphism
-pairs over F_2 and exists purely as an acceptance oracle for the
-isometry theorem.  `cone_of_morphism` and `torsion_bound_check` take a
-`MorphismPlan` from their caller; nothing here chooses one.
+is infinite), and every bar's erase cost is half its length.  Ends that are
+all Fractions are scaled to integers by `intervals.scaled_ends` and doubled
+first, so the table holds integer costs over one scale and a Fraction is
+made only for an answer.  The sorted distinct finite costs plus 0 are the
+only thresholds where feasibility can change, so the search runs on their
+ranks: the graph at rank r keeps the edges of rank <= r.
+
+`bottleneck` binary-searches the ranks with a cover test (Mendelsohn and
+Dulmage 1958): a delta-matching exists iff one bar-to-bar matching covers
+every left bar too long to erase and another covers every such right bar.
+Each trial starts from the two one-sided matchings of the highest failed
+trial so far, which stay valid at every higher rank; a passed trial's are
+dropped, since their edges may be missing lower down.  The certificate is
+Kuhn's matching of the doubled graph, one node per bar and one diagonal
+node per bar of the other side, at the final distance's rank
+(`_CostTable.match`).  `bottleneck_matching` returns both from the same
+tables, and `delta_matched` runs that one match at a given delta.  Every
+search is one augmenting-path walk, `_augment`.
+
+`brute_interleave` exhaustively searches interleaving morphism pairs over
+F_2 and exists purely as an acceptance oracle for the isometry theorem.
+`cone_of_morphism` and `torsion_bound_check` take a `MorphismPlan` from
+their caller; nothing here chooses one.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import OracleSizeError, PlanError, ValidationError
 from .exactnum import POS_INF, Extended, Infinity, Scalar
@@ -39,6 +52,10 @@ from .intervals import (
     scaled_ends,
 )
 from .ops import _interval, _lcro, torsion
+
+# bar pairs of one degree, n1 * n2: the table holds one cost per pair, and
+# README gives the time of a step at the cap
+MAX_DIST_PAIRS = 1600 * 1600
 
 
 @dataclass(frozen=True)
@@ -56,132 +73,208 @@ class Matching:
     erased_right: Tuple[int, ...]
 
 
-def _end_gap(x, y):
-    """|x - y|; 0 for equal infinities, +inf when only one end is finite."""
-    if isinstance(x, Infinity) or isinstance(y, Infinity):
-        return 0 if x == y else POS_INF
-    d = x - y
+def _magnitude(d):
     return -d if d < 0 else d
-
-
-def _pair_cost(a: tuple, b: tuple):
-    """Least delta at which bars with ends a and b match: the larger end gap."""
-    lo = _end_gap(a[0], b[0])
-    hi = _end_gap(a[1], b[1])
-    if lo is POS_INF or hi is POS_INF:
-        return POS_INF
-    return hi if hi > lo else lo
-
-
-def _twice(x):
-    return x if isinstance(x, Infinity) else 2 * x
 
 
 class _CostTable:
     """The costs of one degree, as integer ranks into sorted thresholds.
 
     A pair's cost is the larger of its two end gaps, a bar's erase cost
-    half its length.  `cands` holds 0 and every distinct finite cost,
-    sorted; a cost ranks at its index there, and an infinite cost at
-    len(cands), so the delta-matching graph at cands[r] keeps exactly the
-    edges of rank <= r.
+    half its length.  `keys` holds 0 and every distinct finite cost,
+    sorted: integers over `scale` when the ends scale, else the exact
+    values (scale None).  A cost ranks at its index there, and an infinite
+    cost at len(keys), so the delta-matching graph at rank r keeps exactly
+    the edges of rank <= r.
     """
 
     def __init__(self, left: Sequence[Interval], right: Sequence[Interval]):
         rows, scale = scaled_ends(list(left) + list(right))
-        ends = [(lo, hi) for lo, _, hi, _ in rows]
-        if scale:
-            # doubled, so that half lengths are integers too
-            ends = [(_twice(lo), _twice(hi)) for lo, hi in ends]
-            scale *= 2
-        lends, rends = ends[: len(left)], ends[len(left) :]
+        # two bars match only when the same ends are infinite, and equal
+        # infinite ends are 0 apart: each bar as (which ends are infinite,
+        # its ends with an infinite one read as 0); integer ends doubled, so
+        # that half lengths are integers too
+        bars = []
+        for lo, _, hi, _ in rows:
+            kind = 2 * isinstance(lo, Infinity) + isinstance(hi, Infinity)
+            lo, hi = (0 if kind & 2 else lo), (0 if kind & 1 else hi)
+            bars.append((kind, 2 * lo, 2 * hi) if scale else (kind, lo, hi))
+        scale = scale and 2 * scale
+        lbars, rbars = bars[: len(left)], bars[len(left) :]
+        gap = abs if scale else _magnitude  # PiRational has no abs
 
-        def erase_cost(e):
-            if isinstance(e[0], Infinity) or isinstance(e[1], Infinity):
+        def erase_cost(bar):
+            kind, lo, hi = bar
+            if kind:
                 return POS_INF
-            return (e[1] - e[0]) // 2 if scale else (e[1] - e[0]) * Fraction(1, 2)
+            return (hi - lo) // 2 if scale else (hi - lo) * Fraction(1, 2)
 
-        # number each distinct cost in order of first sight, then renumber
-        # by value: one hash per cost and one sort of the distinct ones
-        ids: dict = {Fraction(0): 0, POS_INF: 1}
-        pair = [[ids.setdefault(_pair_cost(a, b), len(ids)) for b in rends] for a in lends]
-        erase_left = [ids.setdefault(erase_cost(a), len(ids)) for a in lends]
-        erase_right = [ids.setdefault(erase_cost(b), len(ids)) for b in rends]
-        keys = sorted(k for k in ids if k is not POS_INF)
-        self.cands: list[Scalar] = [Fraction(k, scale) for k in keys] if scale else keys
-        rank = [len(keys)] * len(ids)
-        for r, k in enumerate(keys):
-            rank[ids[k]] = r
-        self.pair = [[rank[k] for k in row] for row in pair]
-        self.erase_left = [rank[k] for k in erase_left]
-        self.erase_right = [rank[k] for k in erase_right]
+        pair = [
+            [max(gap(lo - lo2), gap(hi - hi2)) if kind == kind2 else POS_INF for kind2, lo2, hi2 in rbars]
+            for kind, lo, hi in lbars
+        ]
+        erase_left = [erase_cost(a) for a in lbars]
+        erase_right = [erase_cost(b) for b in rbars]
+        # equal costs keep the first one seen, 0 first, as the answer
+        costs = {0 if scale else Fraction(0)}.union(*pair, erase_left, erase_right)
+        costs.discard(POS_INF)
+        self.keys = sorted(costs)
+        self.scale = scale
+        rank = dict(zip(self.keys, range(len(self.keys))))
+        rank[POS_INF] = len(self.keys)
+        self.pair = [list(map(rank.__getitem__, row)) for row in pair]
+        self.erase_left = list(map(rank.__getitem__, erase_left))
+        self.erase_right = list(map(rank.__getitem__, erase_right))
+
+    def value(self, r: int) -> Scalar:
+        """The threshold of rank r."""
+        return Fraction(self.keys[r], self.scale) if self.scale else self.keys[r]
+
+    def rank(self, delta: Scalar) -> int:
+        """Rank of the graph at delta: that of the largest threshold <= delta."""
+        return bisect.bisect_right(self.keys, delta * self.scale if self.scale else delta) - 1
 
     def match(self, r: int) -> Optional[Tuple[list[Tuple[int, int]], list[int], list[int]]]:
         """Matching at threshold rank r on the doubled bipartite graph.
 
         Left nodes are the left bars then one diagonal node per right bar;
         right nodes are the right bars then one diagonal node per left bar.
+        Kuhn's search, roots in order, each neighbour list in bar order.
         """
         n1, n2 = len(self.erase_left), len(self.erase_right)
-        adj: list[list[int]] = []
+        adj: list = []
         for i, row in enumerate(self.pair):
             adj_row = [j for j, c in enumerate(row) if c <= r]
             if self.erase_left[i] <= r:
                 adj_row.append(n2 + i)
             adj.append(adj_row)
-        diagonal = list(range(n2, n2 + n1))  # diagonal-diagonal is free
-        for j, c in enumerate(self.erase_right):
-            adj.append([j] + diagonal if c <= r else diagonal)
-        match_left = _max_matching(n1 + n2, n2 + n1, adj)
-        if match_left is None:
-            return None
+        walk: list = [None]
+        adj += [_DiagonalRow((j,) if c <= r else (), walk) for j, c in enumerate(self.erase_right)]
+        match_left, match_right = [-1] * (n1 + n2), [-1] * (n2 + n1)
+        for root in range(n1 + n2):
+            walk[0] = iter(range(n2, n2 + n1))  # diagonal-diagonal is free
+            if not _augment(root, adj, match_left, match_right):
+                # Kuhn's algorithm never matches such a root later
+                return None
         pairs = [(i, match_left[i]) for i in range(n1) if match_left[i] < n2]
         erased_l = [i for i in range(n1) if match_left[i] >= n2]
         matched = {j for _, j in pairs}
         erased_r = [j for j in range(n2) if j not in matched]
         return pairs, erased_l, erased_r
 
+    @functools.cached_property
+    def partners(self) -> Tuple[tuple, tuple]:
+        """Per side, each bar's partners sorted by pair rank, and those ranks."""
+        cols = list(zip(*self.pair)) if self.pair else [()] * len(self.erase_right)
+        return tuple(
+            ([sorted(range(len(row)), key=row.__getitem__) for row in rows], [sorted(row) for row in rows])
+            for rows in (self.pair, cols)
+        )
 
-def _max_matching(n_left: int, n_right: int, adj: list[list[int]]) -> Optional[list[int]]:
-    """Kuhn's augmenting-path matching covering the left side, as match_left.
+    def unmatched(self) -> Tuple[Tuple[list[int], list[int]], ...]:
+        """The empty one-sided matchings of both sides, as (mine, theirs) lists."""
+        n1, n2 = len(self.erase_left), len(self.erase_right)
+        return ([-1] * n1, [-1] * n2), ([-1] * n2, [-1] * n1)
 
-    Roots are tried in order and each search is a depth-first walk over
-    adj in list order, kept on an explicit stack so that long augmenting
-    paths cannot exhaust the interpreter's recursion limit.  Returns None
-    at the first root with no augmenting path: Kuhn's algorithm never
-    matches such a root later, so no matching covers the left side.
-    """
-    match_left = [-1] * n_left
-    match_right = [-1] * n_right
-    for root in range(n_left):
-        seen = [False] * n_right
-        path = [root]  # left nodes of the current alternating path
-        via: list[int] = []  # via[k] joins path[k] to path[k + 1]
-        frames = [iter(adj[root])]
-        while frames:
-            for v in frames[-1]:
-                if seen[v]:
-                    continue
-                seen[v] = True
-                via.append(v)
-                owner = match_right[v]
-                if owner == -1:
-                    for u, w in zip(path, via):
-                        match_left[u] = w
-                        match_right[w] = u
-                    frames.clear()
-                else:
-                    path.append(owner)
-                    frames.append(iter(adj[owner]))
-                break
+    def covers(self, r: int, sides) -> bool:
+        """Whether the doubled graph at rank r has a matching of every node:
+        the cover test, on the two one-sided matchings in sides (as
+        `unmatched` gives them), each extended in place by `_cover`; the
+        right side's is not tried once the left side's fails."""
+        return all(
+            _cover(order, ranks, erase, r, mine, theirs)
+            for (order, ranks), erase, (mine, theirs) in zip(self.partners, (self.erase_left, self.erase_right), sides)
+        )
+
+    def least_rank(self) -> int:
+        """The least rank whose graph has a delta-matching; len(keys) if none.
+
+        Binary search on `covers`.  Each trial extends copies of the
+        matchings of the highest failed trial so far: their edges stay at
+        every higher rank, and the bars they cover but need not are let go.
+        """
+        warm = self.unmatched()
+        lo, hi = 0, len(self.keys)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            trial = tuple((mine[:], theirs[:]) for mine, theirs in warm)
+            if self.covers(mid, trial):
+                hi = mid
             else:
-                frames.pop()
-                path.pop()
-                if via:
-                    via.pop()
-        if match_left[root] == -1:
-            return None
-    return match_left
+                lo, warm = mid + 1, trial
+        return lo
+
+
+def _cover(order, ranks, erase, r, mine, theirs) -> bool:
+    """Extend the one-sided matching (mine, theirs) on the edges of rank
+    <= r until it covers every bar of erase rank > r; False at the first
+    such bar that no extension covers.
+
+    A matched bar of erase rank <= r is unmatched first.  The matching then
+    covers needed bars only, so by Berge's lemma a needed bar with no
+    augmenting path is covered by no matching at all.
+    """
+    for u, v in enumerate(mine):
+        if v != -1 and erase[u] <= r:
+            mine[u] = theirs[v] = -1
+    adj = [row[: bisect.bisect_right(rk, r)] for row, rk in zip(order, ranks)]
+    return all(
+        mine[u] != -1 or _augment(u, adj, mine, theirs) for u in range(len(mine)) if erase[u] > r
+    )
+
+
+def _augment(root: int, adj: list, match_left: list[int], match_right: list[int]) -> bool:
+    """Augment the matching along a path from the free left node root.
+
+    A depth-first walk over adj in list order, kept on an explicit stack so
+    that long augmenting paths cannot exhaust the interpreter's recursion
+    limit.  On reaching a free right node it flips the path into the
+    matching and returns True; False if no path from root reaches one.
+    """
+    seen = [False] * len(match_right)
+    path = [root]  # left nodes of the current alternating path
+    via: list[int] = []  # via[k] joins path[k] to path[k + 1]
+    frames = [iter(adj[root])]
+    while frames:
+        for v in frames[-1]:
+            if seen[v]:
+                continue
+            seen[v] = True
+            via.append(v)
+            owner = match_right[v]
+            if owner == -1:
+                for u, w in zip(path, via):
+                    match_left[u] = w
+                    match_right[w] = u
+                return True
+            path.append(owner)
+            frames.append(iter(adj[owner]))
+            break
+        else:
+            frames.pop()
+            path.pop()
+            if via:
+                via.pop()
+    return False
+
+
+class _DiagonalRow:
+    """The neighbours of a right bar's diagonal node in `_CostTable.match`:
+    the bar when it may be erased, then every left bar's diagonal node.
+
+    Every diagonal node before a walk's place in such a row is seen, so the
+    next one it takes is the least unseen one.  The rows of one search thus
+    share one walk of the diagonal nodes, `walk[0]`, restarted per search:
+    the same steps as a list per row, without re-reading the seen nodes.
+    """
+
+    __slots__ = ("head", "walk")
+
+    def __init__(self, head: tuple, walk: list):
+        self.head, self.walk = head, walk
+
+    def __iter__(self):
+        return itertools.chain(self.head, self.walk[0])
 
 
 def _by_degree(b: GradedBarcode) -> dict[int, list[Tuple[int, Interval]]]:
@@ -192,11 +285,48 @@ def _by_degree(b: GradedBarcode) -> dict[int, list[Tuple[int, Interval]]]:
 
 
 def _degree_tables(b1: GradedBarcode, b2: GradedBarcode):
-    """(left bars, right bars, cost table) per degree, by degree."""
+    """(left bars, right bars, cost table) per degree, by degree.
+
+    Refused, before any table is built, when a degree has more than
+    MAX_DIST_PAIRS bar pairs."""
     d1, d2 = _by_degree(b1), _by_degree(b2)
-    for deg in sorted(set(d1) | set(d2)):
+    degrees = sorted(set(d1) | set(d2))
+    for deg in degrees:
+        n1, n2 = len(d1.get(deg, ())), len(d2.get(deg, ()))
+        if n1 * n2 > MAX_DIST_PAIRS:
+            raise ValidationError(f"degree {deg} has {n1} by {n2} bars, more than {MAX_DIST_PAIRS} pairs")
+    for deg in degrees:
         li, ri = d1.get(deg, []), d2.get(deg, [])
         yield li, ri, _CostTable([iv for _, iv in li], [iv for _, iv in ri])
+
+
+def _witness(tables: Iterable, delta: Scalar) -> Optional[Matching]:
+    """The doubled-graph matching of each degree at delta, as one Matching;
+    None at the first degree that has none."""
+    pairs: list[Tuple[int, int]] = []
+    erased_l: list[int] = []
+    erased_r: list[int] = []
+    for li, ri, table in tables:
+        res = table.match(table.rank(delta))
+        if res is None:
+            return None
+        p, el, er = res
+        pairs.extend((li[i][0], ri[j][0]) for i, j in p)
+        erased_l.extend(li[i][0] for i in el)
+        erased_r.extend(ri[j][0] for j in er)
+    return Matching(delta, tuple(sorted(pairs)), tuple(sorted(erased_l)), tuple(sorted(erased_r)))
+
+
+def _distance(tables: Iterable) -> Extended:
+    """The largest of the degrees' least thresholds; +inf at the first
+    degree with none (its infinite-end signatures differ)."""
+    dist: Extended = Fraction(0)
+    for _, _, table in tables:
+        r = table.least_rank()
+        if r == len(table.keys):
+            return POS_INF
+        dist = max(dist, table.value(r))
+    return dist
 
 
 def delta_matched(
@@ -205,44 +335,24 @@ def delta_matched(
     """Certified delta-matching test (closed thresholds), degree by degree."""
     if isinstance(delta, Infinity) or delta < 0:
         raise ValidationError("delta must be finite and >= 0")
-    pairs: list[Tuple[int, int]] = []
-    erased_l: list[int] = []
-    erased_r: list[int] = []
-    for li, ri, table in _degree_tables(b1, b2):
-        # the graph at delta is the graph at the largest candidate <= delta
-        res = table.match(bisect.bisect_right(table.cands, delta) - 1)
-        if res is None:
-            return False, None
-        p, el, er = res
-        pairs.extend((li[i][0], ri[j][0]) for i, j in p)
-        erased_l.extend(li[i][0] for i in el)
-        erased_r.extend(ri[j][0] for j in er)
-    return True, Matching(delta, tuple(sorted(pairs)), tuple(sorted(erased_l)), tuple(sorted(erased_r)))
+    witness = _witness(_degree_tables(b1, b2), delta)
+    return witness is not None, witness
 
 
 def bottleneck(b1: GradedBarcode, b2: GradedBarcode) -> Extended:
-    """Exact bottleneck distance.
+    """Exact bottleneck distance: per degree the least threshold with a
+    delta-matching, found by `_CostTable.least_rank`; the maximum over
+    degrees."""
+    return _distance(_degree_tables(b1, b2))
 
-    Per degree, feasibility only changes at the candidate thresholds of
-    the cost table, so that degree's distance is the smallest feasible
-    candidate, found by binary search on its rank; rank len(cands) stands
-    for +inf (no finite delta works: the infinite-end signatures differ).
-    The distance is the maximum over degrees.
-    """
-    dist: Extended = Fraction(0)
-    for _, _, table in _degree_tables(b1, b2):
-        lo, hi = 0, len(table.cands)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if table.match(mid) is not None:
-                hi = mid
-            else:
-                lo = mid + 1
-        if lo == len(table.cands):
-            return POS_INF
-        if table.cands[lo] > dist:
-            dist = table.cands[lo]
-    return dist
+
+def bottleneck_matching(b1: GradedBarcode, b2: GradedBarcode) -> Tuple[Extended, Optional[Matching]]:
+    """The bottleneck distance and the matching `delta_matched` certifies
+    it with, from one cost table per degree; no matching when the distance
+    is infinite."""
+    tables = list(_degree_tables(b1, b2))
+    dist = _distance(tables)
+    return dist, None if isinstance(dist, Infinity) else _witness(tables, dist)
 
 
 def interleaving_distance(b1: GradedBarcode, b2: GradedBarcode) -> Extended:

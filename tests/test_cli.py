@@ -287,6 +287,11 @@ LONG_LITERAL_IDS = ["long-literal-scalar", "long-literal-barcode-json", "long-li
 # one bar counted past the 20,000-bar expansion cap, and past a list index
 _PAST_CAP_MULT = json.dumps({"bars": [dict(GOOD_BAR, mult=20_001)]})
 _BIG_MULT = json.dumps({"bars": [dict(GOOD_BAR, mult=10**30)]})
+# 1,601 by 1,600 bars in degree 1: 2,561,600 pairs, past the 2,560,000-pair cap
+_PAST_CAP_PAIRS = json.dumps({
+    "b1": {"bars": [GOOD_BAR, dict(GOOD_BAR, deg=1, mult=1601)]},
+    "b2": {"bars": [dict(GOOD_BAR, deg=1, mult=1600)]},
+})
 # a circle on 25,001 vertices has 50,002 simplices, past the 50,000-simplex cap
 _PAST_CAP_CIRCLE = json.dumps({"values": [0] * 25_001, "simplices": [[i, (i + 1) % 25_001] for i in range(25_001)]})
 
@@ -360,6 +365,8 @@ _PAST_FLOAT = _one_bar("1e400", True, "+inf", False)
         (["domain", "ball", "--n", "1", "--r", "1", "--eigen", "1", "--M", "20001"], None, None),
         (["domain", "ball", "--n", "1", "--r", "1", "--cone", "1", "--c", "1/2", "--M", "100000000"], None, None),
         (["dist", "@", "@"], _BIG_MULT, None),
+        (["dist", "@"], _PAST_CAP_PAIRS, None),
+        (["dist", "@", "--delta", "1"], _PAST_CAP_PAIRS, None),
         (["plot", "@"], _BIG_MULT, None),
         (["barcode", "@", "--format", "svg"], _PAST_CAP_MULT, None),
         (["ops", "adjoint", "@", "--format", "svg"], _PAST_CAP_MULT, None),
@@ -416,7 +423,7 @@ _PAST_FLOAT = _one_bar("1e400", True, "+inf", False)
         "exponent-cli-rational", "exponent-scalar", "exponent-pi-scalar", "exponent-barcode-json",
         "exponent-json-rational", "exponent-complex-json", "exponent-complex-off",
         "tmax-strata-cap", "tmax-strata-cap-huge", "eigen-M-cap", "cone-M-cap",
-        "dist-mult-past-int-index", "plot-mult-past-int-index", "svg-mult-cap", "ops-svg-mult-cap",
+        "dist-mult-past-int-index", "dist-pairs-cap", "dist-delta-pairs-cap", "plot-mult-past-int-index", "svg-mult-cap", "ops-svg-mult-cap",
         "spec-json-with-kind", "spec-json-with-r", "field-huge", "field-past-cap", "field-env-huge",
         "complex-past-simplex-cap", "sheaf-past-simplex-cap",
         "empty-interval-past-digit-limit", "convolve-bar-past-digit-limit", "adjoint-bar-past-digit-limit",

@@ -338,10 +338,147 @@ def test_max_matching_long_augmenting_path():
     # every other node -- far past the default recursion limit
     n = 2500
     adj = [[u, u + 1] for u in range(n - 1)] + [[0]]
+    match_left, match_right = [-1] * n, [-1] * n
     start = time.perf_counter()
-    match_left = mt._max_matching(n, n, adj)
+    assert all(mt._augment(root, adj, match_left, match_right) for root in range(n))
     assert time.perf_counter() - start < 1.0
     assert match_left == [u + 1 for u in range(n - 1)] + [0]
+
+
+# --- cover-test search against the cold doubled-graph search -------------------
+# The search `bottleneck` ran before the cover test: on the same cost tables,
+# a binary search on the ranks that runs a cold Kuhn matching of the whole
+# doubled graph, `_CostTable.match`, at every trial.  Kept here as the
+# reference for the warm-started one-sided cover tests.
+
+
+def _cold_bottleneck(b1, b2):
+    dist = F(0)
+    for _, _, table in mt._degree_tables(b1, b2):
+        lo, hi = 0, len(table.keys)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if table.match(mid) is not None:
+                hi = mid
+            else:
+                lo = mid + 1
+        if lo == len(table.keys):
+            return POS_INF
+        if table.value(lo) > dist:
+            dist = table.value(lo)
+    return dist
+
+
+def _generated_pairs(seed, count):
+    """(b1, b2, what the pair holds) for count generated pairs: those of
+    `_rand_pair`, and every other one with its Fraction ends moved past the
+    scale cap."""
+    rng = random.Random(seed)
+    primes = iter(big_primes(64, 12 * count))
+    for k in range(count):
+        b1, b2 = _rand_pair(rng)
+        if k % 2 == 0:
+            b1, b2 = (_far_denominators(b, primes) for b in (b1, b2))
+        bars = list(b1.bars) + list(b2.bars)
+        ivs = [x.interval for x in bars]
+        ends = [e.value for i in ivs for e in (i.lo, i.hi)]
+        rational = not any(isinstance(v, PiRational) for v in ends)
+        yield b1, b2, {
+            "fraction": rational and scaled_ends(ivs)[1] is not None,
+            "pi": not rational,
+            "past-scale-cap": rational and scaled_ends(ivs)[1] is None,
+            "left-infinite": any(isinstance(i.lo.value, Infinity) and is_finite(i.hi.value) for i in ivs),
+            "right-infinite": any(is_finite(i.lo.value) and isinstance(i.hi.value, Infinity) for i in ivs),
+            "mult": any(x.mult > 1 for x in bars),
+            "empty-side": bool(bars) and not (b1.bars and b2.bars),
+        }
+
+
+def test_cover_test_agrees_with_the_doubled_graph_at_every_rank():
+    seen = dict.fromkeys(("fraction", "pi", "past-scale-cap", "left-infinite", "right-infinite", "mult", "empty-side"), 0)
+    for b1, b2, holds in _generated_pairs(2017, 240):
+        for name, value in holds.items():
+            seen[name] += value
+        for _, _, table in mt._degree_tables(b1, b2):
+            warm = table.unmatched()
+            for r in range(len(table.keys) + 1):
+                expect = table.match(r) is not None
+                assert table.covers(r, table.unmatched()) == expect, (b1, b2, r)
+                # warm-started from the highest failed rank below, as the search is
+                trial = tuple((mine[:], theirs[:]) for mine, theirs in warm)
+                assert table.covers(r, trial) == expect, (b1, b2, r)
+                if not expect:
+                    warm = trial
+    assert min(seen.values()) >= 10, seen
+
+
+def test_bottleneck_equals_the_cold_search_and_its_witness_delta_matched():
+    for b1, b2, _ in _generated_pairs(1958, 240):
+        d = mt.bottleneck(b1, b2)
+        assert d == _cold_bottleneck(b1, b2), (b1, b2)
+        dist, witness = mt.bottleneck_matching(b1, b2)
+        assert dist == d and type(dist) is type(d)
+        if isinstance(d, Infinity):
+            assert witness is None
+        else:
+            assert (True, witness) == mt.delta_matched(b1, b2, d)
+
+
+def _list_match(table, r):
+    """`_CostTable.match` as it was: the doubled graph with a list per node,
+    each right bar's diagonal node listing every left bar's diagonal node."""
+    n1, n2 = len(table.erase_left), len(table.erase_right)
+    adj = []
+    for i, row in enumerate(table.pair):
+        adj.append([j for j, c in enumerate(row) if c <= r] + ([n2 + i] if table.erase_left[i] <= r else []))
+    diagonal = list(range(n2, n2 + n1))
+    adj += [[j] + diagonal if c <= r else diagonal for j, c in enumerate(table.erase_right)]
+    match_left = _ref_max_matching(n1 + n2, n2 + n1, adj)
+    if -1 in match_left:
+        return None
+    pairs = [(i, match_left[i]) for i in range(n1) if match_left[i] < n2]
+    matched = {j for _, j in pairs}
+    return pairs, [i for i in range(n1) if match_left[i] >= n2], [j for j in range(n2) if j not in matched]
+
+
+def test_witness_with_one_diagonal_walk_equals_the_list_graph():
+    # 12 to 40 bars a side in one degree, near copies or unrelated, so that
+    # many bars are erased and long runs of diagonal nodes are walked
+    rng = random.Random(1958)
+    for k in range(40):
+        bars = [_rand_bar(rng) for _ in range(rng.randint(12, 40))]
+        bars = [sc.GradedBar(x.interval, 0, x.mult) for x in bars]
+        other = [_nudge(rng, x) for x in bars] if k % 2 else [_rand_bar(rng) for _ in range(len(bars))]
+        other = [sc.GradedBar(x.interval, 0, x.mult) for x in other if x is not None]
+        for _, _, table in mt._degree_tables(sc.barcode(*bars), sc.barcode(*other)):
+            least = table.least_rank()
+            ranks = {least - 1, least, least + 1, *rng.sample(range(len(table.keys) + 1), 3)}
+            for r in sorted(ranks & set(range(len(table.keys) + 1))):
+                assert table.match(r) == _list_match(table, r), (k, r)
+
+
+def test_search_drops_a_passed_trial():
+    # ranks 0, 1, 2, 3 stand for 0, 1, 9/2 and 5: the trials at 2 and 1
+    # pass by pairing the two bars at cost 1; kept as the start of the trial
+    # at 0, that pairing would pass it too, though no edge of cost 0 exists
+    b1, b2 = bc(sc.bar(0, 10)), bc(sc.bar(1, 10))
+    (_, _, table), = mt._degree_tables(b1, b2)
+    assert [table.value(r) for r in range(len(table.keys))] == [0, 1, F(9, 2), 5]
+    assert mt.bottleneck(b1, b2) == 1 == _cold_bottleneck(b1, b2)
+
+
+def test_cover_walk_long_augmenting_path():
+    # as in the doubled-graph walk: bar u < n-1 pairs with u then u+1 and is
+    # matched greedily to u; the last bar pairs only with 0, so its
+    # augmenting path runs through every other bar
+    n = 2500
+    order = [[u, u + 1] for u in range(n - 1)] + [[0]]
+    ranks = [[0] * len(row) for row in order]
+    mine, theirs = [-1] * n, [-1] * n
+    start = time.perf_counter()
+    assert mt._cover(order, ranks, [1] * n, 0, mine, theirs)
+    assert time.perf_counter() - start < 1.0
+    assert mine == [u + 1 for u in range(n - 1)] + [0]
 
 
 # --- brute-force interleaving oracle ------------------------------------------

@@ -8,6 +8,10 @@ call or not: a bare name defined in or imported into the module, a
 reference to a class reaches all of its methods.  Imports are the
 `from . import` / `from .mod import` / `from sheafcalc... import` forms,
 at any depth; attribute references on other values are not resolved.
+
+The dead-code check reads the same graph more strictly: a reference to a
+class reaches only its dunder methods, and any other method is reached
+once reached code reads its name as an attribute, on any value.
 """
 
 import argparse
@@ -59,9 +63,10 @@ def call_graph():
             return resolve(*names[mod][name], seen + ((mod, name),))
         return set()
 
-    graph = {}
+    graph, reads = {}, {}
     for node, (mod, cls, fn) in bodies.items():
         out = set()
+        reads[node] = {sub.attr for sub in ast.walk(fn) if isinstance(sub, ast.Attribute)}
         for sub in ast.walk(fn):
             if isinstance(sub, ast.Name):
                 out |= resolve(mod, sub.id)
@@ -72,10 +77,10 @@ def call_graph():
                 elif base == "self" and cls is not None:
                     out |= {(mod, f"{cls}.{sub.attr}")} & set(bodies)
         graph[node] = out
-    return graph, resolve
+    return graph, reads, resolve
 
 
-GRAPH, RESOLVE = call_graph()
+GRAPH, READS, RESOLVE = call_graph()
 
 
 def reachable(*starts, allowed=()):
@@ -163,7 +168,7 @@ def test_stalk_oracle_shares_no_ops_code_with_the_bilinear_ops():
 # the brute-force interleaving oracle and the distances it checks: both
 # group the expanded bars by degree with `_by_degree`, and share no other
 # `metrics` node
-DISTANCES = (("metrics", "bottleneck"), ("metrics", "delta_matched"))
+DISTANCES = (("metrics", "bottleneck"), ("metrics", "delta_matched"), ("metrics", "bottleneck_matching"))
 INTERLEAVE_ORACLE = (("metrics", "brute_interleave"),)
 SHARED_GROUPING = {("metrics", "_by_degree")}
 
@@ -172,7 +177,8 @@ def test_brute_interleave_shares_only_the_degree_grouping_with_the_distances():
     oracle = {node for node in reachable(*INTERLEAVE_ORACLE) if node[0] == "metrics"}
     checked = {node for node in reachable(*DISTANCES) if node[0] == "metrics"}
     assert ("metrics", "_interleave_block") in oracle
-    assert {("metrics", "_max_matching"), ("metrics", "_CostTable.match")} <= checked
+    assert {("metrics", "_CostTable.match"), ("metrics", "_cover")} <= checked
+    assert ("metrics", "_augment") in reachable(("metrics", "_CostTable.match")) & reachable(("metrics", "_cover"))
     assert oracle & checked == SHARED_GROUPING
 
 
@@ -212,6 +218,12 @@ def test_every_named_node_is_in_the_graph():
 ORACLES = {
     ("ops", "hom_star_pair_formula"): "the closed finite-pair Hom* formula that hom_star is checked against",
     ("ops", "barcode_stalk_via_oracle"): "the fiber-cut stalk of a whole barcode that the bilinear ops are checked against",
+}
+
+
+# methods that code outside the package calls by name, on an override
+CALLBACKS = {
+    ("cli", "_Parser.error"): "argparse calls it on a parse error; the override makes that one line and exit 2",
 }
 
 
@@ -255,11 +267,63 @@ def outside_references(*dirs):
     return found
 
 
+def outside_reads(*dirs):
+    """Every name that Python files under dirs read as an attribute."""
+    return {
+        node.attr
+        for path in (p for d in dirs for p in sorted((ROOT / d).glob("*.py")))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+    }
+
+
+def is_dunder(node):
+    name = node[1].rpartition(".")[2]
+    return name.startswith("__") and name.endswith("__")
+
+
+def by_reference(nodes):
+    """The nodes a reference reaches in the strict reading: functions, and
+    only the dunder methods of a class."""
+    return {node for node in nodes if "." not in node[1] or is_dunder(node)}
+
+
+def reached_strictly(starts, reads):
+    """Nodes reached from starts when a class reference reaches only the
+    class's dunder methods, and any other method is reached once its name
+    is in reads or read as an attribute by a reached node."""
+    methods = defaultdict(set)  # name -> the non-dunder methods of that name
+    for node in GRAPH:
+        if "." in node[1] and not is_dunder(node):
+            methods[node[1].rpartition(".")[2]].add(node)
+    read, seen = set(reads), set()
+    todo = [*starts, *(method for name in read for method in methods[name])]
+    while todo:
+        node = todo.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        todo.extend(by_reference(GRAPH.get(node, ())))
+        for name in READS.get(node, set()) - read:
+            read.add(name)
+            todo.extend(methods[name])
+    return seen
+
+
 def test_every_function_is_reached_from_a_root():
     assert {("ops", "convolve"), ("ops", "capacity_prime")} <= cli_ops()
     assert ("stratmodel", "decompose") in outside_references("perfbench")  # named in the span table
-    roots = {("cli", "main")} | cli_ops() | namespace_exports() | outside_references("perfbench", "tools")
+    roots = by_reference({("cli", "main")} | cli_ops() | namespace_exports() | outside_references("perfbench", "tools"))
     assert set(ORACLES) <= set(GRAPH) and all(ORACLES.values())
-    reached = reachable(*roots, *ORACLES)
-    functions = {node for node in GRAPH if "." not in node[1]}
-    assert not functions - reached, sorted(functions - reached)
+    assert set(CALLBACKS) <= set(GRAPH) and all(CALLBACKS.values())
+    reached = reached_strictly(roots | set(ORACLES) | set(CALLBACKS), outside_reads("perfbench", "tools"))
+    assert not set(GRAPH) - reached, sorted(set(GRAPH) - reached)
+
+
+def test_a_class_reference_reaches_no_method_it_does_not_read():
+    # the graph itself lets a class reference reach every method ...
+    assert ("intervals", "GradedBarcode.total_mult") in GRAPH["intervals", "canonical_barcode"]
+    # ... the strict reading reaches its dunders only, and a method once read
+    assert ("intervals", "GradedBarcode.total_mult") not in reached_strictly({("intervals", "canonical_barcode")}, ())
+    assert ("intervals", "GradedBarcode.__post_init__") in reached_strictly({("intervals", "canonical_barcode")}, ())
+    assert ("intervals", "GradedBarcode.total_mult") in reached_strictly({("intervals", "expanded_bars")}, ())

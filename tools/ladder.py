@@ -12,7 +12,9 @@ kind and step, so every run sees the same inputs:
     sheaf-distinct   ``morse sheaf`` on the same tori under n^2 distinct
                      shuffled vertex values, one stratum per vertex
     dist             ``dist`` on a barcode of n bars in one degree and its
-                     ``perturb``-ed copy (``tamarkin_bars``); size n
+                     ``perturb``-ed copy (``tamarkin_bars``), cut or filled
+                     up from the first to n bars; size n, up to the n x n
+                     pairs that ``metrics.MAX_DIST_PAIRS`` caps
     convolve         ``ops convolve`` of two n-bar barcodes in degrees 0-2
                      (``tamarkin_bars``); size n
     rhom-total       ``ops rhom-total`` of two such barcodes; size n
@@ -30,7 +32,8 @@ them.  The seconds time the CLI call alone; the peak RSS is that of the
 whole subprocess, interpreter and imports included.  A slope near 1 is
 linear time, near 2 quadratic.  A morse kind stops before a torus with more
 simplices than ``morse.MAX_SIMPLICES``, which the CLI refuses; a domain kind
-ends with a step at exactly ``domains.MAX_STRATA`` strata.  This is a
+ends with a step at exactly ``domains.MAX_STRATA`` strata, and ``dist`` with
+one at exactly ``metrics.MAX_DIST_PAIRS`` pairs.  This is a
 report with no bounds; it exits 1 only if a job fails.  ``--kind`` (repeatable)
 runs only the named kinds, so that one kind can run up to a large cap.
 
@@ -102,9 +105,12 @@ def distinct_values(workloads, rng, n):
 
 
 def dist_step(workloads, rng, k, workdir):
-    n = 25 * 2**k
+    from sheafcalc import metrics
+
+    cap = getattr(metrics, "MAX_DIST_PAIRS", None)  # a checkout older than the cap has none
+    n = 25 * 2**k if cap is None else min(25 * 2**k, math.isqrt(cap))
     a = workloads.tamarkin_bars(rng, n, 1, top=40)
-    b = workloads.perturb(rng, a, 1)
+    b = (workloads.perturb(rng, a, 1) + a)[:n]
     return n, n, ["dist", workloads.write_barcode(workdir, "a.json", a), workloads.write_barcode(workdir, "b.json", b)]
 
 
@@ -164,9 +170,11 @@ def main(argv=None) -> int:
     root = os.path.abspath(args.root)
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
     import workloads
-    from sheafcalc import domains, morse
+    from sheafcalc import domains, metrics, morse
 
-    max_simplices = getattr(morse, "MAX_SIMPLICES", math.inf)  # a checkout older than the cap has none
+    # a checkout older than a cap has none
+    max_simplices = getattr(morse, "MAX_SIMPLICES", math.inf)
+    max_pairs = getattr(metrics, "MAX_DIST_PAIRS", math.inf)
     failed = False
     print("kind n size seconds peak_rss_mb step_slope", flush=True)
     for kind in args.kind or KINDS:
@@ -187,7 +195,11 @@ def main(argv=None) -> int:
                     print(f"{kind}: exit {rc} at n = {n}", file=sys.stderr)
                     failed = True
                     break
-                if sec > args.cap or (argv_[0] == "domain" and size >= domains.MAX_STRATA):
+                if (
+                    sec > args.cap
+                    or (argv_[0] == "domain" and size >= domains.MAX_STRATA)
+                    or (argv_[0] == "dist" and n * n >= max_pairs)
+                ):
                     break
         finally:
             shutil.rmtree(workdir, ignore_errors=True)
