@@ -28,6 +28,10 @@ def test_delta_matched_examples():
     assert ok and w.pairs == ((0, 0),)
     assert mt.delta_matched(bc(sc.bar(0, 1)), EMPTY, F(1, 2))[0]
     assert not mt.delta_matched(bc(sc.bar(0, 1)), EMPTY, F(1, 4))[0]
+    # a pi-rational delta against integer costs: pi/6 > 1/2 > pi/7
+    b1, b2 = bc(sc.bar(0, 4)), bc(sc.bar(F(1, 2), F(21, 5)))
+    assert mt.delta_matched(b1, b2, PiRational(F(1, 6), 0))[1].pairs == ((0, 0),)
+    assert mt.delta_matched(b1, b2, PiRational(F(1, 7), 0)) == (False, None)
 
 
 def test_infinite_ends_only_match_same_side():
