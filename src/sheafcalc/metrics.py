@@ -19,12 +19,13 @@ Dulmage 1958): a delta-matching exists iff one bar-to-bar matching covers
 every left bar too long to erase and another covers every such right bar.
 Each trial starts from the two one-sided matchings of the highest failed
 trial so far, which stay valid at every higher rank; a passed trial's are
-dropped, since their edges may be missing lower down.  The certificate is
-Kuhn's matching of the doubled graph, one node per bar and one diagonal
-node per bar of the other side, at the final distance's rank
-(`_CostTable.match`).  `bottleneck_matching` returns both from the same
-tables, and `delta_matched` runs that one match at a given delta.  Every
-search is one augmenting-path walk, `_augment`.
+dropped, since their edges may be missing lower down.  The certificate
+comes from one more cover test, fresh, at the rank of the distance or of
+a given delta: its two one-sided matchings are merged into one
+delta-matching by the Mendelsohn-Dulmage path exchange (`_witness`).
+`bottleneck_matching` returns both from the same tables, and
+`delta_matched` runs that one test at a given delta.  Every search is one
+augmenting-path walk, `_augment`.
 
 `brute_interleave` exhaustively searches interleaving morphism pairs over
 F_2 and exists purely as an acceptance oracle for the isometry theorem.
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Tuple
@@ -60,11 +60,13 @@ MAX_DIST_PAIRS = 1600 * 1600
 
 @dataclass(frozen=True)
 class Matching:
-    """Certificate for a delta-matching.
+    """Certificate for a delta-matching: each pair's ends at most delta
+    apart, each erased bar at most 2*delta long.
 
     Indices refer to the multiplicity-expanded bars of the two canonical
     barcodes (`expanded_bars`); every index appears exactly once across
-    pairs and erased lists.
+    pairs and erased lists.  Each degree's part is one cover test's two
+    one-sided matchings, merged (`_witness`).
     """
 
     delta: Scalar
@@ -134,34 +136,6 @@ class _CostTable:
         """Rank of the graph at delta: that of the largest threshold <= delta."""
         return bisect.bisect_right(self.keys, delta * self.scale if self.scale else delta) - 1
 
-    def match(self, r: int) -> Optional[Tuple[list[Tuple[int, int]], list[int], list[int]]]:
-        """Matching at threshold rank r on the doubled bipartite graph.
-
-        Left nodes are the left bars then one diagonal node per right bar;
-        right nodes are the right bars then one diagonal node per left bar.
-        Kuhn's search, roots in order, each neighbour list in bar order.
-        """
-        n1, n2 = len(self.erase_left), len(self.erase_right)
-        adj: list = []
-        for i, row in enumerate(self.pair):
-            adj_row = [j for j, c in enumerate(row) if c <= r]
-            if self.erase_left[i] <= r:
-                adj_row.append(n2 + i)
-            adj.append(adj_row)
-        walk: list = [None]
-        adj += [_DiagonalRow((j,) if c <= r else (), walk) for j, c in enumerate(self.erase_right)]
-        match_left, match_right = [-1] * (n1 + n2), [-1] * (n2 + n1)
-        for root in range(n1 + n2):
-            walk[0] = iter(range(n2, n2 + n1))  # diagonal-diagonal is free
-            if not _augment(root, adj, match_left, match_right):
-                # Kuhn's algorithm never matches such a root later
-                return None
-        pairs = [(i, match_left[i]) for i in range(n1) if match_left[i] < n2]
-        erased_l = [i for i in range(n1) if match_left[i] >= n2]
-        matched = {j for _, j in pairs}
-        erased_r = [j for j in range(n2) if j not in matched]
-        return pairs, erased_l, erased_r
-
     @functools.cached_property
     def partners(self) -> Tuple[tuple, tuple]:
         """Per side, each bar's partners sorted by pair rank, and those ranks."""
@@ -177,10 +151,10 @@ class _CostTable:
         return ([-1] * n1, [-1] * n2), ([-1] * n2, [-1] * n1)
 
     def covers(self, r: int, sides) -> bool:
-        """Whether the doubled graph at rank r has a matching of every node:
-        the cover test, on the two one-sided matchings in sides (as
-        `unmatched` gives them), each extended in place by `_cover`; the
-        right side's is not tried once the left side's fails."""
+        """Whether the graph at rank r has a delta-matching: the cover test,
+        on the two one-sided matchings in sides (as `unmatched` gives
+        them), each extended in place by `_cover`; the right side's is not
+        tried once the left side's fails."""
         return all(
             _cover(order, ranks, erase, r, mine, theirs)
             for (order, ranks), erase, (mine, theirs) in zip(self.partners, (self.erase_left, self.erase_right), sides)
@@ -258,25 +232,6 @@ def _augment(root: int, adj: list, match_left: list[int], match_right: list[int]
     return False
 
 
-class _DiagonalRow:
-    """The neighbours of a right bar's diagonal node in `_CostTable.match`:
-    the bar when it may be erased, then every left bar's diagonal node.
-
-    Every diagonal node before a walk's place in such a row is seen, so the
-    next one it takes is the least unseen one.  The rows of one search thus
-    share one walk of the diagonal nodes, `walk[0]`, restarted per search:
-    the same steps as a list per row, without re-reading the seen nodes.
-    """
-
-    __slots__ = ("head", "walk")
-
-    def __init__(self, head: tuple, walk: list):
-        self.head, self.walk = head, walk
-
-    def __iter__(self):
-        return itertools.chain(self.head, self.walk[0])
-
-
 def _by_degree(b: GradedBarcode) -> dict[int, list[Tuple[int, Interval]]]:
     out: dict[int, list[Tuple[int, Interval]]] = {}
     for idx, (iv, deg) in enumerate(expanded_bars(b)):
@@ -301,19 +256,29 @@ def _degree_tables(b1: GradedBarcode, b2: GradedBarcode):
 
 
 def _witness(tables: Iterable, delta: Scalar) -> Optional[Matching]:
-    """The doubled-graph matching of each degree at delta, as one Matching;
-    None at the first degree that has none."""
+    """A delta-matching of each degree, as one Matching; None at the first
+    degree whose cover test at delta fails.
+
+    The two one-sided matchings of a passed test are merged (Mendelsohn
+    and Dulmage): from the left side's, each needed right bar it leaves
+    free walks its path of the union, right side's edge then left side's,
+    and the path moves onto the right side's edges.  Every bar left free
+    has erase rank <= r and is erased."""
     pairs: list[Tuple[int, int]] = []
     erased_l: list[int] = []
     erased_r: list[int] = []
     for li, ri, table in tables:
-        res = table.match(table.rank(delta))
-        if res is None:
+        r = table.rank(delta)
+        (match, free), (back, _) = sides = table.unmatched()
+        if not table.covers(r, sides):
             return None
-        p, el, er = res
-        pairs.extend((li[i][0], ri[j][0]) for i, j in p)
-        erased_l.extend(li[i][0] for i in el)
-        erased_r.extend(ri[j][0] for j in er)
+        for j in range(len(back)):
+            if free[j] == -1:
+                while j != -1 and (i := back[j]) != -1:
+                    j, match[i] = match[i], j
+        pairs.extend((li[i][0], ri[j][0]) for i, j in enumerate(match) if j != -1)
+        erased_l.extend(li[i][0] for i, j in enumerate(match) if j == -1)
+        erased_r.extend(ri[j][0] for j in set(range(len(ri))).difference(match))
     return Matching(delta, tuple(sorted(pairs)), tuple(sorted(erased_l)), tuple(sorted(erased_r)))
 
 
@@ -347,9 +312,9 @@ def bottleneck(b1: GradedBarcode, b2: GradedBarcode) -> Extended:
 
 
 def bottleneck_matching(b1: GradedBarcode, b2: GradedBarcode) -> Tuple[Extended, Optional[Matching]]:
-    """The bottleneck distance and the matching `delta_matched` certifies
-    it with, from one cost table per degree; no matching when the distance
-    is infinite."""
+    """The bottleneck distance and its certificate, the merged matching
+    `delta_matched` gives at that distance, from the same cost table per
+    degree; no matching when the distance is infinite."""
     tables = list(_degree_tables(b1, b2))
     dist = _distance(tables)
     return dist, None if isinstance(dist, Infinity) else _witness(tables, dist)

@@ -175,10 +175,10 @@ DIGESTS = {
     "ops-tau-rank": "8db8b27de1eb7e6a09b8464f5ae6c51e3e4bf425f9191720ae35959c0230f556",
     "ops-capacity": "708f5661fc782994e3b6b59daf1cf1def0fd1202ff8ab2c06f031e1ce5446bd9",
     "ops-capacity-prime": "31924f2c595e86ad71a7b798de9108faaa367d1b94c95d8f1cbb962d64638a66",
-    "dist": "98a1d6ee3b3e5303592c8f62b31f225ff0f9e04df09efd1f1f287691657afa94",
+    "dist": "c174f920d2397d355989fa7424bc8679dbff401695c51cd3dea32ac82f118e1b",
     "dist-infinite": "c36c4310ad09a7a601740cebfdd5b1f05e00fd1fcdf5c3ccf1b3b53bdff2ae2d",
-    "dist-delta": "3ac77b81e2ebfec7de8af99fa5ba0adfaf6528ed6ffb666701b2f18bceefa39b",
-    "dist-combined": "98a1d6ee3b3e5303592c8f62b31f225ff0f9e04df09efd1f1f287691657afa94",
+    "dist-delta": "a598f82596baa4e6bf1bd66293423d85e10906cd6f3bc63b697eba72886b3ba7",
+    "dist-combined": "c174f920d2397d355989fa7424bc8679dbff401695c51cd3dea32ac82f118e1b",
     "morse-sublevel": "c8516d907ee409902c7c5a3f24933432b2822973e3552ee32b93349ab3d53c47",
     "morse-superlevel-json": "acf02a09119e09ac323ccee8397443eff435c7059f2e1adc11d89ea857039b27",
     "morse-sheaf": "85d884c7f7c0ba002a2d5f4e3afc5b97cef76d775e6ae390d0bcfb5dafcb5756",

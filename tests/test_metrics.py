@@ -282,6 +282,22 @@ def _rand_pair(rng):
     return sc.barcode(*b1), sc.barcode(*b2)
 
 
+def _assert_certificate(b1, b2, w, degrees=None):
+    """w is a w.delta-matching of b1 and b2, read with the reference
+    predicates: each bar of the degrees (default: all) used once, each pair
+    of one degree and within delta, each erased bar at most 2*delta long."""
+    left, right = sc.expanded_bars(b1), sc.expanded_bars(b2)
+    want_l = [k for k, (_, deg) in enumerate(left) if degrees is None or deg in degrees]
+    want_r = [k for k, (_, deg) in enumerate(right) if degrees is None or deg in degrees]
+    assert sorted([i for i, _ in w.pairs] + list(w.erased_left)) == want_l
+    assert sorted([j for _, j in w.pairs] + list(w.erased_right)) == want_r
+    for i, j in w.pairs:
+        assert left[i][1] == right[j][1] and _ref_bars_within(left[i][0], right[j][0], w.delta), (i, j)
+    for side, erased in ((left, w.erased_left), (right, w.erased_right)):
+        for k in erased:
+            assert _ref_erasable(side[k][0], w.delta), k
+
+
 def test_cost_table_matcher_agrees_with_reference():
     rng = random.Random(20171)
     kinds = {"empty": 0, "pi": 0, "finite": 0, "infinite": 0, "mult": 0}
@@ -299,13 +315,10 @@ def test_cost_table_matcher_agrees_with_reference():
         others = [c for c in cands if c != ref]
         for delta in [ref if is_finite(ref) else cands[-1]] + rng.sample(others, min(2, len(others))):
             ok, w = mt.delta_matched(b1, b2, delta)
-            ref_ok, ref_w = _ref_delta_matched(b1, b2, delta)
-            assert ok == ref_ok
+            assert ok == _ref_delta_matched(b1, b2, delta)[0]
             if ok:
-                assert w.delta == ref_w.delta
-                assert w.pairs == ref_w.pairs
-                assert w.erased_left == ref_w.erased_left
-                assert w.erased_right == ref_w.erased_right
+                assert w.delta == delta
+                _assert_certificate(b1, b2, w)
     assert min(kinds.values()) >= 10, kinds
 
 
@@ -352,8 +365,27 @@ def test_max_matching_long_augmenting_path():
 # --- cover-test search against the cold doubled-graph search -------------------
 # The search `bottleneck` ran before the cover test: on the same cost tables,
 # a binary search on the ranks that runs a cold Kuhn matching of the whole
-# doubled graph, `_CostTable.match`, at every trial.  Kept here as the
-# reference for the warm-started one-sided cover tests.
+# doubled graph, `_list_match`, at every trial.  Kept here as the reference
+# for the warm-started one-sided cover tests.
+
+
+def _list_match(table, r):
+    """The reference doubled-graph matching at rank r: one node per bar and
+    one diagonal node per bar of the other side, each right bar's diagonal
+    node listing every left bar's diagonal node, matched by the recursive
+    reference Kuhn search; None when a node stays free."""
+    n1, n2 = len(table.erase_left), len(table.erase_right)
+    adj = []
+    for i, row in enumerate(table.pair):
+        adj.append([j for j, c in enumerate(row) if c <= r] + ([n2 + i] if table.erase_left[i] <= r else []))
+    diagonal = list(range(n2, n2 + n1))
+    adj += [[j] + diagonal if c <= r else diagonal for j, c in enumerate(table.erase_right)]
+    match_left = _ref_max_matching(n1 + n2, n2 + n1, adj)
+    if -1 in match_left:
+        return None
+    pairs = [(i, match_left[i]) for i in range(n1) if match_left[i] < n2]
+    matched = {j for _, j in pairs}
+    return pairs, [i for i in range(n1) if match_left[i] >= n2], [j for j in range(n2) if j not in matched]
 
 
 def _cold_bottleneck(b1, b2):
@@ -362,7 +394,7 @@ def _cold_bottleneck(b1, b2):
         lo, hi = 0, len(table.keys)
         while lo < hi:
             mid = (lo + hi) // 2
-            if table.match(mid) is not None:
+            if _list_match(table, mid) is not None:
                 hi = mid
             else:
                 lo = mid + 1
@@ -406,7 +438,7 @@ def test_cover_test_agrees_with_the_doubled_graph_at_every_rank():
         for _, _, table in mt._degree_tables(b1, b2):
             warm = table.unmatched()
             for r in range(len(table.keys) + 1):
-                expect = table.match(r) is not None
+                expect = _list_match(table, r) is not None
                 assert table.covers(r, table.unmatched()) == expect, (b1, b2, r)
                 # warm-started from the highest failed rank below, as the search is
                 trial = tuple((mine[:], theirs[:]) for mine, theirs in warm)
@@ -428,37 +460,42 @@ def test_bottleneck_equals_the_cold_search_and_its_witness_delta_matched():
             assert (True, witness) == mt.delta_matched(b1, b2, d)
 
 
-def _list_match(table, r):
-    """`_CostTable.match` as it was: the doubled graph with a list per node,
-    each right bar's diagonal node listing every left bar's diagonal node."""
-    n1, n2 = len(table.erase_left), len(table.erase_right)
-    adj = []
-    for i, row in enumerate(table.pair):
-        adj.append([j for j, c in enumerate(row) if c <= r] + ([n2 + i] if table.erase_left[i] <= r else []))
-    diagonal = list(range(n2, n2 + n1))
-    adj += [[j] + diagonal if c <= r else diagonal for j, c in enumerate(table.erase_right)]
-    match_left = _ref_max_matching(n1 + n2, n2 + n1, adj)
-    if -1 in match_left:
-        return None
-    pairs = [(i, match_left[i]) for i in range(n1) if match_left[i] < n2]
-    matched = {j for _, j in pairs}
-    return pairs, [i for i in range(n1) if match_left[i] >= n2], [j for j in range(n2) if j not in matched]
+def test_merged_witness_is_a_certificate_at_every_passing_rank():
+    # one fresh cover test per rank, as `_witness` runs it: where it passes,
+    # the two one-sided matchings merge into a delta-matching; where it
+    # fails, there is no witness
+    merged = 0
+    for b1, b2, _ in _generated_pairs(1958, 240):
+        degrees = sorted({deg for _, deg in sc.expanded_bars(b1) + sc.expanded_bars(b2)})
+        for deg, (li, ri, table) in zip(degrees, mt._degree_tables(b1, b2)):
+            for r in range(len(table.keys)):
+                sides = table.unmatched()
+                passed = table.covers(r, sides)
+                w = mt._witness([(li, ri, table)], table.value(r))
+                assert (w is not None) == passed, (b1, b2, r)
+                if passed:
+                    # a needed right bar the left side's matching leaves free
+                    (_, free), (back, _) = sides
+                    merged += any(f == -1 and b != -1 for f, b in zip(free, back))
+                    _assert_certificate(b1, b2, w, {deg})
+    assert merged >= 100, merged
 
 
-def test_witness_with_one_diagonal_walk_equals_the_list_graph():
-    # 12 to 40 bars a side in one degree, near copies or unrelated, so that
-    # many bars are erased and long runs of diagonal nodes are walked
-    rng = random.Random(1958)
-    for k in range(40):
-        bars = [_rand_bar(rng) for _ in range(rng.randint(12, 40))]
-        bars = [sc.GradedBar(x.interval, 0, x.mult) for x in bars]
-        other = [_nudge(rng, x) for x in bars] if k % 2 else [_rand_bar(rng) for _ in range(len(bars))]
-        other = [sc.GradedBar(x.interval, 0, x.mult) for x in other if x is not None]
-        for _, _, table in mt._degree_tables(sc.barcode(*bars), sc.barcode(*other)):
-            least = table.least_rank()
-            ranks = {least - 1, least, least + 1, *rng.sample(range(len(table.keys) + 1), 3)}
-            for r in sorted(ranks & set(range(len(table.keys) + 1))):
-                assert table.match(r) == _list_match(table, r), (k, r)
+def test_merge_covers_a_needed_right_bar_the_left_matching_leaves_free():
+    # at delta 1, [0,3) must be matched and takes [0,2) (cost 1 < 10), so
+    # the left side's matching leaves [10,25/2) free, which is 5/2 long and
+    # must be matched too: the merge moves it onto the right side's edge to
+    # [10,12); the left side's matching alone would erase it
+    b1 = bc(sc.bar(0, 3), sc.bar(10, 12))
+    b2 = bc(sc.bar(0, 2), sc.bar(10, F(25, 2)))
+    (_, _, table), = mt._degree_tables(b1, b2)
+    sides = table.unmatched()
+    assert table.covers(table.rank(F(1)), sides)
+    assert sides == (([0, -1], [0, -1]), ([-1, 1], [-1, 1]))
+    dist, w = mt.bottleneck_matching(b1, b2)
+    assert dist == 1 and (True, w) == mt.delta_matched(b1, b2, dist)
+    assert w == mt.Matching(F(1), ((0, 0), (1, 1)), (), ())
+    _assert_certificate(b1, b2, w)
 
 
 def test_search_drops_a_passed_trial():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import time
 from fractions import Fraction as F
 
@@ -202,6 +203,35 @@ def test_stability_bound(rng):
         d = mt.bottleneck(morse.sublevel_barcode(K, f), morse.sublevel_barcode(K, g))
         sup = max(abs(a - b) for a, b in zip(f.values, g.values))
         assert not isinstance(d, Infinity) and d <= sup
+
+
+def test_stability_on_tori_sublevel_and_superlevel():
+    # d_B(PH(f), PH(g)) <= |f - g|_oo (Cohen-Steiner, Edelsbrunner and Harer
+    # 2007) on generated 3x3 to 5x5 tori, both filtrations; the bound is met
+    # with equality in a pinned number of cases, so a matcher that
+    # overestimates fails the bound there and one that underestimates the count
+    rng = random.Random(2007)
+    tori = {n: grid_torus(n) for n in (3, 4, 5)}
+    routes = (morse.sublevel_barcode, morse.superlevel_barcode)
+    tight = 0
+    for _ in range(150):
+        n = rng.randint(3, 5)
+        f = [F(rng.randint(-12, 12), rng.choice((1, 2, 3))) for _ in range(n * n)]
+        g = [v + F(rng.randint(-4, 4), rng.choice((1, 2))) if rng.random() < 0.6 else v for v in f]
+        sup = max(abs(a - b) for a, b in zip(f, g))
+        for route in routes:
+            d = mt.bottleneck(route(tori[n], morse.VertexFunction(f)), route(tori[n], morse.VertexFunction(g)))
+            assert d <= sup, (n, f, g, route.__name__)
+            tight += 0 < d == sup
+    assert tight == 72
+    # pinned tight cases on the 4x4 torus: every value moved by 3/2, and the
+    # one maximum raised by 5, which moves only the end at the maximum of
+    # the essential 2-bar (sublevel) or 0-bar (superlevel)
+    f = [F(v) for v in range(16)]
+    for g in ([v + F(3, 2) for v in f], f[:-1] + [f[-1] + 5]):
+        sup = max(abs(a - b) for a, b in zip(f, g))
+        for route in routes:
+            assert mt.bottleneck(route(tori[4], morse.VertexFunction(f)), route(tori[4], morse.VertexFunction(g))) == sup
 
 
 # --- fast paths against the code they replaced --------------------------------

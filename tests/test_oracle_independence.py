@@ -177,8 +177,8 @@ def test_brute_interleave_shares_only_the_degree_grouping_with_the_distances():
     oracle = {node for node in reachable(*INTERLEAVE_ORACLE) if node[0] == "metrics"}
     checked = {node for node in reachable(*DISTANCES) if node[0] == "metrics"}
     assert ("metrics", "_interleave_block") in oracle
-    assert {("metrics", "_CostTable.match"), ("metrics", "_cover")} <= checked
-    assert ("metrics", "_augment") in reachable(("metrics", "_CostTable.match")) & reachable(("metrics", "_cover"))
+    assert {("metrics", "_witness"), ("metrics", "_cover")} <= checked
+    assert {("metrics", "_cover"), ("metrics", "_augment")} <= reachable(("metrics", "_CostTable.covers"))
     assert oracle & checked == SHARED_GROUPING
 
 
