@@ -11,6 +11,7 @@ from .intervals import (
     bar,
     barcode,
     barcode_from_json,
+    barcode_json_text,
     barcode_to_json,
     canonicalize,
     convert_convention,

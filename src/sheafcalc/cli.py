@@ -30,12 +30,13 @@ from .domains import (
     transfer_is_iso,
 )
 from .errors import DomainError, ValidationError
-from .exactnum import _excerpt, _json_rational, parse_rational, parse_scalar, scalar_to_json
+from .exactnum import _excerpt, _json_rational, long_int_error, parse_rational, parse_scalar, scalar_to_json
 from .intervals import (
     GradedBarcode,
     HomSpace,
     barcode_from_json,
-    barcode_to_json,
+    barcode_json_text,
+    barcode_to_json,  # re-exported: the benchmark's traced run wraps cli.barcode_to_json
     convert_convention,
     ray_sections,
     spec,
@@ -51,7 +52,22 @@ _NEGATIVE_SCALAR = re.compile(r"-(\d|\.\d|pi|inf)")
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    try:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    except ValueError:
+        # an integer past the int-to-string digit limit, such as a HomSpace dim
+        raise long_int_error(_ints(obj)) from None
+
+
+def _ints(obj):
+    """Every integer in a JSON-ready value, bools left out."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        for v in obj:
+            yield from _ints(v)
+    elif isinstance(obj, int) and not isinstance(obj, bool):
+        yield obj
 
 
 def _read_text(path: str) -> str:
@@ -94,8 +110,8 @@ def _render(args, result, title: str) -> tuple[str, str]:
             return svg_barcode(result, title), ""
         if args.format == "text":
             return text_barcode(result), ""
-        result = barcode_to_json(result)
-    elif isinstance(result, HomSpace):
+        return barcode_json_text(result), "\n"
+    if isinstance(result, HomSpace):
         result = result.to_json()
     return _dump(result), "\n"
 

@@ -22,7 +22,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Union
 
 from .errors import DomainError, PiComparisonError, ValidationError
 
@@ -320,9 +320,16 @@ def exact_str(x: Union[int, Fraction, PiRational]) -> str:
         return str(x)
     except ValueError:
         parts = (x.q, x.s) if isinstance(x, PiRational) else (x,)
-        digits = max(_digit_count(n) for v in parts for n in (v.numerator, v.denominator))
-        raise DomainError(f"an exact result has a {digits}-digit numerator or denominator, "
-                          f"past the {sys.get_int_max_str_digits()}-digit limit for writing integers") from None
+        raise long_int_error((n for v in parts for n in (v.numerator, v.denominator)),
+                             "numerator or denominator") from None
+
+
+def long_int_error(ints: Iterable[int], what: str = "integer") -> DomainError:
+    """The DomainError (exit 3) for a result holding an integer past the
+    interpreter's int-to-string digit limit, naming the most digits in ints."""
+    digits = max(_digit_count(n) for n in ints)
+    return DomainError(f"an exact result has a {digits}-digit {what}, "
+                       f"past the {sys.get_int_max_str_digits()}-digit limit for writing integers")
 
 
 def _digit_count(n: int) -> int:

@@ -9,11 +9,14 @@ and never sorted again.  `scaled_ends` is the one endpoint-scaling helper: when
 every finite end is a Fraction, and their common denominator has at most
 MAX_SCALE_BITS bits, it holds each as an integer over that denominator,
 which is what the canonical sort, the bilinear ops kernel and the
-bottleneck cost tables compute on.
+bottleneck cost tables compute on.  `barcode_json_text` is the one encoder
+of a barcode as JSON: the CLI prints its text, and `barcode_to_json` is
+that text read back.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,6 +31,7 @@ from .exactnum import (
     _excerpt,
     exact_str,
     is_finite,
+    long_int_error,
     scalar_from_json,
     scalar_to_json,
 )
@@ -508,20 +512,39 @@ def ss_describe(i: Interval) -> SSDescription:
 # JSON interchange
 
 
-def barcode_to_json(b: GradedBarcode) -> dict:
+def barcode_json_text(b: GradedBarcode) -> str:
+    """The canonical JSON text of b: what json.dumps with sorted keys and
+    the separators "," and ":" would write for its {"bars", "convention"}
+    record, written directly.
+
+    Each end's text is built once per distinct Endpoint object (the ops
+    kernel's output bars share theirs), and each bar is one f-string.
+    Nothing needs escaping: `scalar_to_json` gives "+inf", "-inf", str() of
+    a rational (the characters -0-9/) or a {"pi", "plus"} pair of those,
+    and the convention is one of three names.  A degree or multiplicity
+    past the int-to-string digit limit is refused with a DomainError, as
+    `exact_str` refuses a value."""
     cb = canonicalize(b)
-    return {
-        "convention": cb.convention,
-        "bars": [
-            {
-                "lo": {"v": scalar_to_json(x.interval.lo.value), "closed": x.interval.lo.closed},
-                "hi": {"v": scalar_to_json(x.interval.hi.value), "closed": x.interval.hi.closed},
-                "deg": x.degree,
-                "mult": x.mult,
-            }
-            for x in cb.bars
-        ],
-    }
+    ends = [e for x in cb.bars for e in (x.interval.lo, x.interval.hi)]
+    # cb holds every endpoint for the whole call, so no id is reused
+    keys = list(map(id, ends))
+    texts = {}
+    for k, e in dict(zip(keys, ends)).items():
+        v = scalar_to_json(e.value)
+        v = f'"{v}"' if type(v) is str else f'{{"pi":"{v["pi"]}","plus":"{v["plus"]}"}}'
+        texts[k] = f'{{"closed":{"true" if e.closed else "false"},"v":{v}}}'
+    end_texts = [texts[k] for k in keys]
+    bars = zip(cb.bars, end_texts[::2], end_texts[1::2])
+    try:
+        body = ",".join([f'{{"deg":{x.degree},"hi":{hi},"lo":{lo},"mult":{x.mult}}}' for x, lo, hi in bars])
+    except ValueError:
+        raise long_int_error((n for x in cb.bars for n in (x.degree, x.mult)), "degree or multiplicity") from None
+    return f'{{"bars":[{body}],"convention":"{cb.convention}"}}'
+
+
+def barcode_to_json(b: GradedBarcode) -> dict:
+    """The JSON record of b, read back from `barcode_json_text`."""
+    return json.loads(barcode_json_text(b))
 
 
 def barcode_from_json(obj) -> GradedBarcode:

@@ -592,6 +592,22 @@ def test_result_past_int_digit_limit_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "op, what",
+    [("convolve", "degree or multiplicity"), ("rhom-total", "integer")],
+    ids=["convolve-mult", "rhom-total-dim"],
+)
+def test_output_integer_past_int_digit_limit_exits_3(tmp_path, capsys, op, what):
+    # one bar [0,2) of multiplicity 10^4000: the product's multiplicity, or
+    # the total dim, has 8,001 digits, past the 4,300 str() of an int writes
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"bars": [dict(GOOD_BAR, mult=10**4000)]}))
+    code, out, err = run_cli(["ops", op, str(path), str(path)], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"8001-digit {what}" in err and len(err) < 200
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["nonsqueeze", "--n", "2", "--r1", "1" + "0" * 2200, "--r2", "1", "--R", "1" + "0" * 2201],

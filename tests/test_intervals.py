@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sheafcalc as sc
-from sheafcalc.exactnum import NEG_INF, POS_INF, PiRational, is_finite
+from sheafcalc.exactnum import NEG_INF, POS_INF, PiRational, is_finite, scalar_to_json
 from sheafcalc.errors import ConventionError, TamarkinClassError, ValidationError
 from sheafcalc.intervals import (
     LEFT_CLOSED,
@@ -17,6 +17,7 @@ from sheafcalc.intervals import (
     SINGLETON,
     TAMARKIN,
     barcode_from_json,
+    barcode_json_text,
     barcode_to_json,
     flavor,
 )
@@ -462,3 +463,87 @@ def test_declared_convention_mismatch_rejected():
     j["convention"] = "right-closed"
     with pytest.raises(ValidationError):
         barcode_from_json(j)
+
+
+def _ref_barcode_to_json(b):
+    """The dict builder that `barcode_json_text` replaced: every end through
+    `scalar_to_json`, encoded by json.dumps."""
+    cb = sc.canonicalize(b)
+    return {
+        "convention": cb.convention,
+        "bars": [
+            {
+                "lo": {"v": scalar_to_json(x.interval.lo.value), "closed": x.interval.lo.closed},
+                "hi": {"v": scalar_to_json(x.interval.hi.value), "closed": x.interval.hi.closed},
+                "deg": x.degree,
+                "mult": x.mult,
+            }
+            for x in cb.bars
+        ],
+    }
+
+
+def _assert_writer_matches_reference(b):
+    want = _ref_barcode_to_json(b)
+    assert barcode_json_text(b) == json.dumps(want, sort_keys=True, separators=(",", ":"))
+    assert barcode_to_json(b) == want
+
+
+def _graded_bars(rng, pool, shared):
+    """Up to 8 bars on `random_interval`s of pool, in no order, with degrees
+    -2..2 and mults 1..3; about a third repeat an earlier interval and degree,
+    so canonical form merges them.  When shared, every end with the same
+    (kind, value, closed) is one Endpoint object."""
+    ends = {}
+
+    def one(e):
+        return ends.setdefault((type(e.value), e.value, e.closed), e) if shared else e
+
+    bars = []
+    for _ in range(rng.randint(1, 8)):
+        if bars and rng.random() < 0.3:
+            i, d = rng.choice(bars)[:2]
+        else:
+            x = random_interval(rng, pool)
+            i, d = sc.Interval(one(x.lo), one(x.hi)), rng.randint(-2, 2)
+        bars.append((i, d, rng.randint(1, 3)))
+    return sc.GradedBarcode(tuple(sc.GradedBar(*x) for x in bars))
+
+
+def test_barcode_json_text_matches_the_reference(rng):
+    pool = mixed_scalars() + [F(7), F(-3, 4), NEG_INF, POS_INF]
+    seen = set()
+    for trial in range(400):
+        b = _graded_bars(rng, pool, shared=trial % 2 == 0)
+        _assert_writer_matches_reference(b)
+        cb = sc.canonicalize(b)
+        ends = [e for x in cb.bars for e in (x.interval.lo, x.interval.hi)]
+        seen |= {flavor(x.interval) for x in cb.bars} | {cb.convention}
+        seen |= {type(e.value).__name__ + ("-q0" if getattr(e.value, "q", 1) == 0 else "") for e in ends}
+        seen |= {"negative-degree" for x in cb.bars if x.degree < 0} | {"mult>1" for x in cb.bars if x.mult > 1}
+        seen |= {"merged"} if len(cb.bars) < len(b.bars) else set()
+        seen |= {"shared"} if len(set(map(id, ends))) < len(ends) else {"unshared"}
+    # every case the writer distinguishes came up
+    assert seen >= {
+        SINGLETON, TAMARKIN, LEFT_INFINITE, LEFT_CLOSED, RIGHT_CLOSED, MIXED,
+        "Fraction", "PiRational", "PiRational-q0", "Infinity",
+        "negative-degree", "mult>1", "merged", "shared", "unshared",
+    }
+
+
+def test_barcode_json_text_of_the_empty_barcode():
+    _assert_writer_matches_reference(sc.EMPTY)
+    assert barcode_json_text(sc.EMPTY) == '{"bars":[],"convention":"left-closed"}'
+
+
+@pytest.mark.parametrize("op", [sc.convolve, sc.hom_star, sc.rhom_sheaf])
+def test_barcode_json_text_of_kernel_output(rng, op):
+    shared = False
+    for _ in range(10):
+        f, g = (rand_tamarkin_barcode(rng, max_bars=6, degrees=(-1, 0, 1)) for _ in range(2))
+        out = op(f, g)
+        _assert_writer_matches_reference(out)
+        ends = [e for x in out.bars for e in (x.interval.lo, x.interval.hi)]
+        shared |= len(set(map(id, ends))) < len(ends)
+    # the kernel's output bars share their ends, the case the memo is for
+    assert shared
