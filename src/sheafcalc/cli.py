@@ -208,16 +208,20 @@ def _parse_complex(text: str):
         return K, morse.VertexFunction(tuple(values))
     lines = [ln.split("#")[0].strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
+    if not lines:
+        raise ValidationError("complex file has no header line")
     try:
         nv, ns = (int(x) for x in lines[0].split())
-        values = [parse_rational(x) for x in lines[1].split()]
+        if len(lines) == 1 and nv:  # a header-only "0 0" file is the empty complex
+            raise ValidationError(f"complex file has no vertex-values line after its header {_excerpt(lines[0])}")
+        values = [parse_rational(x) for x in lines[1].split()] if len(lines) > 1 else []
         if len(values) != nv:
             raise ValidationError(f"expected {nv} vertex values")
-        if len(lines) - 2 != ns:
-            raise ValidationError(f"header declares {_excerpt(ns)} simplices, the file gives {len(lines) - 2}")
+        if len(lines[2:]) != ns:
+            raise ValidationError(f"header declares {_excerpt(ns)} simplices, the file gives {len(lines[2:])}")
         maximal = []
         for ln in lines[2:]:
-            parts = [int(x) for x in ln.split()]
+            parts = list(map(int, ln.split()))
             if parts[0] != len(parts) - 1:
                 raise ValidationError(f"bad simplex line {_excerpt(ln)}")
             maximal.append(tuple(parts[1:]))

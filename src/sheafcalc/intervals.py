@@ -215,9 +215,13 @@ class GradedBarcode:
     def convention(self) -> str:
         """The one family of the bars' `flavor`s, MIXED for two: [a,b), [a,oo)
         and (-oo,b) bars are left-closed and singletons flavor-neutral; an
-        empty barcode reports the left-closed default."""
-        kinds = {flavor(x.interval) for x in self.bars} - {SINGLETON}
-        tags = {LEFT_CLOSED if k in (TAMARKIN, LEFT_INFINITE) else k for k in kinds}
+        empty barcode reports the left-closed default.  A half-open bar's family
+        is its flags', so `flavor` runs only where both ends are closed or both open."""
+        pairs = {(x.interval.lo.closed, x.interval.hi.closed) for x in self.bars}
+        tags = {LEFT_CLOSED if lo else RIGHT_CLOSED for lo, hi in pairs if lo != hi}
+        if len(tags) < 2 and len(pairs) > len(tags):  # a both-closed or both-open bar, and not MIXED yet
+            kinds = {flavor(x.interval) for x in self.bars if x.interval.lo.closed == x.interval.hi.closed}
+            tags |= {LEFT_CLOSED if k in (TAMARKIN, LEFT_INFINITE) else k for k in kinds - {SINGLETON}}
         if not tags:
             return LEFT_CLOSED
         return tags.pop() if len(tags) == 1 else MIXED

@@ -10,9 +10,11 @@ agreement (after the documented degree reindex q = n - i from the duality
 step, which needs a closed manifold of dimension <= 2) is the
 machine-checked heart of this module.
 
-The persistence route orders simplices on integer vertex ranks, then reduces
-the boundary matrix with clearing (Chen-Kerber 2011, the "twist") in code
-the sheaf route does not share.
+The persistence route runs on integer ranks: it ranks the distinct vertex
+values once, orders the simplices on one int each (top vertex rank * 4 +
+size), keeps a pair whose birth rank is below its death rank, and reduces
+boundary columns built from the vertices with clearing (Chen-Kerber 2011,
+the "twist"), in code the sheaf route does not share.
 
 Front regions model compactly supported rank-one sheaves by their fiber
 cuts [-t_-(x), t_+(x)); their self-hom pushes forward through superlevel
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Optional, Sequence, Tuple
 
 from . import modp
@@ -42,9 +43,10 @@ from .stratmodel import StratModel, decompose, interval_barcode, interval_model,
 
 Simplex = Tuple[int, ...]
 
-# the largest grid torus under the cap, 91 x 91 (49,686 simplices), takes about 1 s in
-# `morse sublevel` and, in `morse sheaf`, about 2 s under a tent-plus-noise function and
-# 2.4 s (55 MB peak RSS) under 8,281 distinct shuffled values (`tools/ladder.py`, 2-vCPU VM)
+# the largest grid torus under the cap, 91 x 91 (49,686 simplices), takes 0.3-0.5 s in
+# `morse sublevel` under a tent-plus-noise function and 0.45-0.75 s under 8,281 distinct
+# shuffled values; `morse sheaf` takes 1.3-2.4 s and 1.9-2.8 s (55 MB peak RSS) on the same
+# two (`tools/ladder.py` cap steps, 2-vCPU VM shared with other load)
 MAX_SIMPLICES = 50_000
 
 
@@ -66,7 +68,8 @@ class SimplicialComplex:
         n = self.n_vertices
         if len(self.simplices) > MAX_SIMPLICES:
             raise ValidationError(f"complex has {len(self.simplices)} simplices, more than the cap of {MAX_SIMPLICES}")
-        closure: set[Simplex] = set()
+        by_size: tuple[set[Simplex], ...] = (set(), set(), set(), set())
+        _, verts, edges, tris = by_size
         for s in self.simplices:
             try:
                 s = tuple(s)
@@ -75,12 +78,16 @@ class SimplicialComplex:
             if not (0 < len(s) <= 3 and all(type(v) is int and 0 <= v < n for v in s) and len(set(s)) == len(s)):
                 raise ValidationError(
                     f"simplex {_excerpt(s)} needs int vertices: 1 to 3 (dimensions 0 to 2), distinct, in 0..{n - 1}")
-            s = sorted(s)
-            for k in range(1, len(s) + 1):
-                closure.update(combinations(s, k))
-        if len(closure) > MAX_SIMPLICES:
-            raise ValidationError(f"complex has {len(closure)} simplices, more than the cap of {MAX_SIMPLICES}")
-        object.__setattr__(self, "simplices", tuple(sorted(closure, key=lambda s: (len(s), s))))
+            by_size[len(s)].add(tuple(sorted(s)))
+        # close one dimension at a time: a triangle gives three edges, an edge two vertices
+        for a, b, c in tris:
+            edges.update(((a, b), (a, c), (b, c)))
+        for a, b in edges:
+            verts.update(((a,), (b,)))
+        size = len(verts) + len(edges) + len(tris)
+        if size > MAX_SIMPLICES:
+            raise ValidationError(f"complex has {size} simplices, more than the cap of {MAX_SIMPLICES}")
+        object.__setattr__(self, "simplices", tuple(sorted(verts) + sorted(edges) + sorted(tris)))
 
     @classmethod
     def from_maximal(cls, n_vertices: int, maximal: Iterable[Sequence[int]]) -> "SimplicialComplex":
@@ -106,7 +113,7 @@ class VertexFunction:
     values: Tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(v if type(v) is Fraction else Fraction(v) for v in self.values))
 
     def __neg__(self) -> "VertexFunction":
         return VertexFunction(tuple(-v for v in self.values))
@@ -122,19 +129,22 @@ def _check_function(K: SimplicialComplex, f: VertexFunction) -> None:
 
 
 def _lower_star_order(K: SimplicialComplex, f: VertexFunction):
-    """Simplices in lower-star filtration order, with their values.
+    """Simplices in lower-star filtration order, each with its level, and
+    the distinct vertex values, whose index is a level.
 
-    Vertices are ranked once by (value, index).  The simplices, stored in
-    (size, vertices) order, are stably sorted on (top vertex rank, size), so
-    a face comes before its cofaces; its value is that of its top vertex.
-    Ties are left in stored order: any order a filtration allows gives the
-    same value barcode (Zomorodian-Carlsson 2005).
+    The distinct values are ranked once; a simplex's level is the rank of
+    its top vertex value, and the simplices, stored in (size, vertices)
+    order, are stably sorted on the one int level * 4 + size, so a face
+    comes before its cofaces.  Ties are left in stored order: any order a
+    filtration allows gives the same value barcode (Zomorodian-Carlsson 2005).
     """
-    by_rank = sorted(range(K.n_vertices), key=lambda v: (f.values[v], v))
-    rank = {v: r for r, v in enumerate(by_rank)}
-    keys = [(max(map(rank.__getitem__, s)), len(s)) for s in K.simplices]
+    ratios = [v.as_integer_ratio() for v in f.values]  # int pairs hash and compare in C
+    values = sorted(dict(zip(ratios, f.values)).values())
+    rank = list(map({v.as_integer_ratio(): r for r, v in enumerate(values)}.__getitem__, ratios)).__getitem__
+    levels = [max(map(rank, s)) for s in K.simplices]  # the shared rank ints, not a new int per simplex
+    keys = [lv * 4 + len(s) for lv, s in zip(levels, K.simplices)]
     keyed = sorted(range(len(keys)), key=keys.__getitem__)
-    return [K.simplices[i] for i in keyed], [f.values[by_rank[keys[i][0]]] for i in keyed]
+    return [K.simplices[i] for i in keyed], [levels[i] for i in keyed], values
 
 
 def _reduce_boundary(order: list[Simplex], p: int):
@@ -144,17 +154,25 @@ def _reduce_boundary(order: list[Simplex], p: int):
     order; a column that is already the pivot of a reduced column one
     dimension up would reduce to zero and is skipped (Chen-Kerber 2011,
     "Persistent homology computation with a twist", EuroCG).  Pairs are
-    unique, so they equal those of plain left-to-right reduction.
+    unique, so they equal those of plain left-to-right reduction.  A column
+    is built from its simplex s, the facet without vertex i signed (-1)^i:
+    s[1:] gets 1, s[::2] (an edge's first vertex) -1, a triangle's s[:2] 1.
 
     Returns (pairs, essential) with pairs as (birth index, death index).
     """
     index_of = {s: i for i, s in enumerate(order)}
+    by_dim: tuple[list[int], ...] = ([], [], [])
+    for j, s in enumerate(order):
+        by_dim[len(s) - 1].append(j)
     reduced: dict[int, dict[int, int]] = {}  # pivot row -> its reduced column
     pairs: list[Tuple[int, int]] = []
-    for j in sorted(range(len(order)), key=lambda j: -len(order[j])):
+    for j in by_dim[2] + by_dim[1]:  # a vertex has no boundary
         if j in reduced:
             continue
-        col = {index_of[f]: sign % p for f, sign in _facet_signs(order[j])}
+        s = order[j]
+        col = {index_of[s[1:]]: 1, index_of[s[::2]]: p - 1}
+        if len(s) == 3:
+            col[index_of[s[:2]]] = 1
         while col:
             piv = max(col)
             other = reduced.get(piv)
@@ -179,29 +197,18 @@ def sublevel_barcode(K: SimplicialComplex, f: VertexFunction, p: int = 2) -> Gra
     degree, essential classes as [birth, oo).
 
     The bars agree with the open-sublevel convention {f < t} at every
-    non-critical t; vertex-value ties are broken by vertex index.
+    non-critical t.  A pair is a bar when its birth level is below its
+    death level, decided on the integer levels.
     """
     _check_function(K, f)
     modp.check_prime(p)
-    order, values = _lower_star_order(K, f)
+    order, levels, values = _lower_star_order(K, f)
     pairs, essential = _reduce_boundary(order, p)
-    bars: list[GradedBar] = []
-    for i, j in pairs:
-        birth, death = values[i], values[j]
-        if birth < death:
-            bars.append(
-                GradedBar(
-                    Interval(Endpoint(birth, True), Endpoint(death, False)),
-                    len(order[i]) - 1,
-                )
-            )
-    for j in essential:
-        bars.append(
-            GradedBar(
-                Interval(Endpoint(values[j], True), Endpoint(POS_INF, False)),
-                len(order[j]) - 1,
-            )
-        )
+    # the levels order each bar's ends, so the intervals need no check
+    bars = [GradedBar(Interval._ordered(Endpoint(values[levels[i]], True), Endpoint(values[levels[j]], False)),
+                      len(order[i]) - 1) for i, j in pairs if levels[i] < levels[j]]
+    bars += [GradedBar(Interval._ordered(Endpoint(values[levels[j]], True), Endpoint(POS_INF, False)),
+                       len(order[j]) - 1) for j in essential]
     return canonicalize(GradedBarcode(tuple(bars)))
 
 

@@ -465,6 +465,36 @@ def test_off_simplex_count_message_names_both_counts(tmp_path, capsys, text, dec
     assert err == f"error: header declares {declared} simplices, the file gives {given}\n"
 
 
+@pytest.mark.parametrize("route", ["sublevel", "superlevel", "sheaf"])
+def test_header_only_off_is_the_empty_complex(tmp_path, capsys, route):
+    # "0 0" declares no vertex values, so no values line follows: the same
+    # complex as the JSON form with empty lists
+    off, js = tmp_path / "empty.off", tmp_path / "empty.json"
+    off.write_text("0 0\n")
+    js.write_text('{"values": [], "simplices": []}')
+    code, out, err = run_cli(["morse", route, str(off)], capsys)
+    assert (code, err) == (0, "")
+    assert out == '{"bars":[],"convention":"left-closed"}\n'
+    assert run_cli(["morse", route, str(js)], capsys) == (0, out, "")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3 1\n", "has no vertex-values line after its header '3 1'"),
+        ("# a torus\n4 0  # no values\n\n", "has no vertex-values line after its header '4 0'"),
+        ("# only a comment\n\n", "has no header line"),
+    ],
+    ids=["header-only", "comments-and-blanks", "no-header"],
+)
+def test_off_without_a_values_line_names_the_missing_line(tmp_path, capsys, text, message):
+    path = tmp_path / "in.off"
+    path.write_text(text)
+    code, out, err = run_cli(["morse", "sublevel", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: complex file {message}\n"
+
+
 @pytest.mark.parametrize("argv, text", LONG_LITERAL_CASES, ids=LONG_LITERAL_IDS)
 def test_long_literal_message_names_its_length(tmp_path, capsys, argv, text):
     # the 5,002-character literal is past the interpreter's 4,300-digit

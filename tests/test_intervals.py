@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import random
 from fractions import Fraction as F
@@ -384,6 +385,37 @@ def test_convention_matches_reference_on_generated_barcodes(rng):
         assert b.convention == ref_convention(b)
         tags.add(b.convention)
     assert tags == {LEFT_CLOSED, RIGHT_CLOSED, MIXED}
+
+
+def ref_flavor_convention(b):
+    """The property before it read closure-flag pairs first: `flavor` on every bar."""
+    kinds = {flavor(x.interval) for x in b.bars} - {SINGLETON}
+    tags = {LEFT_CLOSED if k in (TAMARKIN, LEFT_INFINITE) else k for k in kinds}
+    if not tags:
+        return LEFT_CLOSED
+    return tags.pop() if len(tags) == 1 else MIXED
+
+
+def test_convention_matches_the_flavor_loop_it_replaced(rng):
+    # every one, two and three end-kind intervals (singletons, both-open and
+    # both-closed bars next to half-open ones), the empty barcode, and
+    # generated barcodes of up to 8 bars with shared and unshared ends
+    ivs = end_kind_intervals()
+    cases = [sc.EMPTY, sc.GradedBarcode((sc.GradedBar(sc.singleton(0)), sc.GradedBar(sc.singleton(1), 1)))]
+    cases += [sc.GradedBarcode(tuple(sc.GradedBar(i, d) for d, i in enumerate(c))) for c in itertools.product(ivs, repeat=2)]
+    cases += [sc.GradedBarcode(tuple(sc.GradedBar(i, d) for d, i in enumerate(rng.sample(ivs, 3)))) for _ in range(500)]
+    pool = mixed_scalars() + [NEG_INF, POS_INF]
+    cases += [_graded_bars(rng, pool, shared=trial % 2 == 0) for trial in range(1000)]
+    seen = set()
+    for b in cases:
+        assert b.convention == ref_flavor_convention(b), b
+        seen.add((b.convention, frozenset(flavor(x.interval) for x in b.bars)))
+    conventions = {c for c, _ in seen}
+    assert conventions == {LEFT_CLOSED, RIGHT_CLOSED, MIXED}
+    # a barcode of singletons alone, and every flavor both alone and beside a singleton
+    assert (LEFT_CLOSED, frozenset({SINGLETON})) in seen and (LEFT_CLOSED, frozenset()) in seen
+    for k in (TAMARKIN, LEFT_INFINITE, LEFT_CLOSED, RIGHT_CLOSED, MIXED):
+        assert any(kinds == {k} for _, kinds in seen) and any(kinds == {k, SINGLETON} for _, kinds in seen), k
 
 
 def test_convert_convention():

@@ -20,7 +20,7 @@ def load_ladder():
 
 def test_one_kind_runs_one_step(monkeypatch, capsys):
     ladder = load_ladder()
-    assert {"rhom-total", "ball-tmax", "ellipsoid-tmax"} <= set(ladder.KINDS)
+    assert {"rhom-total", "ball-tmax", "ellipsoid-tmax", "sublevel-distinct"} <= set(ladder.KINDS)
     monkeypatch.setattr(sys, "path", list(sys.path))  # main puts the checkout's src/ and perfbench/ first
     # a cap of 0 s stops the kind after its first step
     assert ladder.main(["--kind", "sublevel", "--cap", "0"]) == 0

@@ -3,6 +3,7 @@ import json
 import random
 import time
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -10,7 +11,7 @@ import sheafcalc as sc
 from sheafcalc import cli, metrics as mt, modp, morse, ops, stratmodel
 from sheafcalc.errors import ValidationError
 from sheafcalc.exactnum import Infinity
-from sheafcalc.intervals import barcode_to_json, stalk
+from sheafcalc.intervals import barcode_json_text, barcode_to_json, stalk
 from sheafcalc.stratmodel import StratModel, decompose, sample_points
 
 from conftest import dense_maps, identity, mat_mul, to_columns
@@ -238,9 +239,9 @@ def test_stability_on_tori_sublevel_and_superlevel():
 
 
 def ref_simplex_key(f: morse.VertexFunction, s):
-    """Lower-star key on the top (Fraction value, vertex) pair, then size;
-    a stable sort of K.simplices leaves ties in (size, vertices) order."""
-    return (max((f.values[v], v) for v in s), len(s))
+    """Lower-star key on the top Fraction value, then size; a stable sort of
+    K.simplices leaves ties in (size, vertices) order."""
+    return (simplex_value(f, s), len(s))
 
 
 def old_simplex_key(f: morse.VertexFunction, s):
@@ -407,9 +408,9 @@ def test_fast_paths_match_reference(rng, p):
     for K in random_complexes(rng):
         for _ in range(3):
             f = random_values(rng, K.n_vertices)
-            order, values = morse._lower_star_order(K, f)
+            order, levels, values = morse._lower_star_order(K, f)
             assert order == sorted(K.simplices, key=lambda s: ref_simplex_key(f, s))
-            assert values == [simplex_value(f, s) for s in order]
+            assert [values[lv] for lv in levels] == [simplex_value(f, s) for s in order]
             pairs, essential = morse._reduce_boundary(order, p)
             ref_pairs, ref_essential = ref_reduce_boundary(order, p)
             assert set(pairs) == set(ref_pairs) and set(essential) == set(ref_essential)
@@ -425,7 +426,8 @@ def test_tie_order_leaves_the_barcode_unchanged(rng, p, monkeypatch):
 
     def old_order(K, f):
         order = sorted(K.simplices, key=lambda s: old_simplex_key(f, s))
-        return order, [simplex_value(f, s) for s in order]
+        values = sorted(set(f.values))
+        return order, [values.index(simplex_value(f, s)) for s in order], values
 
     monkeypatch.setattr(morse, "_lower_star_order", old_order)
     moved = 0
@@ -433,6 +435,126 @@ def test_tie_order_leaves_the_barcode_unchanged(rng, p, monkeypatch):
         assert repr(morse.sublevel_barcode(K, f, p)) == want
         moved += old_order(K, f)[0] != sorted(K.simplices, key=lambda s: ref_simplex_key(f, s))
     assert moved  # the two orders differ on some inputs
+
+
+# --- the persistence route before it ran on integer levels ---------------------
+# The constructor's closure, the (Fraction value, vertex)-ranked order and the
+# column reduction through `_facet_signs` with a sort on -len, as they were
+# before the route moved to one int key per simplex and columns built from
+# the vertices; the new code must build the same complexes, equal pairs on
+# any order and byte-identical barcodes.
+
+
+def old_closure(n_vertices, simplices):
+    """Every face of each given simplex by `combinations`, sorted on (len, s)."""
+    closure = set()
+    for s in simplices:
+        s = sorted(s)
+        for k in range(1, len(s) + 1):
+            closure.update(combinations(s, k))
+    return tuple(sorted(closure, key=lambda s: (len(s), s)))
+
+
+def old_lower_star_order(K, f):
+    by_rank = sorted(range(K.n_vertices), key=lambda v: (f.values[v], v))
+    rank = {v: r for r, v in enumerate(by_rank)}
+    keys = [(max(map(rank.__getitem__, s)), len(s)) for s in K.simplices]
+    keyed = sorted(range(len(keys)), key=keys.__getitem__)
+    return [K.simplices[i] for i in keyed], [f.values[by_rank[keys[i][0]]] for i in keyed]
+
+
+def old_reduce_boundary(order, p):
+    index_of = {s: i for i, s in enumerate(order)}
+    reduced, pairs = {}, []
+    for j in sorted(range(len(order)), key=lambda j: -len(order[j])):
+        if j in reduced:
+            continue
+        col = {index_of[f]: sign % p for f, sign in morse._facet_signs(order[j])}
+        while col:
+            piv = max(col)
+            other = reduced.get(piv)
+            if other is None:
+                reduced[piv] = col
+                pairs.append((piv, j))
+                break
+            factor = (col[piv] * pow(other[piv], -1, p)) % p
+            for row, val in other.items():
+                nv = (col.get(row, 0) - factor * val) % p
+                if nv:
+                    col[row] = nv
+                else:
+                    col.pop(row, None)
+    dead = {i for i, _ in pairs} | {j for _, j in pairs}
+    return pairs, [j for j in range(len(order)) if j not in dead]
+
+
+def old_sublevel_barcode(K, f, p):
+    """Bars kept where the Fraction birth is below the Fraction death."""
+    order, values = old_lower_star_order(K, f)
+    pairs, essential = old_reduce_boundary(order, p)
+    bars = [sc.GradedBar(sc.interval(values[i], values[j]), len(order[i]) - 1) for i, j in pairs if values[i] < values[j]]
+    bars += [sc.GradedBar(sc.interval(values[j], "+inf"), len(order[j]) - 1) for j in essential]
+    return sc.canonicalize(sc.GradedBarcode(tuple(bars)))
+
+
+def given_lists(rng):
+    """(n_vertices, given simplices): faces missing, listed twice or in any
+    vertex order, as tuples or lists, with isolated vertices, on tori,
+    non-manifold 2-complexes, graphs and lone vertices."""
+    for n in (3, 4):
+        yield n * n, list(grid_torus(n).simplices)
+    for _ in range(40):
+        n = rng.randint(1, 9)
+        given = [tuple(rng.sample(range(n), k)) for k in (3, 2, 1) if k <= n for _ in range(rng.randint(0, 6))]
+        given += rng.sample(given, min(len(given), 3))  # duplicates
+        given = [list(s) if rng.random() < 0.2 else s for s in given]
+        rng.shuffle(given)
+        yield n + rng.randint(0, 2), given
+
+
+def level_values(rng, n):
+    """Few tied levels, all equal, distinct, or ties over large denominators."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return vf(*[rng.randint(-2, 2) for _ in range(n)])
+    if kind == 1:
+        return vf(*[F(7, 3)] * n)
+    if kind == 2:
+        return distinct_values(rng, n)
+    pool = [F(rng.randint(-10**30, 10**30), rng.randint(1, 10**25)) for _ in range(3)]
+    return morse.VertexFunction(tuple(rng.choice(pool) for _ in range(n)))
+
+
+def test_closure_matches_the_combinations_reference(rng):
+    sizes = set()
+    for n, given in given_lists(rng):
+        K = morse.SimplicialComplex(n, given)
+        assert K.simplices == old_closure(n, given), given
+        assert morse.SimplicialComplex.from_maximal(n, given).simplices == old_closure(n, [(v,) for v in range(n)] + given)
+        sizes.add(K.dim)
+    assert sizes == {0, 1, 2}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 2_147_483_647])
+def test_integer_level_route_matches_the_fraction_route(rng, p):
+    ties = isolated = 0
+    for n, given in given_lists(rng):
+        K = morse.SimplicialComplex.from_maximal(n, given)
+        isolated += bool(set(range(n)) - {v for e in K.of_dim(1) for v in e})  # a vertex on no edge
+        for _ in range(3):
+            f = level_values(rng, n)
+            order, levels, values = morse._lower_star_order(K, f)
+            assert values == sorted(set(f.values))
+            assert order == sorted(K.simplices, key=lambda s: ref_simplex_key(f, s))
+            assert [values[lv] for lv in levels] == [simplex_value(f, s) for s in order]
+            old_order, old_values = old_lower_star_order(K, f)
+            ties += old_order != order
+            # equal pairs, in the same sequence, on either order
+            for o in (order, old_order):
+                assert morse._reduce_boundary(o, p) == old_reduce_boundary(o, p)
+            got, want = morse.sublevel_barcode(K, f, p), old_sublevel_barcode(K, f, p)
+            assert repr(got) == repr(want) and barcode_json_text(got) == barcode_json_text(want)
+    assert ties and isolated  # the distinct-value rank and the (value, vertex) rank order some inputs apart
 
 
 def distinct_values(rng, n):
@@ -555,3 +677,24 @@ def test_front_bimodal_merge_bars():
         sc.bar(-3, 0),
         sc.bar(-2, -1),
     )
+
+
+def test_front_hom_star_is_stable_in_the_width_sup_norm():
+    # d_B(hom(F), hom(G)) <= |(t_- + t_+)_F - (t_- + t_+)_G|_oo for two fronts
+    # on one grid: the pushforward is the superlevel barcode of the widths,
+    # cut at 0 and reflected, and each step is 1-Lipschitz.  The bound is
+    # met with equality in a pinned number of cases, so an overestimating
+    # distance fails the bound and an underestimating one the count.
+    rng = random.Random(2011)
+    tight = 0
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        tm = [F(rng.randint(0, 6), rng.choice((1, 2, 3))) for _ in range(n)]
+        tp = [F(rng.randint(0, 6), rng.choice((1, 2))) for _ in range(n)]
+        moved = [[max(v + F(rng.randint(-3, 3), rng.choice((1, 2))), F(0)) if rng.random() < 0.5 else v for v in t] for t in (tm, tp)]
+        f, g = front(range(n), tm, tp), front(range(n), *moved)
+        sup = max(abs(a - b) for a, b in zip(f.widths(), g.widths()))
+        d = mt.bottleneck(morse.front_hom_star(f), morse.front_hom_star(g))
+        assert d <= sup, (tm, tp, moved)
+        tight += 0 < d == sup
+    assert tight == 102

@@ -324,17 +324,29 @@ def test_constructor_closes(n, simplices):
     assert morse.SimplicialComplex(n, simplices).simplices == ((0,), (1,), (0, 1))
 
 
-def test_constructor_checks_the_cap_before_any_face(monkeypatch):
-    def no_faces(*args):
-        raise AssertionError("a face was generated")
+class Unread:
+    """A given simplex that fails the test if the constructor reads it."""
 
-    monkeypatch.setattr(morse, "combinations", no_faces)
-    given = [(v,) for v in range(morse.MAX_SIMPLICES + 1)]
+    def __iter__(self):
+        raise AssertionError("a given simplex was read")
+
+
+def test_constructor_checks_the_cap_before_any_face():
+    # no given simplex is read past the cap, so no face is generated
+    given = [Unread()] * (morse.MAX_SIMPLICES + 1)
     with pytest.raises(ValidationError, match="more than the cap"):
         morse.SimplicialComplex(len(given), given)
-    # within the cap, the faces are generated
+    # within the cap, the given simplices are read
     with pytest.raises(AssertionError):
-        morse.SimplicialComplex(1, [(0,)])
+        morse.SimplicialComplex(1, [Unread()])
+
+
+def test_constructor_names_the_first_bad_simplex():
+    # the rules run simplex by simplex, so a later non-sequence is not named
+    with pytest.raises(ValidationError, match=r"^simplex \(0, 0\) needs int vertices"):
+        morse.SimplicialComplex(3, [(0, 1), (0, 0), 5])
+    with pytest.raises(ValidationError, match="^simplex 5 is not a sequence"):
+        morse.SimplicialComplex(3, [(0, 1), 5, (0, 0)])
 
 
 def test_constructor_refuses_a_closure_past_the_cap():

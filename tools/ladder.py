@@ -11,6 +11,7 @@ kind and step, so every run sees the same inputs:
                      its 6 n^2 simplices, n = 4, 6, 8, 11, 16, 23, ...
     sheaf-distinct   ``morse sheaf`` on the same tori under n^2 distinct
                      shuffled vertex values, one stratum per vertex
+    sublevel-distinct  ``morse sublevel`` on the same tori and values
     dist             ``dist`` on a barcode of n bars in one degree and its
                      ``perturb``-ed copy (``tamarkin_bars``), cut or filled
                      up from the first to n bars; size n, up to the n x n
@@ -144,6 +145,7 @@ KINDS = {
     "sheaf": morse_step("sheaf", tent_values),
     "sheaf-distinct": morse_step("sheaf", distinct_values),
     "sublevel": morse_step("sublevel", tent_values),
+    "sublevel-distinct": morse_step("sublevel", distinct_values),
     "dist": dist_step,
     "convolve": ops_step("convolve"),
     "rhom-total": ops_step("rhom-total"),
