@@ -260,7 +260,13 @@ def parse_rational(text: str) -> Fraction:
 
     Every string-to-Fraction conversion of input goes through here, so an
     exponent past MAX_EXPONENT is refused before any big integer is built.
+    A plain ASCII -digits[/digits] literal, denominator nonzero and within
+    the int digit limit, is read by int() alone.
     """
+    num, slash, den = text.partition("/")
+    plain = num.removeprefix("-").isdigit() and (not slash or den.isdigit() and den.strip("0"))
+    if plain and text.isascii() and len(text) <= (sys.get_int_max_str_digits() or len(text)):
+        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
     m = ("e" in text or "E" in text) and _EXPONENT.search(text)
     # seven significant digits are past the cap already, so read no more
     if m and int(m[1].replace("_", "").lstrip("0")[:7] or 0) > MAX_EXPONENT:

@@ -3,21 +3,24 @@
 A barcode is a finite multiset of intervals with integer cohomological
 degrees ("degree d" = the degree where the one-dimensional stalk sits, so a
 shift [n] lowers the degree field by n).  Everything here is immutable and
-exact; canonical form is sorted-and-merged, and equality is canonical
-multiset equality; a canonical barcode is marked so (`canonical_barcode`)
-and never sorted again.  `scaled_ends` is the one endpoint-scaling helper: when
-every finite end is a Fraction, and their common denominator has at most
-MAX_SCALE_BITS bits, it holds each as an integer over that denominator,
-which is what the canonical sort, the bilinear ops kernel and the
-bottleneck cost tables compute on.  `barcode_json_text` is the one encoder
-of a barcode as JSON: the CLI prints its text, and `barcode_to_json` is
-that text read back.
+exact.  `Endpoint`, `Interval` and `GradedBar` are namedtuples, equal to,
+hashed and ordered as the tuple of their fields; `__new__` checks, and a
+maker whose ends are ordered skips that through `tuple.__new__` (as
+`Interval._ordered` does).  Canonical form is sorted-and-merged; equality
+is canonical multiset equality; a canonical barcode is marked so
+(`canonical_barcode`) and never sorted again.  `scaled_ends`, the one endpoint-scaling helper, holds every
+finite end as an integer over their common denominator when all are
+Fractions and it has at most MAX_SCALE_BITS bits: the canonical sort, the
+ops kernel, `rhom_total` and the bottleneck cost tables compute on those.
+`barcode_json_text` is the one encoder of a barcode as JSON: the CLI prints
+its text, and `barcode_to_json` is that text read back.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Tuple
@@ -43,18 +46,17 @@ MIXED = "mixed"
 SINGLETON, TAMARKIN, LEFT_INFINITE = "singleton", "tamarkin", "left-infinite"
 
 
-@dataclass(frozen=True)
-class Endpoint:
-    value: Extended
-    closed: bool
+class Endpoint(namedtuple("Endpoint", "value closed")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if isinstance(self.value, Infinity) and self.closed:
+    def __new__(cls, value: Extended, closed: bool):
+        if isinstance(value, Infinity) and closed:
             raise ValidationError("infinite endpoints are always open")
-        if isinstance(self.value, int):
-            object.__setattr__(self, "value", Fraction(self.value))
-        elif not isinstance(self.value, (Fraction, PiRational, Infinity)):
-            raise ValidationError(f"bad endpoint value {_excerpt(self.value)}")
+        if isinstance(value, int):
+            value = Fraction(value)
+        elif not isinstance(value, (Fraction, PiRational, Infinity)):
+            raise ValidationError(f"bad endpoint value {_excerpt(value)}")
+        return tuple.__new__(cls, (value, closed))
 
     @property
     def finite(self) -> bool:
@@ -71,32 +73,28 @@ def ep(value, closed: bool = True) -> Endpoint:
     return Endpoint(value, closed)
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(namedtuple("Interval", "lo hi")):
     """A nonempty interval of the real line.
 
     Canonical form admits the four bounded flavors, half-lines, the full
     line, and the singleton {a} (both endpoints closed and equal).
     """
 
-    lo: Endpoint
-    hi: Endpoint
+    __slots__ = ()
 
-    def __post_init__(self):
-        lo, hi = self.lo.value, self.hi.value
+    def __new__(cls, lo: Endpoint, hi: Endpoint):
+        lv, hv = lo.value, hi.value
         # lo == hi only for the both-closed singleton; a second compare names the fault
-        if not (lo <= hi if self.lo.closed and self.hi.closed else lo < hi):
-            if lo > hi:
-                raise ValidationError(f"empty interval: lo {_excerpt(lo, str)} > hi {_excerpt(hi, str)}")
+        if not (lv <= hv if lo.closed and hi.closed else lv < hv):
+            if lv > hv:
+                raise ValidationError(f"empty interval: lo {_excerpt(lv, str)} > hi {_excerpt(hv, str)}")
             raise ValidationError("degenerate interval must be the both-closed singleton")
+        return tuple.__new__(cls, (lo, hi))
 
     @classmethod
     def _ordered(cls, lo: Endpoint, hi: Endpoint) -> "Interval":
         """The interval of ends its maker has already ordered: no check."""
-        out = object.__new__(cls)
-        fields = out.__dict__
-        fields["lo"], fields["hi"] = lo, hi
-        return out
+        return tuple.__new__(cls, (lo, hi))
 
     # -- queries ----------------------------------------------------------
 
@@ -181,15 +179,13 @@ def singleton(a) -> Interval:
     return Interval(ep(a, True), ep(a, True))
 
 
-@dataclass(frozen=True)
-class GradedBar:
-    interval: Interval
-    degree: int = 0
-    mult: int = 1
+class GradedBar(namedtuple("GradedBar", "interval degree mult")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.mult < 1:
+    def __new__(cls, interval: Interval, degree: int = 0, mult: int = 1):
+        if mult < 1:
             raise ValidationError("bar multiplicity must be >= 1")
+        return tuple.__new__(cls, (interval, degree, mult))
 
 
 @dataclass(frozen=True)
@@ -554,6 +550,13 @@ def barcode_to_json(b: GradedBarcode) -> dict:
 def barcode_from_json(obj) -> GradedBarcode:
     if not isinstance(obj, dict) or not isinstance(obj.get("bars"), list):
         raise ValidationError("barcode JSON must be an object with a 'bars' list")
+    made: dict = {}  # (str or int literal, closed) -> its one checked Endpoint
+
+    def end(v, closed: bool) -> Endpoint:
+        if type(v) is not str and type(v) is not int:  # a {"pi", "plus"} pair, or refused
+            return Endpoint(scalar_from_json(v), closed)
+        return made.get((v, closed)) or made.setdefault((v, closed), Endpoint(scalar_from_json(v), closed))
+
     bars = []
     for rec in obj["bars"]:
         try:
@@ -570,8 +573,7 @@ def barcode_from_json(obj) -> GradedBarcode:
             raise ValidationError(
                 f"bad bar record {_excerpt(rec)}: 'deg' and 'mult' must be integers, 'closed' true or false"
             )
-        lo, hi = (Endpoint(scalar_from_json(v), f) for v, f in zip(values, flags))
-        bars.append(GradedBar(Interval(lo, hi), *counts))
+        bars.append(GradedBar(Interval(end(values[0], flags[0]), end(values[1], flags[1])), *counts))
     out = canonicalize(GradedBarcode(tuple(bars)))
     declared = obj.get("convention")
     if declared is not None and declared != out.convention:

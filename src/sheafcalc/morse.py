@@ -298,8 +298,8 @@ def sheaf_route_classes(K: SimplicialComplex, h: VertexFunction, p: int = 2) -> 
     _check_function(K, h)
     modp.check_prime(p)
     crit = tuple(sorted(set(h.values)))
-    rank = {v: r for r, v in enumerate(crit)}
-    level = {s: max(rank[h.values[v]] for v in s) for s in K.simplices}
+    rank = list(map({v: r for r, v in enumerate(crit)}.__getitem__, h.values)).__getitem__  # by vertex
+    level = {s: max(map(rank, s)) for s in K.simplices}
     order = sorted(K.simplices, key=lambda s: (-level[s], -len(s), s))
     pos = {s: j for j, s in enumerate(order)}
     cols: list[dict[int, int]] = [{} for _ in order]  # column j: coboundary of order[j]

@@ -1,5 +1,6 @@
 import functools
 import random
+import sys
 from fractions import Fraction as F
 
 import mpmath
@@ -7,11 +8,14 @@ import pytest
 
 from sheafcalc.errors import ValidationError
 from sheafcalc.exactnum import (
+    _EXPONENT,
+    MAX_EXPONENT,
     NEG_INF,
     PI_HI,
     PI_LO,
     POS_INF,
     PiRational,
+    _excerpt,
     cmp,
     parse_rational,
     parse_scalar,
@@ -118,6 +122,50 @@ def test_exponent_cap_is_exact():
     for text in ("1e100001", "1e-100001", "1e1_000_000", "1e" + "9" * 5000):
         with pytest.raises(ValidationError, match="exponent"):
             parse_rational(text)
+
+
+def _general_parse_rational(text):
+    """`parse_rational` without its int() fast path: what every literal took before."""
+    m = ("e" in text or "E" in text) and _EXPONENT.search(text)
+    if m and int(m[1].replace("_", "").lstrip("0")[:7] or 0) > MAX_EXPONENT:
+        raise ValidationError(f"decimal exponent past +-{MAX_EXPONENT} in a rational literal")
+    try:
+        return F(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        limit = sys.get_int_max_str_digits()
+        if limit and len(text) > limit:
+            raise ValidationError(f"rational literal of {len(text)} characters is past Python's "
+                                  f"{limit}-digit integer limit") from exc
+        raise ValidationError(f"bad rational literal {_excerpt(text)}") from exc
+
+
+def _outcome(parse, text):
+    try:
+        x = parse(text)
+    except ValidationError as exc:
+        return "error", str(exc)
+    return type(x), x
+
+
+def test_parse_rational_fast_path_matches_the_general_path():
+    limit = sys.get_int_max_str_digits()
+    named = [
+        "+3", "--3", "-", "", " 3", "3 ", "1_000", "1e3", "3/0", "3/00", "0/5", "-0", "-0/7", "007/014",
+        "\u0663", "\u00b2", "1/\u0663", "-3/-4", "3/+4", "1/2/3", "/2", "3/", "-/2", "1.5", "0x10",
+        "9" * (limit + 1), "-" + "9" * limit, "1/" + "7" * (limit + 1), "7" * limit, "7" * (limit - 2) + "/3",
+    ]
+    rng = random.Random("parse-rational")
+    alphabet = "0123456789" * 3 + "--//+_ e.\u0663"
+    generated = ["".join(rng.choice(alphabet) for _ in range(rng.randint(1, 7))) for _ in range(4000)]
+    generated += [f"{rng.choice(['', '-'])}{rng.randint(0, 10**30)}/{rng.randint(0, 99)}" for _ in range(500)]
+    fast = 0
+    for text in named + generated:
+        want = _outcome(_general_parse_rational, text)
+        assert _outcome(parse_rational, text) == want, text
+        if want[0] is F and text.isascii() and text.removeprefix("-").replace("/", "", 1).isdigit():
+            assert parse_rational(text) == F(text)
+            fast += 1
+    assert fast > 1000
 
 
 def test_scalar_json_round_trip():

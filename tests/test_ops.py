@@ -329,7 +329,7 @@ def test_rhom_total_matches_zigzag_oracle(rng):
 
 
 def _rhom_total_reference(f, g):
-    """The pairwise cmp loop that the rank-table rhom_total replaced."""
+    """The pairwise cmp loop that the rank sweep of rhom_total is checked against."""
     acc = {}
     for x in f.bars:
         a, b = x.interval.lo.value, x.interval.hi.value
@@ -369,6 +369,49 @@ def test_rhom_total_matches_pairwise_reference():
         f = side(rng.randint(0, 8), 0)
         g = side(rng.randint(0, 8), 0.25)
         assert ops.rhom_total(f, g) == _rhom_total_reference(f, g)
+
+
+def test_rhom_total_sweep_matches_pairwise_reference_on_ties():
+    # few distinct ends, so most pairs tie an end; negative degrees, mults
+    # up to 3, empty sides, (-oo,d) targets and [a,oo) sources, on the
+    # scaled ranks (rationals) and on the unscaled values (q*pi + s ends)
+    rng = random.Random("rhom-sweep")
+    rational = [F(k, 2) for k in range(-3, 4)]
+    pools = (rational, rational[::2] + [PiRational(1, -3), PiRational(0, 1), PiRational(-1, 4)])
+
+    def side(pool, n, left_infinite_p):
+        bars = []
+        for _ in range(n):
+            a, b = sorted(rng.sample(pool, 2))
+            u = rng.random()
+            if u < left_infinite_p:
+                iv = sc.interval("-inf", b, False)
+            elif u < left_infinite_p + 0.25:
+                iv = sc.interval(a, "+inf")
+            else:
+                iv = sc.interval(a, b)
+            bars.append(sc.GradedBar(iv, rng.randint(-2, 2), rng.choice((1, 1, 2, 3))))
+        return sc.barcode(*bars)
+
+    scaled = unscaled = 0
+    for k in range(400):
+        pool = pools[k % 2]
+        f, g = side(pool, rng.randint(0, 9), 0), side(pool, rng.randint(0, 9), 0.25)
+        assert ops.rhom_total(f, g) == _rhom_total_reference(f, g)
+        if scaled_ends(x.interval for x in f.bars + g.bars)[1] is None:
+            unscaled += 1
+        else:
+            scaled += 1
+    assert scaled > 150 and unscaled > 150
+    # every clause at a tie: a = c < b = d, c < a = d < b, and the misses beside them
+    f = bc(sc.bar(0, 2, degree=-1, mult=2))
+    assert ops.rhom_total(f, bc(sc.bar(0, 2, degree=1, mult=3))) == sc.HomSpace({2: 6})
+    assert ops.rhom_total(f, bc(sc.bar(-1, 0))) == sc.HomSpace({2: 2})
+    assert ops.rhom_total(f, bc(sc.bar(0, 1))) == sc.HomSpace()
+    assert ops.rhom_total(f, bc(sc.bar(2, 3))) == sc.HomSpace()
+    assert ops.rhom_total(f, bc(sc.bar("-inf", 0, lo_closed=False))) == sc.HomSpace({2: 2})
+    assert ops.rhom_total(bc(sc.bar(0, "+inf")), bc(sc.bar(0, "+inf", degree=-2))) == sc.HomSpace({-2: 1})
+    assert ops.rhom_total(sc.EMPTY, f) == ops.rhom_total(f, sc.EMPTY) == sc.HomSpace()
 
 
 def test_rhom_total_checks_targets_before_pairs():
@@ -859,13 +902,13 @@ def test_convolve_builds_no_interval_through_the_check(monkeypatch):
     f, g = scaled_pair()
     want = emitted(ops.convolve(f, g))
 
-    def refuse(self):
-        raise AssertionError("an output interval went through Interval.__post_init__")
+    def refuse(cls, *args):
+        raise AssertionError("an output interval went through Interval.__new__")
 
     ends = []
-    check = sc.Endpoint.__post_init__
-    monkeypatch.setattr(sc.Interval, "__post_init__", refuse)
-    monkeypatch.setattr(sc.Endpoint, "__post_init__", lambda self: ends.append((self.value, self.closed)) or check(self))
+    check = sc.Endpoint.__new__
+    monkeypatch.setattr(sc.Interval, "__new__", refuse)
+    monkeypatch.setattr(sc.Endpoint, "__new__", lambda cls, value, closed: ends.append((value, closed)) or check(cls, value, closed))
     got = ops.convolve(f, g)
     assert emitted(got) == want
     assert len(ends) == len(set(ends)) == len({(e.value, e.closed) for x in got.bars for e in (x.interval.lo, x.interval.hi)})

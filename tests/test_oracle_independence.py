@@ -182,9 +182,11 @@ def test_brute_interleave_shares_only_the_degree_grouping_with_the_distances():
     assert oracle & checked == SHARED_GROUPING
 
 
-# the quiver RHom oracles and the RHom tables they check: both read the
-# sorted distinct ends with `intervals.finite_ends`, so the rule is stated
-# on `ops`, `stratmodel` and `domains` nodes, where they share none;
+# the quiver RHom oracles and the RHom tables they check: both build the
+# `intervals` value types, so the rule is stated on `ops`, `stratmodel` and
+# `domains` nodes, where they share none.  `rhom_total` ranks the ends of
+# `intervals.scaled_ends`, which the oracles never reach: they read the
+# sorted distinct ends with `intervals.finite_ends`;
 # `domains.rhom_total` is the `ops` table imported, so the `domains` entry is
 # its caller, `sheaf_invariant`
 RHOM_TABLES = (("ops", "rhom_total"), ("ops", "rhom_sheaf"), ("domains", "sheaf_invariant"))
@@ -197,7 +199,10 @@ def test_rhom_oracles_share_no_code_with_the_rhom_tables():
     oracles = {node for node in reachable(*RHOM_ORACLES) if node[0] in RHOM_MODULES}
     assert {("ops", "_bilinear"), ("ops", "_rhom_sheaf_pair")} <= tables
     assert ("stratmodel", "germ_at") in oracles
-    assert ("intervals", "finite_ends") in reachable(*RHOM_TABLES) & reachable(*RHOM_ORACLES)
+    assert ("intervals", "Interval.__new__") in reachable(*RHOM_TABLES) & reachable(*RHOM_ORACLES)
+    assert ("intervals", "scaled_ends") in reachable(("ops", "rhom_total"))
+    assert ("intervals", "finite_ends") in reachable(*RHOM_ORACLES)
+    assert ("intervals", "scaled_ends") not in reachable(*RHOM_ORACLES)
     assert tables.isdisjoint(RHOM_ORACLES) and oracles.isdisjoint(RHOM_TABLES)
     assert tables.isdisjoint(oracles)
 
