@@ -12,9 +12,12 @@ machine-checked heart of this module.
 
 The persistence route runs on integer ranks: it ranks the distinct vertex
 values once, orders the simplices on one int each (top vertex rank * 4 +
-size), keeps a pair whose birth rank is below its death rank, and reduces
-boundary columns built from the vertices with clearing (Chen-Kerber 2011,
-the "twist"), in code the sheaf route does not share.
+size) and keeps a pair whose birth rank is below its death rank.  It pairs
+degree 0 by a union-find under the elder rule, and reduces only the
+coboundary columns of the positive edges, in reverse filtration order, with
+the negative edges cleared (Chen-Kerber 2011, the "twist"); cohomology
+pairs equal homology pairs (de Silva, Morozov and Vejdemo-Johansson 2011;
+Bauer 2021, "Ripser").  None of this code is shared with the sheaf route.
 
 Front regions model compactly supported rank-one sheaves by their fiber
 cuts [-t_-(x), t_+(x)); their self-hom pushes forward through superlevel
@@ -43,10 +46,10 @@ from .stratmodel import StratModel, decompose, interval_barcode, interval_model,
 
 Simplex = Tuple[int, ...]
 
-# the largest grid torus under the cap, 91 x 91 (49,686 simplices), takes 0.3-0.5 s in
-# `morse sublevel` under a tent-plus-noise function and 0.45-0.75 s under 8,281 distinct
-# shuffled values; `morse sheaf` takes 1.3-2.4 s and 1.9-2.8 s (55 MB peak RSS) on the same
-# two (`tools/ladder.py` cap steps, 2-vCPU VM shared with other load)
+# the largest grid torus under the cap, 91 x 91 (49,686 simplices), takes about 0.20 s
+# (39 MB peak RSS) in `morse sublevel` under a tent-plus-noise function and 0.27 s (39 MB)
+# under 8,281 distinct shuffled values; `morse sheaf` takes 1.3-2.4 s and 1.9-2.8 s (55 MB
+# peak RSS) on the same two (`tools/ladder.py` cap steps, 2-vCPU VM shared with other load)
 MAX_SIMPLICES = 50_000
 
 
@@ -147,38 +150,85 @@ def _lower_star_order(K: SimplicialComplex, f: VertexFunction):
     return [K.simplices[i] for i in keyed], [levels[i] for i in keyed], values
 
 
-def _reduce_boundary(order: list[Simplex], p: int):
-    """Persistent-homology column reduction over F_p, with clearing.
+def _elder_pairs(vertices: dict[int, int], edges: dict[Simplex, int]):
+    """Degree 0 by union-find, from each vertex's and each edge's filtration
+    position, the edges listed in filtration order.
 
-    Columns are reduced top dimension first, each dimension in filtration
-    order; a column that is already the pivot of a reduced column one
-    dimension up would reduce to zero and is skipped (Chen-Kerber 2011,
-    "Persistent homology computation with a twist", EuroCG).  Pairs are
-    unique, so they equal those of plain left-to-right reduction.  A column
-    is built from its simplex s, the facet without vertex i signed (-1)^i:
-    s[1:] gets 1, s[::2] (an edge's first vertex) -1, a triangle's s[:2] 1.
+    The edges are merged on the vertices' positions, so a component's root
+    is its oldest vertex: an edge that joins two components kills the
+    younger root (the elder rule), and an edge that joins a component to
+    itself is positive.  The pairs do not depend on the field.
 
-    Returns (pairs, essential) with pairs as (birth index, death index).
+    Returns (pairs, positive, roots): the (vertex, edge) pairs and the
+    positive edges in filtration order, and the unpaired vertices.
     """
-    index_of = {s: i for i, s in enumerate(order)}
-    by_dim: tuple[list[int], ...] = ([], [], [])
-    for j, s in enumerate(order):
-        by_dim[len(s) - 1].append(j)
-    reduced: dict[int, dict[int, int]] = {}  # pivot row -> its reduced column
+    parent = {i: i for i in vertices.values()}  # vertex position -> parent position
     pairs: list[Tuple[int, int]] = []
-    for j in by_dim[2] + by_dim[1]:  # a vertex has no boundary
-        if j in reduced:
-            continue
-        s = order[j]
-        col = {index_of[s[1:]]: 1, index_of[s[::2]]: p - 1}
-        if len(s) == 3:
-            col[index_of[s[:2]]] = 1
+    positive: list[int] = []
+    for (a, b), j in edges.items():
+        u, w = vertices[a], vertices[b]
+        while (r := parent[u]) != u:  # path halving
+            parent[u] = u = parent[r]
+        while (r := parent[w]) != w:
+            parent[w] = w = parent[r]
+        if u == w:
+            positive.append(j)
+        elif u < w:
+            parent[w] = u
+            pairs.append((w, j))
+        else:
+            parent[u] = w
+            pairs.append((u, j))
+    return pairs, positive, [i for i, r in parent.items() if i == r]
+
+
+def _reduce_boundary(order: list[Simplex], p: int):
+    """Persistence pairs of a filtration over F_p: degree 0 by union-find,
+    the rest from a cleared coboundary reduction.
+
+    `_elder_pairs` pairs every vertex and every negative edge.  A negative
+    edge's coboundary column would reduce to zero, so it gets none (Chen-
+    Kerber 2011, "Persistent homology computation with a twist"); each
+    positive edge gets its coboundary over F_p, one row per triangle, the
+    triangle (a, b, c) giving its edge (b, c) 1, (a, c) p - 1 and (a, b) 1.
+    The columns are reduced in reverse filtration order, each pivoting on
+    its earliest triangle: a nonzero column pairs its edge with its pivot, a
+    zero column is an essential H1 class, and a triangle that is no column's
+    pivot is essential.  Cohomology pairs equal homology pairs (de Silva,
+    Morozov and Vejdemo-Johansson 2011, "Dualities in persistent
+    (co)homology"; Bauer 2021, "Ripser"), and a filtration has one set of
+    pairs, so they equal those of the boundary reduction.
+
+    Returns (pairs, essential) with pairs as (birth index, death index) and
+    essential in filtration order.
+    """
+    vertices: dict[int, int] = {}  # vertex -> position
+    edges: dict[Simplex, int] = {}  # edge -> position
+    triangles: list[int] = []
+    for j, s in enumerate(order):
+        if len(s) == 2:
+            edges[s] = j
+        elif len(s) == 1:
+            vertices[s[0]] = j
+        else:
+            triangles.append(j)
+    pairs, positive, essential = _elder_pairs(vertices, edges)
+    cols: dict[Simplex, dict[int, int]] = {order[j]: {} for j in positive}  # positive edge -> its coboundary
+    cleared: dict[int, int] = {}  # takes the entries of the negative edges
+    for j in triangles:
+        a, b, c = order[j]
+        cols.get((b, c), cleared)[j] = 1
+        cols.get((a, c), cleared)[j] = p - 1
+        cols.get((a, b), cleared)[j] = 1
+    reduced: dict[int, dict[int, int]] = {}  # pivot triangle -> its reduced column
+    for j in reversed(positive):
+        col = cols[order[j]]
         while col:
-            piv = max(col)
+            piv = min(col)
             other = reduced.get(piv)
             if other is None:
                 reduced[piv] = col
-                pairs.append((piv, j))
+                pairs.append((j, piv))
                 break
             factor = (col[piv] * pow(other[piv], -1, p)) % p
             for row, val in other.items():
@@ -187,8 +237,10 @@ def _reduce_boundary(order: list[Simplex], p: int):
                     col[row] = nv
                 else:
                     col.pop(row, None)
-    dead = {i for i, _ in pairs} | {j for _, j in pairs}
-    essential = [j for j in range(len(order)) if j not in dead]
+        else:
+            essential.append(j)
+    essential += [j for j in triangles if j not in reduced]
+    essential.sort()
     return pairs, essential
 
 

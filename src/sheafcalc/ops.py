@@ -278,7 +278,9 @@ def rhom_total(f: GradedBarcode, g: GradedBarcode) -> HomSpace:
         if flavor(y.interval) not in (TAMARKIN, LEFT_INFINITE):
             raise ValidationError(f"rhom_total: unsupported target bar {_excerpt(y.interval, str)}")
     ends, _ = scaled_ends(x.interval for x in f.bars + g.bars)
-    finite = sorted({v for lo, _, hi, _ in ends for v in (lo, hi)} - {NEG_INF, POS_INF})
+    # the finite ends deduped in first-seen order, lower ends first as they come nearly sorted
+    # (a set's order, and with it the sort's compares, would move with the hash seed)
+    finite = sorted(dict.fromkeys([e[k] for k in (0, 2) for e in ends if type(e[k]) is not Infinity]))
     rank = {v: r for r, v in enumerate([NEG_INF, *finite, POS_INF])}
     sources = [(rank[lo], rank[hi]) for lo, _, hi, _ in ends[: len(f.bars)]]
     # keyed for the two sweeps: d >= b, and c < a, which is -c >= 1 - a on integer ranks

@@ -46,3 +46,15 @@ def test_dist_kind_ends_with_a_step_at_the_pair_cap(monkeypatch, capsys):
     assert [int(step[1]) for step in steps] == [25, 50, 100, 200, 400, 800, 1600]
     assert sides == [(n, n) for n in (25, 50, 100, 200, 400, 800, 1600)]
     assert sides[-1][0] * sides[-1][1] == MAX_DIST_PAIRS
+
+
+def test_step_rss_is_the_step_own_peak(tmp_path):
+    # ru_maxrss in the step would start at the driver's peak, carried across
+    # fork+exec; the step's own VmHWM does not
+    ladder = load_ladder()
+    path = tmp_path / "b.json"
+    path.write_text('{"bars": [{"deg": 0, "lo": {"closed": true, "v": "0"}, "hi": {"closed": false, "v": "1"}}]}')
+    ballast = b"x" * (96 << 20)  # the driver's peak is at least 96 MB
+    rc, _, rss = ladder.run_step(str(LADDER.parent.parent), ["barcode", str(path)])
+    del ballast
+    assert rc == 0 and 5 < rss < 80

@@ -108,12 +108,13 @@ def test_sheaf_route_shares_no_code_with_the_persistence_route():
     sheaf = reachable(*SHEAF_ROUTE)
     assert ("stratmodel", "reduce_column") in sheaf
     assert ("stratmodel", "interval_model") in sheaf
-    assert sheaf.isdisjoint({("morse", "_reduce_boundary"), ("morse", "_lower_star_order")})
+    # the persistence route's union-find included: the sheaf route's degree 0 needs its own
+    assert sheaf.isdisjoint({("morse", "_reduce_boundary"), ("morse", "_lower_star_order"), ("morse", "_elder_pairs")})
 
 
 def test_persistence_route_shares_no_code_with_the_sheaf_route():
     persistence = reachable(*PERSISTENCE_ROUTE)
-    assert {("morse", "_reduce_boundary"), ("morse", "_lower_star_order")} <= persistence
+    assert {("morse", "_reduce_boundary"), ("morse", "_lower_star_order"), ("morse", "_elder_pairs")} <= persistence
     assert persistence.isdisjoint(SHEAF_ROUTE + (("stratmodel", "reduce_column"),))
 
 

@@ -20,7 +20,10 @@ without timing noise:
 
 ``--root`` names the checkout whose ``src/`` and ``perfbench/`` are used
 (default: the one holding this script).  ``--kind K`` (repeatable) counts
-only the jobs of kind K.  Nothing under ``perfbench/`` is written to.
+only the jobs of kind K.  Every selected job runs once, unprofiled, before
+the counted pass, so the process's first-use work (imports, caches) is
+charged to no job, and a kind reads the same with or without other kinds
+beside it.  Nothing under ``perfbench/`` is written to.
 
 ``--against ROOT`` counts both checkouts, each in a fresh interpreter, and
 prints one line per job kind with, for each of the four counters, the count
@@ -100,10 +103,15 @@ def main(argv=None) -> int:
         for line in compare(count_tree(args.against, args), count_tree(args.root, args)):
             print(line)
         return 0
+
+    def selected():
+        return (item for item in each_job(args.root, args.seeds) if not args.kind or item[3].kind in args.kind)
+
+    # warm-up: the process's first-use work (imports, caches) would land on whichever job ran first
+    for cli, _, _, job in selected():
+        run_job(cli, job.argv)
     totals: dict[tuple, list] = {}
-    for cli, workload, seed, job in each_job(args.root, args.seeds):
-        if args.kind and job.kind not in args.kind:
-            continue
+    for cli, workload, seed, job in selected():
         profile = cProfile.Profile()
         profile.enable()
         run_job(cli, job.argv)

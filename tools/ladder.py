@@ -30,7 +30,9 @@ It prints one line per step (kind, n, size, seconds, the step's peak RSS in
 MB, and the log-log slope from the step before) and, after each kind's
 steps, the least-squares log-log slope of time against size over all of
 them.  The seconds time the CLI call alone; the peak RSS is that of the
-whole subprocess, interpreter and imports included.  A slope near 1 is
+whole subprocess, interpreter and imports included, read from its own
+``VmHWM`` in ``/proc/self/status`` (Linux): ``ru_maxrss`` would start at
+the driver's peak, which Linux carries across fork+exec.  A slope near 1 is
 linear time, near 2 quadratic.  A morse kind stops before a torus with more
 simplices than ``morse.MAX_SIMPLICES``, which the CLI refuses; a domain kind
 ends with a step at exactly ``domains.MAX_STRATA`` strata, and ``dist`` with
@@ -61,16 +63,19 @@ import sys
 import tempfile
 
 # one step in a fresh interpreter: argv = tools dir, src dir, CLI argv as JSON;
-# prints [exit code, seconds in the CLI call, peak RSS in KB]
+# prints [exit code, seconds in the CLI call, peak RSS in KB]; the peak is the
+# process's own VmHWM, as Linux carries ru_maxrss over fork+exec from the driver
 STEP = """
-import json, resource, sys, time
+import json, sys, time
 sys.path[:0] = sys.argv[1:3]
 from job_digests import run_job
 from sheafcalc import cli
 start = time.perf_counter()
 rc, _ = run_job(cli, json.loads(sys.argv[3]))
 sec = time.perf_counter() - start
-print(json.dumps([rc, sec, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))
+with open("/proc/self/status") as status:
+    hwm = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+print(json.dumps([rc, sec, hwm]))
 """
 
 
